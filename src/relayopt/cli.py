@@ -284,7 +284,10 @@ def _cmd_convergence(args) -> int:
                    "inner_iters": t.inner_iterations_per_outer[i],
                    "cumulative_inner_iters": cumulative,
                    "lambda": t.lambda_final[i],
-                   "f_residual": t.f_sequence[i]}
+                   "f_residual": t.f_sequence[i],
+                   "bracket_sweeps": t.bracket_sweeps[i],
+                   "search_sweeps": t.search_sweeps[i],
+                   "stop_reason": t.stop_reasons[i]}
             stream.write(json.dumps(row, default=_json_safe) + "\n")
     finally:
         if args.out:

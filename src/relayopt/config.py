@@ -52,9 +52,9 @@ class SystemConfig:
     i_inner_max: int = 100
     eps_outer: float = 1e-8
     eps_inner: float = 1e-8
-    lambda_mode: str = "bisection"
+    lambda_mode: str = "bisection"   # secant search with a bisection safeguard
     lambda_step: float = 0.0         # 0 -> auto 0.05/p_max (subgradient mode)
-    lambda_init: float = 1.0
+    lambda_init: float = 1.0         # subgradient start
     tie_break: str = "lowest-index"
     master_seed: int = 1
 

@@ -203,8 +203,17 @@ def write_csv(records: Sequence[ResultRecord], path) -> None:
             w.writerow(_record_row(rec))
 
 
+def _finite_or_none(value):
+    """JSON has no NaN: a mean over zero converged samples is written null."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_json(records: Sequence[ResultRecord], path) -> None:
-    payload = {"records": [dataclasses.asdict(rec) for rec in records]}
+    payload = {"records": [
+        {key: _finite_or_none(val) for key, val in dataclasses.asdict(rec).items()}
+        for rec in records]}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")

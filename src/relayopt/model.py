@@ -262,7 +262,7 @@ def compute_metrics(alloc: Allocation, chan, cfg: RadioConfig, pm: PowerModel,
         rate_total=rate,
         rate_per_subcarrier=rate / n,
         power_total=power,
-        ee=rate / power,
+        ee=energy_efficiency(rate, power),
         ee_per_subcarrier=rate / n / power,
         rho=af_fraction(alloc),
         tx_power_used=tx_power_used(alloc),

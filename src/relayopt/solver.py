@@ -5,9 +5,20 @@ maximize F(q) = R - q*P and update q until the ratio stops improving.
 Inner loop: Lagrangian dual decomposition of the budget constraint;
 for a given multiplier every subcarrier solves a closed-form
 water-filling subproblem per (user, protocol) candidate and the best
-marginal wins the subcarrier.  The multiplier is found either by
-bisection on the (monotone) allocated-power curve (default) or by the
+marginal wins the subcarrier.  The multiplier is found either by a
+bracketed secant search on the water level (default) or by the
 constant-step projected subgradient update.
+
+The secant search starts from the direct-only water-filling multiplier
+(or, after the first Dinkelbach iteration, from the previous iteration's
+multiplier), doubles or halves it until the budget is bracketed, and
+then runs Illinois regula falsi on the water level u = 1/(q*xi_bs +
+lambda).  Between assignment switches the allocated power is
+piecewise-linear in u, so a few steps reach the budget.  Where the
+winning assignment switches across the budget the power jumps; there a
+midpoint (bisection) step is taken whenever the bracket fails to halve
+over two steps, and the search pins the multiplier to float resolution
+as plain bisection would.
 """
 
 from __future__ import annotations
@@ -40,9 +51,9 @@ class SolverParams:
     i_inner_max: int = 100
     eps_outer: float = 1e-8
     eps_inner: float = 1e-8
-    lambda_mode: str = "bisection"   # "bisection" | "subgradient"
+    lambda_mode: str = "bisection"   # "bisection" (secant search) | "subgradient"
     lambda_step: float = 0.0         # subgradient step; 0 -> 0.05 / p_max
-    lambda_init: float = 1.0
+    lambda_init: float = 1.0         # subgradient start
     tie_break: str = "lowest-index"  # "lowest-index" | "seeded-random"
     tie_seed: int = 0
 
@@ -81,6 +92,15 @@ class Candidate:
 
 @dataclass
 class SolverTrace:
+    """Outer-loop record of one solve.
+
+    The first six lists describe the accepted outer iterations (for SEM,
+    the returned iterate only).  bracket_sweeps, search_sweeps and
+    stop_reasons hold one entry per multiplier search the call ran, in
+    order, including a final one the Dinkelbach safeguard rejected, so
+    their sweep counts add up to every candidate sweep of the call.
+    """
+
     q_sequence: list = field(default_factory=list)       # q after each outer iteration
     inner_iterations_per_outer: list = field(default_factory=list)
     lambda_final: list = field(default_factory=list)     # multiplier per outer iteration
@@ -88,6 +108,9 @@ class SolverTrace:
     f_residual: float = 0.0                              # F at the last solved q parameter
     f_sequence: list = field(default_factory=list)       # F per outer iteration
     q_params: list = field(default_factory=list)         # q parameter fed to each inner solve
+    bracket_sweeps: list = field(default_factory=list)   # sweeps before the bracket search
+    search_sweeps: list = field(default_factory=list)    # sweeps inside the bracket
+    stop_reasons: list = field(default_factory=list)     # see _Search.stop
 
 
 @dataclass
@@ -193,10 +216,21 @@ def update_lambda_subgradient(lam: float, step: float, p_max: float,
     return max(0.0, lam - step * (p_max - p_used))
 
 
+def _check_gains(name: str, gains) -> None:
+    g = np.asarray(gains, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"{name} holds NaN or infinite gains")
+    if np.any(g < 0.0):
+        raise ValueError(f"{name} holds negative gains")
+
+
 class _Problem:
     """Per-instance constants, precomputed once per solve."""
 
     def __init__(self, chan: "ChannelRealization", cfg: "SystemConfig"):
+        if not (math.isfinite(chan.noise_gap) and chan.noise_gap > 0.0):
+            raise ValueError("noise_gap must be positive and finite")
+        _check_gains("g_bs_ue", chan.g_bs_ue)
         self.chan = chan
         self.cfg = cfg
         pm = cfg.power_model()
@@ -211,14 +245,50 @@ class _Problem:
         self.n_subcarriers = cfg.n_subcarriers
         self.has_af = cfg.n_relays > 0 and chan.g_rn_ue is not None
 
-        self.alpha_d = chan.g_bs_ue / self.ngap  # (K, N)
+        with np.errstate(divide="ignore"):
+            # (K, N) water-level floors 1/alpha; inf for a dead link: no power
+            self.inv_alpha_d = 1.0 / (chan.g_bs_ue / self.ngap)
+        self.af_dead = None
         if self.has_af:
+            _check_gains("g_bs_rn", chan.g_bs_rn)
+            _check_gains("g_rn_ue", chan.g_rn_ue)
             g1 = chan.g_bs_rn[chan.sector_of_ue]  # (K, N) feeder gain per user
             g2 = chan.g_rn_ue
+            dead = (g1 == 0.0) | (g2 == 0.0)
+            if np.any(dead):
+                # a pair with a dead hop carries nothing; stand-in unit
+                # gains keep its closed forms finite and _sweep zeroes
+                # its power
+                self.af_dead = dead
+                g1 = np.where(dead, 1.0, g1)
+                g2 = np.where(dead, 1.0, g2)
             self.sqrt_g1 = np.sqrt(g1)
             self.sqrt_g2 = np.sqrt(g2)
             self.g1 = g1
             self.g2 = g2
+        self.wf_price = _water_filling_price(self.inv_alpha_d.min(axis=0),
+                                             self.p_max)
+
+    def lambda_start(self, q: float) -> float:
+        """Direct-only water-filling multiplier at q; exact when M = 0 and q = 0."""
+        lam = self.wf_price - q * self.xi_bs
+        return lam if lam > 0.0 else self.wf_price
+
+
+def _water_filling_price(floors, p_max: float) -> float:
+    """Water-filling price 1/(ln2*L) of a budget over floors 1/alpha.
+
+    Exact water-filling by sorting: with the floors ascending, the level
+    L = (p_max + sum of the m lowest floors) / m for the largest m whose
+    m-th floor lies below it.  With no live link there is no level; any
+    positive price then serves as a start.
+    """
+    floors = np.sort(floors[np.isfinite(floors)])
+    if floors.size == 0:
+        return 1.0
+    levels = (p_max + np.cumsum(floors)) / np.arange(1, floors.size + 1)
+    level = levels[np.nonzero(levels > floors)[0][-1]]
+    return 1.0 / (LN2 * level)
 
 
 @dataclass
@@ -243,8 +313,8 @@ def _sweep(prob: _Problem, q: float, lam: float,
     """Build all 2NK candidates and pick each subcarrier's winner."""
     # direct candidates, all (k, n) at once
     wl_d = 1.0 / (LN2 * (q * prob.xi_bs + lam))
-    p_d = np.maximum(0.0, wl_d - 1.0 / prob.alpha_d)
-    x_d = prob.alpha_d * p_d
+    p_d = np.maximum(0.0, wl_d - prob.inv_alpha_d)
+    x_d = p_d / prob.inv_alpha_d
     marg_d = _marginal(x_d)
     rate_d = np.log1p(x_d) / LN2
     cons_d = prob.xi_bs * p_d
@@ -259,6 +329,8 @@ def _sweep(prob: _Problem, q: float, lam: float,
             (beta * prob.g1 + (1.0 - beta) * prob.g2) * prob.ngap)
         wl_a = 1.0 / (LN2 * (beta * a + (1.0 - beta) * b))
         p_a = np.maximum(0.0, wl_a - 1.0 / alpha_a)
+        if prob.af_dead is not None:
+            p_a[prob.af_dead] = 0.0
         x_a = alpha_a * p_a
         marg_a = 0.5 * _marginal(x_a)
         rate_a = 0.5 * np.log1p(x_a) / LN2
@@ -336,71 +408,142 @@ def _to_allocation(prob: _Problem, sweep: _SweepResult) -> Allocation:
     return Allocation(prob.n_users, prob.n_subcarriers, entries)
 
 
-def _search_bisection(prob: _Problem, q: float, params: SolverParams):
-    """Find the budget multiplier by bisection on p_used(lambda).
+_PIN_REL = 1e-15      # bracket width, relative to max(1, hi), that pins lambda
+_LAMBDA_CEIL = 1e300  # multiplier past which a bracket counts as failed
+
+
+@dataclass
+class _Search:
+    """One multiplier search (one inner solve)."""
+
+    sweep: _SweepResult   # best-F(q) feasible iterate
+    bracket_sweeps: int   # lambda = 0 check, start point, bracket expansion
+    search_sweeps: int    # steps inside the bracket
+    # interior: lambda = 0 is feasible; tolerance: budget slack <= 1e-12
+    # p_max; jump-point: lambda pinned to float resolution where p_used
+    # jumps across the budget; iteration-cap: i_inner_max sweeps spent;
+    # bracket-failure: bracketing alone took more than i_inner_max sweeps
+    # (subgradient: no feasible iterate, so the price was doubled to one)
+    stop: str
+
+    @property
+    def evals(self) -> int:
+        return self.bracket_sweeps + self.search_sweeps
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in ("interior", "tolerance", "jump-point")
+
+
+def _search_water_level(prob: _Problem, q: float, params: SolverParams,
+                        lam_hint: Optional[float] = None) -> _Search:
+    """Find the budget multiplier by a bracketed secant search.
 
     p_used is non-increasing in lambda (it is the negated subgradient of
     the convex dual), so a bracket [lo, hi] with p_used(lo) > p_max >=
-    p_used(hi) always closes.  Where p_used jumps across p_max (an
+    p_used(hi) always closes.  Inside it, Illinois regula falsi runs on
+    the water level u = 1/(q*xi_bs + lambda), in which p_used is
+    piecewise-linear, with a midpoint step whenever the bracket fails to
+    halve over two steps.  Where p_used jumps across p_max (an
     assignment switch) the bracket collapses instead and the best
     feasible iterate seen wins.
     """
     p_max = prob.p_max
+    over = p_max * (1.0 + _FEAS_SLACK)  # p_used above this is infeasible
     # Budget slack at exit.  Kept near float resolution so that rates
     # reported for different q parameters differ through the objective,
     # not through leftover line-search slack (the rate error of an
     # iterate is ~lambda * (p_max - p_used)).
     tol_p = 1e-12 * p_max
+    price0 = q * prob.xi_bs  # direct price at lambda = 0
+    best = None
     evals = 0
 
     def ev(lam):
-        nonlocal evals
+        nonlocal best, evals
         evals += 1
-        return _sweep(prob, q, lam, params)
+        r = _sweep(prob, q, lam, params)
+        if r.p_used <= over and (best is None or r.f_value(q, prob.p_fixed)
+                                 > best.f_value(q, prob.p_fixed)):
+            best = r
+        return r
 
-    if q > 0.0:
-        r = ev(0.0)
-        if r.p_used <= p_max * (1.0 + _FEAS_SLACK):
-            return r, evals, True  # budget slack at zero price: interior optimum
+    def stop_rule(lo, hi, r_hi):
+        if p_max - r_hi.p_used <= tol_p:
+            return "tolerance"
+        if hi - lo <= _PIN_REL * max(1.0, hi):
+            return "jump-point"  # multiplier pinned to float resolution
+        return None
+
+    if q > 0.0 and ev(0.0).p_used <= over:
+        return _Search(best, 1, 0, "interior")  # budget slack at zero price
     # else: p_used(0+) is unbounded at q=0, never evaluate lambda=0
 
-    lo = 0.0
-    hi = params.lambda_init
-    r_hi = ev(hi)
-    while r_hi.p_used > p_max * (1.0 + _FEAS_SLACK):
-        lo = hi
-        hi *= 2.0
-        r_hi = ev(hi)
-        if hi > 1e300:  # unreachable: p_used -> 0 as lambda grows
-            raise RuntimeError("lambda bracket failed to close")
-    bracket_ok = evals <= params.i_inner_max
+    lam = lam_hint or prob.lambda_start(q)
+    r = ev(lam)
+    stop = None
+    if r.p_used > over:  # double up to the first feasible multiplier
+        while r.p_used > over:
+            lo, r_lo = lam, r
+            lam *= 2.0
+            if lam > _LAMBDA_CEIL:  # unreachable: p_used -> 0 as lambda grows
+                raise RuntimeError("lambda bracket failed to close")
+            r = ev(lam)
+        hi, r_hi = lam, r
+    else:  # halve down to the first infeasible multiplier
+        hi, r_hi = lam, r
+        while True:
+            stop = stop_rule(0.0, hi, r_hi)
+            if stop:
+                break
+            lam = 0.5 * hi
+            r = ev(lam)
+            if r.p_used > over:
+                lo, r_lo = lam, r
+                break
+            hi, r_hi = lam, r
+    bracket_sweeps = evals
 
-    best = r_hi
-    converged = False
-    while True:
-        if p_max - r_hi.p_used <= tol_p:
-            converged = True
-            break
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            converged = True  # multiplier pinned to float resolution; jump point
-            break
-        if evals >= params.i_inner_max:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            converged = True  # bracket no longer splits in float
-            break
-        r = ev(mid)
-        if r.p_used > p_max * (1.0 + _FEAS_SLACK):
-            lo = mid
-        else:
-            hi, r_hi = mid, r
-            if r.f_value(q, prob.p_fixed) > best.f_value(q, prob.p_fixed):
-                best = r
-    return best, evals, converged and bracket_ok
+    if stop is None:
+        u_lo, g_lo = 1.0 / (price0 + lo), r_lo.p_used - p_max
+        u_hi, g_hi = 1.0 / (price0 + hi), r_hi.p_used - p_max
+        side = 0           # which end moved last: +1 lo, -1 hi
+        widths = [hi - lo]
+        while True:
+            stop = stop_rule(lo, hi, r_hi)
+            if stop:
+                break
+            if evals >= params.i_inner_max:
+                stop = "iteration-cap"
+                break
+            lam = 0.5 * (lo + hi)
+            if len(widths) < 3 or widths[-1] <= 0.5 * widths[-3]:
+                u = (u_lo * g_hi - u_hi * g_lo) / (g_hi - g_lo)
+                secant = 1.0 / u - price0
+                if lo < secant < hi:
+                    lam = secant
+            if not lo < lam < hi:
+                stop = "jump-point"  # bracket no longer splits in float
+                break
+            r = ev(lam)
+            if r.p_used > over:
+                lo, u_lo, g_lo = lam, 1.0 / (price0 + lam), r.p_used - p_max
+                if side == 1:
+                    g_hi *= 0.5  # Illinois: pull the stale end toward the root
+                side = 1
+            else:
+                hi, r_hi = lam, r
+                u_hi, g_hi = 1.0 / (price0 + lam), r.p_used - p_max
+                if side == -1:
+                    g_lo *= 0.5
+                side = -1
+            widths.append(hi - lo)
+    if bracket_sweeps > params.i_inner_max:
+        stop = "bracket-failure"
+    return _Search(best, bracket_sweeps, evals - bracket_sweeps, stop)
 
 
-def _search_subgradient(prob: _Problem, q: float, params: SolverParams):
+def _search_subgradient(prob: _Problem, q: float, params: SolverParams) -> _Search:
     """Constant-step projected subgradient on the budget multiplier."""
     p_max = prob.p_max
     step = params.lambda_step if params.lambda_step > 0.0 else 0.05 / p_max
@@ -408,7 +551,7 @@ def _search_subgradient(prob: _Problem, q: float, params: SolverParams):
     lam = max(params.lambda_init, lam_floor)
     best = None
     evals = 0
-    converged = False
+    stop = "iteration-cap"
     for _ in range(params.i_inner_max):
         r = _sweep(prob, q, lam, params)
         evals += 1
@@ -419,9 +562,10 @@ def _search_subgradient(prob: _Problem, q: float, params: SolverParams):
         new_lam = max(new_lam, lam_floor)
         if abs(new_lam - lam) <= params.eps_inner:
             lam = new_lam
-            converged = True
+            stop = "tolerance"
             break
         lam = new_lam
+    search_sweeps = evals
     if best is None:
         # no feasible iterate seen; raise the price until one appears
         lam = max(lam, 1e-12)
@@ -432,13 +576,21 @@ def _search_subgradient(prob: _Problem, q: float, params: SolverParams):
                 best = r
                 break
             lam *= 2.0
-        converged = False
-    return best, evals, converged
+            if lam > _LAMBDA_CEIL:
+                raise RuntimeError("lambda bracket failed to close")
+        stop = "bracket-failure"
+    return _Search(best, evals - search_sweeps, search_sweeps, stop)
 
 
-def _search_lambda(prob: _Problem, q: float, params: SolverParams):
+def _search_lambda(prob: _Problem, q: float, params: SolverParams,
+                   lam_hint: Optional[float] = None) -> _Search:
+    """One inner solve's multiplier search.
+
+    lam_hint, a positive multiplier, seeds the secant search; None or 0
+    starts it from the water-filling multiplier.
+    """
     if params.lambda_mode == "bisection":
-        return _search_bisection(prob, q, params)
+        return _search_water_level(prob, q, params, lam_hint)
     return _search_subgradient(prob, q, params)
 
 
@@ -455,9 +607,10 @@ def solve_inner(q: float, chan: "ChannelRealization", cfg: "SystemConfig",
     params = params if params is not None else cfg.solver_params()
     params.validate()
     prob = _Problem(chan, cfg)
-    sweep, evals, converged = _search_lambda(prob, q, params)
+    search = _search_lambda(prob, q, params)
+    sweep = search.sweep
     alloc = _to_allocation(prob, sweep)
-    trace = InnerTrace(iterations=evals, converged=converged,
+    trace = InnerTrace(iterations=search.evals, converged=search.converged,
                        p_used=sweep.p_used,
                        f_value=sweep.f_value(q, prob.p_fixed))
     return alloc, sweep.lam, trace
@@ -468,12 +621,14 @@ class _OuterStep:
     """One outer (Dinkelbach) iteration's inner solve, before acceptance."""
 
     q: float                # ratio parameter the sweep was solved at
-    sweep: _SweepResult
-    evals: int
-    inner_ok: bool
+    search: _Search
     f_val: float            # F(q) of the sweep
     q_new: float            # rate/power ratio of the sweep
     accepted: bool          # False for the safeguard-rejected final solve
+
+    @property
+    def sweep(self) -> _SweepResult:
+        return self.search.sweep
 
 
 def _dinkelbach_steps(prob: _Problem, params: SolverParams):
@@ -483,28 +638,40 @@ def _dinkelbach_steps(prob: _Problem, params: SolverParams):
     safeguard case: the inexact inner solve at the updated q came back
     with F < 0, i.e. worse than the incumbent allocation (whose F at
     that q is 0 by construction), so the ratio cannot improve further.
+    Each search after the first starts from the previous multiplier,
+    shifted so that the direct water level q*xi_bs + lambda is kept.
     """
     steps = []
     q = 0.0
+    hint = None
     termination = "outer-limit"
     for _ in range(params.i_outer_max):
-        sweep, evals, inner_ok = _search_lambda(prob, q, params)
+        search = _search_lambda(prob, q, params, hint)
+        sweep = search.sweep
         f_val = sweep.f_value(q, prob.p_fixed)
         p_total = prob.p_fixed + sweep.cons_sum
         q_new = sweep.rate_sum / p_total if p_total > 0.0 else 0.0
         if steps and f_val < 0.0:
-            steps.append(_OuterStep(q, sweep, evals, inner_ok, f_val,
-                                    q_new, accepted=False))
+            steps.append(_OuterStep(q, search, f_val, q_new, accepted=False))
             termination = "converged"
             break
-        steps.append(_OuterStep(q, sweep, evals, inner_ok, f_val,
-                                q_new, accepted=True))
+        steps.append(_OuterStep(q, search, f_val, q_new, accepted=True))
         delta = q_new - q
+        hint = sweep.lam - delta * prob.xi_bs
+        if hint <= 0.0:
+            hint = sweep.lam
         q = q_new
         if delta <= params.eps_outer:
-            termination = "converged" if inner_ok else "inner-limit"
+            termination = "converged" if search.converged else "inner-limit"
             break
     return steps, termination
+
+
+def _record_searches(trace: SolverTrace, steps) -> None:
+    for s in steps:
+        trace.bracket_sweeps.append(s.search.bracket_sweeps)
+        trace.search_sweeps.append(s.search.search_sweeps)
+        trace.stop_reasons.append(s.search.stop)
 
 
 def solve_eem(chan: "ChannelRealization", cfg: "SystemConfig",
@@ -522,11 +689,12 @@ def solve_eem(chan: "ChannelRealization", cfg: "SystemConfig",
             break
         trace.q_params.append(s.q)
         trace.q_sequence.append(s.q_new)
-        trace.inner_iterations_per_outer.append(s.evals)
+        trace.inner_iterations_per_outer.append(s.search.evals)
         trace.lambda_final.append(s.sweep.lam)
         trace.f_sequence.append(s.f_val)
         trace.f_residual = s.f_val
     trace.termination = termination
+    _record_searches(trace, steps)
 
     incumbent = [s for s in steps if s.accepted][-1]
     alloc = _to_allocation(prob, incumbent.sweep)
@@ -548,7 +716,8 @@ def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig",
     the earliest iterate, so away from those switch points this is
     exactly the q=0 solution.  The trace describes the chosen iterate:
     q_params holds the ratio parameter it was solved at, f_residual its
-    plain rate (F at q=0).
+    plain rate (F at q=0).  Its search counters cover the whole
+    trajectory.
     """
     params = params if params is not None else cfg.solver_params()
     params.validate()
@@ -566,11 +735,12 @@ def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig",
 
     trace = SolverTrace(
         q_sequence=[best_metrics.ee],
-        inner_iterations_per_outer=[best.evals],
+        inner_iterations_per_outer=[best.search.evals],
         lambda_final=[best.sweep.lam],
-        termination="converged" if best.inner_ok else "inner-limit",
+        termination="converged" if best.search.converged else "inner-limit",
         f_residual=best.sweep.f_value(0.0, prob.p_fixed),  # F(0): the rate
         f_sequence=[best.sweep.f_value(0.0, prob.p_fixed)],
         q_params=[best.q],
     )
+    _record_searches(trace, steps)
     return Solution(best_alloc, best_metrics, trace)

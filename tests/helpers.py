@@ -6,6 +6,7 @@ with the vectorized production code without sharing its code paths.
 
 import math
 
+from relayopt import solver
 from relayopt.model import LN2, Direct
 from relayopt.solver import af_candidate, assign_subcarriers, direct_candidate
 
@@ -114,3 +115,66 @@ def dominance_holds(sol, chan, cfg, rel=1e-9):
         if mine < top - rel * max(1.0, abs(top)):
             return False
     return True
+
+
+def bisection_search(prob, q, params, lam_hint=None):
+    """Reference multiplier search: plain bisection on p_used(lambda).
+
+    Doubles lambda up from params.lambda_init until the budget holds,
+    then halves the bracket until the budget slack is <= 1e-12 p_max,
+    the bracket is pinned to float resolution, or i_inner_max sweeps
+    are spent, returning the best-F feasible iterate.  It shares only
+    the candidate sweep with the library search and ignores lam_hint,
+    so it can stand in for solver._search_lambda.
+    """
+    p_max = prob.p_max
+    over = p_max * (1.0 + solver._FEAS_SLACK)
+    tol_p = 1e-12 * p_max
+    evals = 0
+
+    def ev(lam):
+        nonlocal evals
+        evals += 1
+        return solver._sweep(prob, q, lam, params)
+
+    if q > 0.0:
+        r = ev(0.0)
+        if r.p_used <= over:
+            return solver._Search(r, 1, 0, "interior")
+
+    lo = 0.0
+    hi = params.lambda_init
+    r_hi = ev(hi)
+    while r_hi.p_used > over:
+        lo = hi
+        hi *= 2.0
+        r_hi = ev(hi)
+        if hi > 1e300:
+            raise RuntimeError("lambda bracket failed to close")
+    bracket_sweeps = evals
+
+    best = r_hi
+    while True:
+        if p_max - r_hi.p_used <= tol_p:
+            stop = "tolerance"
+            break
+        if hi - lo <= 1e-15 * max(1.0, hi):
+            stop = "jump-point"
+            break
+        if evals >= params.i_inner_max:
+            stop = "iteration-cap"
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            stop = "jump-point"
+            break
+        r = ev(mid)
+        if r.p_used > over:
+            lo = mid
+        else:
+            hi, r_hi = mid, r
+            if r.f_value(q, prob.p_fixed) > best.f_value(q, prob.p_fixed):
+                best = r
+    if bracket_sweeps > params.i_inner_max:
+        stop = "bracket-failure"
+    return solver._Search(best, bracket_sweeps, evals - bracket_sweeps, stop)

@@ -43,6 +43,9 @@ def test_solve_document_shape(capsys):
             assert entry["p_bs"] > 0.0 and entry["p_rn"] > 0.0
     assert doc["trace"]["termination"] == "converged"
     assert doc["metrics"]["ee"] > 0.0
+    trace = doc["trace"]
+    assert len(trace["bracket_sweeps"]) == len(trace["search_sweeps"]) \
+        == len(trace["stop_reasons"]) >= len(trace["q_sequence"])
 
 
 def test_solve_allocation_refeasibility(capsys):
@@ -160,8 +163,11 @@ def test_convergence_trace_jsonl(capsys):
     assert len(rows) >= 2
     for i, row in enumerate(rows):
         assert set(row) == {"iteration", "q", "inner_iters",
-                            "cumulative_inner_iters", "lambda", "f_residual"}
+                            "cumulative_inner_iters", "lambda", "f_residual",
+                            "bracket_sweeps", "search_sweeps", "stop_reason"}
         assert row["iteration"] == i + 1
+        assert row["bracket_sweeps"] + row["search_sweeps"] == row["inner_iters"]
+        assert row["stop_reason"] in ("interior", "tolerance", "jump-point")
     qs = [r["q"] for r in rows]
     assert qs == sorted(qs)
     cum = 0

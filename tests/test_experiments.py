@@ -144,6 +144,28 @@ def test_json_mirror_round_trip(tmp_path):
     assert set(CSV_COLUMNS) <= set(first)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_json_mirror_is_strict_json_when_every_sample_fails(tmp_path):
+    # one outer iteration cannot converge, so every sample fails and the
+    # point's means are undefined
+    spec = SweepSpec(name="io", base=_small_base(i_outer_max=1), axes={},
+                     samples=2, algorithms=("EEM",))
+    records = run_sweep(spec)
+    assert records[0].failures == 2 and math.isnan(records[0].ee_mean)
+    out = tmp_path / "sweep.json"
+    write_json(records, out)
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    first = payload["records"][0]
+    assert first["samples"] == 0 and first["failures"] == 2
+    assert first["flagged"] is True
+    for col in ("se_mean", "ee_mean", "rho_mean", "txpower_mean",
+                "outer_iters_mean", "inner_iters_mean"):
+        assert first[col] is None
+
+
 def test_builtin_scenarios_cover_the_studies():
     scen = builtin_scenarios()
     assert set(scen) == {"convergence", "users", "subcarriers", "radius", "d_r"}

@@ -9,7 +9,7 @@ from helpers import best_feasible_f_on_grid, beta_quotient, dominance_holds, \
     kkt_residuals, sweep_at
 from relayopt.channel import ChannelRealization, generate_instance
 from relayopt.config import SystemConfig
-from relayopt.model import LN2, check_feasibility, system_rate
+from relayopt.model import LN2, Direct, check_feasibility, system_rate
 from relayopt.solver import (Candidate, SolverParams, af_beta, af_candidate,
                              assign_subcarriers, direct_candidate, solve_eem,
                              solve_inner, solve_sem,
@@ -185,6 +185,42 @@ def _single_link_channel(gain, cfg):
     return ChannelRealization(
         g_bs_ue=np.array([[gain]]), g_bs_rn=np.empty((0, 1)), g_rn_ue=None,
         sector_of_ue=None, noise_gap=cfg.noise_gap_watts, seed=0)
+
+
+def _af_channel(cfg, g_bs_ue, g_bs_rn, g_rn_ue):
+    return ChannelRealization(
+        g_bs_ue=np.array(g_bs_ue, dtype=float),
+        g_bs_rn=np.array(g_bs_rn, dtype=float),
+        g_rn_ue=np.array(g_rn_ue, dtype=float),
+        sector_of_ue=np.zeros(1, dtype=int), noise_gap=cfg.noise_gap_watts,
+        seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-10])
+@pytest.mark.parametrize("link", ["g_bs_ue", "g_bs_rn", "g_rn_ue"])
+def test_bad_gains_are_rejected(bad, link):
+    cfg = SystemConfig(n_users=1, n_subcarriers=2, n_relays=1)
+    gains = {"g_bs_ue": [[1e-10, 1e-10]], "g_bs_rn": [[1e-9, 1e-9]],
+             "g_rn_ue": [[1e-9, 1e-9]]}
+    gains[link][0][1] = bad
+    chan = _af_channel(cfg, **gains)
+    for solve in (solve_eem, solve_sem):
+        with pytest.raises(ValueError, match=link):
+            solve(chan, cfg)
+
+
+def test_dead_links_idle_their_subcarrier():
+    # subcarrier 0: no direct link and a dead second hop (beta would be
+    # 0/0); subcarrier 1: a dead first hop beside a live direct link
+    cfg = SystemConfig(n_users=1, n_subcarriers=2, n_relays=1)
+    chan = _af_channel(cfg, g_bs_ue=[[0.0, 1e-10]], g_bs_rn=[[1e-9, 0.0]],
+                       g_rn_ue=[[0.0, 1e-9]])
+    for solve in (solve_eem, solve_sem):
+        sol = solve(chan, cfg)
+        assert set(sol.allocation.entries) == {(0, 1)}
+        assert isinstance(sol.allocation.entries[(0, 1)], Direct)
+        assert math.isfinite(sol.metrics.ee) and sol.metrics.ee > 0.0
+        assert sol.trace.termination == "converged"
 
 
 def test_solve_inner_spends_budget_at_q_zero():
