@@ -7,8 +7,10 @@ Subcommands:
     convergence  outer-loop trace as JSON lines
     scenarios    list the built-in sweep specs
 
-Exit status: 0 success, 1 bad input/validation, 2 non-convergence under
---strict (solve only).  RELAYOPT_CONFIG names a default config file.
+Every subcommand but `scenarios` takes the config flags; `--strict` is a
+`solve` flag and `--threads` a `sweep` flag.  Exit status: 0 success,
+1 bad input/validation (unknown flags included), 2 non-convergence under
+`solve --strict`.  RELAYOPT_CONFIG names a default config file.
 """
 
 from __future__ import annotations
@@ -60,10 +62,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radius-km", type=float, dest="cell_radius_km")
     p.add_argument("--d-r", type=float, dest="d_r")
     p.add_argument("--seed", type=int, dest="master_seed")
-    p.add_argument("--strict", action="store_true",
-                   help="fail (exit 2) on non-converged solves")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap for sweeps")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -77,6 +85,8 @@ def _build_parser() -> _Parser:
                    help="shorthand for --algorithm sem")
     p.add_argument("--exact-snr", action="store_true",
                    help="also report metrics under the exact AF SNR")
+    p.add_argument("--strict", action="store_true",
+                   help="fail (exit 2) if the solve did not converge")
 
     p = sub.add_parser("sweep", help="run a Monte-Carlo scenario sweep")
     _add_common(p)
@@ -89,10 +99,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--algorithms", default=None,
                    help="comma list, e.g. EEM,SEM")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker cap for sweeps")
 
     p = sub.add_parser("oracle", help="certify the solver against brute force")
     _add_common(p)
-    p.add_argument("--seeds", type=int, default=20,
+    p.add_argument("--seeds", type=_positive_int, default=20,
                    help="number of instances to certify")
     p.add_argument("--power-points", type=int, default=200)
     p.add_argument("--beta-points", type=int, default=101)

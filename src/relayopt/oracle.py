@@ -5,6 +5,17 @@ grid-searches the powers on each one, entirely independent of the
 solver's closed forms.  Exists to certify, not to scale: the power
 grids are log-spaced (water-filling optima span decades) with local
 refinement rounds recovering near-continuous precision.
+
+The scan over one assignment's menu product stays exhaustive but
+visits only each menu's frontier: a point is dropped when a point at a
+lower index of the same menu has tx <=, cons <= and rate >= (Kung,
+Luccio & Preparata 1975).  Swapping a dropped point for that dominator
+keeps any combo feasible, never lowers its EE or rate (fp addition is
+monotone) and moves it earlier in scan order, so the first-index
+argmax, ties included, is the same combo as over the full product.
+The coarse menus and their frontiers are built once per brute-force
+call, since every assignment reuses the same (subcarrier, user,
+protocol) menus.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -24,6 +36,7 @@ _REFINE_POINTS = 21     # per-dimension points in refinement rounds
 _COARSE_BETA_CAP = 21   # beta grid cap when >= 2 AF subcarriers share the product
 _PRODUCT_CAP = 4 * 10**8  # combo guard per assignment
 _CHUNK = 1 << 22
+_FRONTIER_BLOCK = 128  # menu points tested per dense block
 
 
 @dataclass
@@ -62,6 +75,54 @@ class _Menu:
     p_rn: np.ndarray   # zeros for direct entries
     beta: Optional[np.ndarray]
 
+    @cached_property
+    def front(self) -> np.ndarray:
+        """Ascending indices of the points no lower-index point dominates."""
+        return _frontier(self.tx, self.cons, self.rate)
+
+
+def _frontier(tx, cons, rate, block=_FRONTIER_BLOCK) -> np.ndarray:
+    """Indices i with no j < i such that tx_j <= tx_i, cons_j <= cons_i
+    and rate_j >= rate_i.
+
+    Works through the points in index blocks.  Earlier blocks are
+    represented by their kept points, since a dropped point's dominator
+    dominates all it dominates.  When none of those needs more tx than
+    any point of the block, as on the ascending power grids, a (cons,
+    best rate so far) staircase over them tests the block by binary
+    search; otherwise they are compared densely.  The block's survivors
+    are then compared densely with each other.
+    """
+    parts = []
+    k_tx = k_cons = k_rate = np.empty(0)     # kept points so far
+    s_cons = s_rate = np.empty(0)            # staircase: cons asc, rate cummax
+    for start in range(0, len(rate), block):
+        t = tx[start:start + block]
+        c = cons[start:start + block]
+        r = rate[start:start + block]
+        if not k_tx.size:
+            cand = np.arange(len(t))
+        elif k_tx.max() <= t.min():
+            pos = np.searchsorted(s_cons, c, side="right") - 1
+            cand = np.flatnonzero((pos < 0) | (s_rate[np.maximum(pos, 0)] < r))
+        else:
+            cand = np.flatnonzero(~((k_tx <= t[:, None]) & (k_cons <= c[:, None])
+                                    & (k_rate >= r[:, None])).any(axis=1))
+        t, c, r = t[cand], c[cand], r[cand]
+        earlier = np.tri(len(t), k=-1, dtype=bool)
+        keep = ~(earlier & (t <= t[:, None]) & (c <= c[:, None])
+                 & (r >= r[:, None])).any(axis=1)
+        parts.append(cand[keep] + start)
+        t, c, r = t[keep], c[keep], r[keep]
+        k_tx = np.concatenate([k_tx, t])
+        k_cons = np.concatenate([k_cons, c])
+        k_rate = np.concatenate([k_rate, r])
+        s_cons = np.concatenate([s_cons, c])
+        order = np.argsort(s_cons, kind="stable")
+        s_cons = s_cons[order]
+        s_rate = np.maximum.accumulate(np.concatenate([s_rate, r])[order])
+    return np.concatenate(parts)
+
 
 def _menu_direct(gain, ngap, xi_bs, p_lo, p_hi, points) -> _Menu:
     p = np.geomspace(p_lo, p_hi, points)
@@ -99,71 +160,66 @@ class _Best:
 
 
 def _scan_product(menus, p_max, p_fixed):
-    """Max-EE and max-rate feasible combos over the menu product."""
-    best_ee, best_rate = _Best(), _Best()
-    sizes = [len(m.rate) for m in menus]
-    total = math.prod(sizes)
-    if total > _PRODUCT_CAP:
-        raise ValueError("assignment power grid too large; reduce grid points")
+    """Max-EE and max-rate feasible combos over the menu product.
 
-    def offer_block(rate, tx, cons, mapper):
+    Scans the product of the menus' frontiers and returns the winning
+    combos as indices into the full menus.
+    """
+    best_ee, best_rate = _Best(), _Best()
+    if math.prod(len(m.rate) for m in menus) > _PRODUCT_CAP:
+        raise ValueError("assignment power grid too large; reduce grid points")
+    if len(menus) > 3:
+        raise ValueError(
+            "budget coupling is searched exactly only up to 3 active subcarriers")
+    fronts = [m.front for m in menus]
+    cols = [(m.rate[f], m.tx[f], m.cons[f]) for m, f in zip(menus, fronts)]
+
+    def offer_block(rate, tx, cons, base):
         feas = tx <= p_max * (1.0 + 1e-12)
         if not np.any(feas):
             return
         rate = np.where(feas, rate, -1.0)
         ee = rate / (p_fixed + cons)
-        j = int(np.argmax(ee))
-        if rate.flat[j] >= 0.0:
-            best_ee.offer(float(ee.flat[j]), mapper(j))
-        j = int(np.argmax(rate))
-        if rate.flat[j] >= 0.0:
-            best_rate.offer(float(rate.flat[j]), mapper(j))
+        for best, score in ((best_ee, ee), (best_rate, rate)):
+            j = int(np.argmax(score))
+            if rate.flat[j] >= 0.0:
+                i0, *rest = np.unravel_index(j, score.shape)
+                best.offer(float(score.flat[j]), (base + i0, *rest))
 
-    if len(menus) == 1:
-        m0 = menus[0]
-        offer_block(m0.rate, m0.tx, m0.cons, lambda j: (j,))
-    elif len(menus) == 2:
-        m0, m1 = menus
-        step = max(1, _CHUNK // sizes[1])
-        for i0 in range(0, sizes[0], step):
-            sl = slice(i0, min(i0 + step, sizes[0]))
-            rate = m0.rate[sl, None] + m1.rate[None, :]
-            tx = m0.tx[sl, None] + m1.tx[None, :]
-            cons = m0.cons[sl, None] + m1.cons[None, :]
+    # each block holds whole rows of the leading menu, about _CHUNK combos
+    step = max(1, _CHUNK // math.prod(len(f) for f in fronts[1:]))
+    for base in range(0, len(fronts[0]), step):
+        rate, tx, cons = (a[base:base + step] for a in cols[0])
+        for r, t, c in cols[1:]:
+            rate = rate[..., None] + r
+            tx = tx[..., None] + t
+            cons = cons[..., None] + c
+        offer_block(rate, tx, cons, base)
 
-            def mapper(j, base=i0):
-                return (base + j // sizes[1], j % sizes[1])
-
-            offer_block(rate, tx, cons, mapper)
-    elif len(menus) == 3:
-        m0, m1, m2 = menus
-        for i0 in range(sizes[0]):
-            rate = m0.rate[i0] + m1.rate[:, None] + m2.rate[None, :]
-            tx = m0.tx[i0] + m1.tx[:, None] + m2.tx[None, :]
-            cons = m0.cons[i0] + m1.cons[:, None] + m2.cons[None, :]
-
-            def mapper(j, base=i0):
-                return (base, j // sizes[2], j % sizes[2])
-
-            offer_block(rate, tx, cons, mapper)
-    else:
-        raise ValueError(
-            "budget coupling is searched exactly only up to 3 active subcarriers")
+    for best in (best_ee, best_rate):
+        if best.idx is not None:
+            best.idx = tuple(int(f[j]) for f, j in zip(fronts, best.idx))
     return best_ee, best_rate
 
 
-def _build_menus(active, chan, pm, brackets):
+def _build_menus(active, chan, pm, brackets, memo=None):
+    """One menu per active slot; `memo` caches them by (slot, bracket)."""
+    memo = {} if memo is None else memo
     menus = []
-    for i, (n, k, proto) in enumerate(active):
-        p_lo, p_hi, b_lo, b_hi, p_pts, b_pts = brackets[i]
-        if proto == "direct":
-            menus.append(_menu_direct(chan.g_bs_ue[k, n], chan.noise_gap,
-                                      pm.xi_bs, p_lo, p_hi, p_pts))
-        else:
-            m = chan.sector_of_ue[k]
-            menus.append(_menu_af(chan.g_bs_rn[m, n], chan.g_rn_ue[k, n],
-                                  chan.noise_gap, pm.xi_bs, pm.xi_rn,
-                                  p_lo, p_hi, p_pts, b_lo, b_hi, b_pts))
+    for slot, bracket in zip(active, brackets):
+        if (slot, bracket) not in memo:
+            n, k, proto = slot
+            p_lo, p_hi, b_lo, b_hi, p_pts, b_pts = bracket
+            if proto == "direct":
+                menu = _menu_direct(chan.g_bs_ue[k, n], chan.noise_gap,
+                                    pm.xi_bs, p_lo, p_hi, p_pts)
+            else:
+                m = chan.sector_of_ue[k]
+                menu = _menu_af(chan.g_bs_rn[m, n], chan.g_rn_ue[k, n],
+                                chan.noise_gap, pm.xi_bs, pm.xi_rn,
+                                p_lo, p_hi, p_pts, b_lo, b_hi, b_pts)
+            memo[slot, bracket] = menu
+        menus.append(memo[slot, bracket])
     return menus
 
 
@@ -176,8 +232,12 @@ def _combo_point(menus, idx):
     return out
 
 
-def _scan_assignment(active, chan, cfg, pm, grid):
-    """Grid-optimize one assignment; returns (ee, ee_point, rate, rate_point)."""
+def _scan_assignment(active, chan, cfg, pm, grid, memo=None):
+    """Grid-optimize one assignment; returns (ee, ee_point, rate, rate_point).
+
+    `memo` caches the coarse menus (and so their frontiers) across the
+    assignments of one instance.
+    """
     p_fixed = pm.p_c_bs + cfg.n_relays * pm.p_c_rn
     if not active:
         return 0.0, [], 0.0, []
@@ -188,7 +248,7 @@ def _scan_assignment(active, chan, cfg, pm, grid):
     p_lo_g = p_max * _P_FLOOR_REL
 
     coarse = [(p_lo_g, p_max, 0.0, 1.0, grid.power_points, b_pts)] * len(active)
-    menus = _build_menus(active, chan, pm, coarse)
+    menus = _build_menus(active, chan, pm, coarse, memo)
     best_ee, best_rate = _scan_product(menus, p_max, p_fixed)
 
     results = {}
@@ -268,11 +328,13 @@ def _brute_force(chan, cfg, grid: Optional[GridSpec] = None):
     pm = cfg.power_model()
     best = (-math.inf, None, None)   # ee, active, point
     best_r = (-math.inf, None, None)
+    memo = {}
     for assignment in enumerate_assignments(cfg.n_users, cfg.n_subcarriers,
                                             cfg.n_relays):
         active = [(n, slot[0], slot[1]) for n, slot in enumerate(assignment)
                   if slot is not None]
-        ee, ee_point, rate, rate_point = _scan_assignment(active, chan, cfg, pm, grid)
+        ee, ee_point, rate, rate_point = _scan_assignment(active, chan, cfg, pm,
+                                                         grid, memo)
         # strict > keeps the first (lexicographically smallest) assignment on ties
         if ee > best[0]:
             best = (ee, active, ee_point)

@@ -6,7 +6,9 @@ with the vectorized production code without sharing its code paths.
 
 import math
 
-from relayopt import solver
+import numpy as np
+
+from relayopt import oracle, solver
 from relayopt.model import LN2, Direct
 from relayopt.solver import af_candidate, assign_subcarriers, direct_candidate
 
@@ -178,3 +180,62 @@ def bisection_search(prob, q, params, lam_hint=None):
     if bracket_sweeps > params.i_inner_max:
         stop = "bracket-failure"
     return solver._Search(best, bracket_sweeps, evals - bracket_sweeps, stop)
+
+
+def reference_scan_product(menus, p_max, p_fixed):
+    """Reference oracle product scan: every combo of the full menus.
+
+    The unpruned scan the frontier-pruned oracle._scan_product must
+    reproduce, winning indices and tie-breaking included.  It can stand
+    in for oracle._scan_product.
+    """
+    best_ee, best_rate = oracle._Best(), oracle._Best()
+    sizes = [len(m.rate) for m in menus]
+    total = math.prod(sizes)
+    if total > oracle._PRODUCT_CAP:
+        raise ValueError("assignment power grid too large; reduce grid points")
+
+    def offer_block(rate, tx, cons, mapper):
+        feas = tx <= p_max * (1.0 + 1e-12)
+        if not np.any(feas):
+            return
+        rate = np.where(feas, rate, -1.0)
+        ee = rate / (p_fixed + cons)
+        j = int(np.argmax(ee))
+        if rate.flat[j] >= 0.0:
+            best_ee.offer(float(ee.flat[j]), mapper(j))
+        j = int(np.argmax(rate))
+        if rate.flat[j] >= 0.0:
+            best_rate.offer(float(rate.flat[j]), mapper(j))
+
+    if len(menus) == 1:
+        m0 = menus[0]
+        offer_block(m0.rate, m0.tx, m0.cons, lambda j: (j,))
+    elif len(menus) == 2:
+        m0, m1 = menus
+        step = max(1, oracle._CHUNK // sizes[1])
+        for i0 in range(0, sizes[0], step):
+            sl = slice(i0, min(i0 + step, sizes[0]))
+            rate = m0.rate[sl, None] + m1.rate[None, :]
+            tx = m0.tx[sl, None] + m1.tx[None, :]
+            cons = m0.cons[sl, None] + m1.cons[None, :]
+
+            def mapper(j, base=i0):
+                return (base + j // sizes[1], j % sizes[1])
+
+            offer_block(rate, tx, cons, mapper)
+    elif len(menus) == 3:
+        m0, m1, m2 = menus
+        for i0 in range(sizes[0]):
+            rate = m0.rate[i0] + m1.rate[:, None] + m2.rate[None, :]
+            tx = m0.tx[i0] + m1.tx[:, None] + m2.tx[None, :]
+            cons = m0.cons[i0] + m1.cons[:, None] + m2.cons[None, :]
+
+            def mapper(j, base=i0):
+                return (base, j // sizes[2], j % sizes[2])
+
+            offer_block(rate, tx, cons, mapper)
+    else:
+        raise ValueError(
+            "budget coupling is searched exactly only up to 3 active subcarriers")
+    return best_ee, best_rate

@@ -200,3 +200,21 @@ def test_oracle_certification_report(capsys):
     for res in report["results"]:
         assert set(res) == {"seed", "solver_ee", "oracle_ee", "relative_gap",
                             "assignment_match"}
+
+
+def test_oracle_rejects_nonpositive_seeds(capsys):
+    for seeds in ("0", "-3"):
+        assert main(["oracle", "--seeds", seeds]) == 1
+        err = capsys.readouterr().err
+        assert "--seeds" in err and "must be >= 1" in err
+
+
+def test_flags_only_on_the_subcommands_that_read_them(capsys):
+    for argv, flag in ((["oracle", "--threads", "2"], "--threads"),
+                       (["solve", "--threads", "2"], "--threads"),
+                       (["convergence", "--strict"], "--strict"),
+                       (["sweep", "--scenario", "radius", "--strict"],
+                        "--strict")):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from helpers import reference_scan_product
+from relayopt import oracle
 from relayopt.channel import ChannelRealization, generate_instance
 from relayopt.config import SystemConfig
 from relayopt.model import LN2, Allocation, Direct, compute_metrics
@@ -152,3 +156,85 @@ def test_solver_certified_against_oracle(tiny_instance):
         sol = solve_eem(chan, cfg)
         ora = brute_force_eem(chan, cfg)
         assert sol.metrics.ee >= ora.metrics.ee * (1.0 - 0.01)
+
+
+def _answers(pair):
+    return [(s.metrics.ee, s.metrics.rate_total, s.allocation.entries)
+            for s in pair]
+
+
+def test_pruned_scan_matches_reference(monkeypatch):
+    cases = [(SystemConfig(n_users=2, n_subcarriers=2, n_relays=1,
+                           p_max_dbm=0.0), seed,
+              GridSpec(power_points=40, beta_points=21, refine_rounds=1))
+             for seed in range(1, 11)]
+    # three active subcarriers: 3-menu coarse and refinement products
+    cases.append((SystemConfig(n_users=1, n_subcarriers=3, n_relays=1,
+                               p_max_dbm=10.0), 1,
+                  GridSpec(power_points=20, beta_points=6, refine_rounds=1)))
+    pruned = oracle._scan_product
+    differ = []
+    for cfg, seed, grid in cases:
+        _, chan = generate_instance(cfg, seed)
+        monkeypatch.setattr(oracle, "_scan_product", reference_scan_product)
+        ref = oracle._brute_force(chan, cfg, grid)
+        monkeypatch.setattr(oracle, "_scan_product", pruned)
+        new = oracle._brute_force(chan, cfg, grid)
+        if _answers(new) != _answers(ref):
+            differ.append((cfg.n_users, cfg.n_subcarriers, cfg.n_relays, seed))
+    assert not differ, f"pruned oracle differs from the full scan on {differ}"
+
+
+def _dominates(tx, cons, rate, j, i):
+    return tx[j] <= tx[i] and cons[j] <= cons[i] and rate[j] >= rate[i]
+
+
+def _menu(tx, cons, rate):
+    zeros = np.zeros(len(rate))
+    return oracle._Menu(rate=np.asarray(rate, dtype=float),
+                        tx=np.asarray(tx, dtype=float),
+                        cons=np.asarray(cons, dtype=float),
+                        p_bs=zeros, p_rn=zeros, beta=None)
+
+
+_value = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.0])
+_rate = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.0, 2.0])
+_points = st.lists(st.tuples(_value, _value, _rate), min_size=1, max_size=24)
+
+
+@given(points=_points, sort_tx=st.booleans(),
+       block=st.sampled_from([1, 2, 3, 5, oracle._FRONTIER_BLOCK]))
+@settings(max_examples=300, deadline=None)
+def test_frontier_drops_exactly_the_earlier_dominated(points, sort_tx, block):
+    if sort_tx:  # ascending tx, as on the power grids: the staircase path
+        points = sorted(points, key=lambda p: p[0])
+    tx, cons, rate = (np.array(col) for col in zip(*points))
+    kept = set(oracle._frontier(tx, cons, rate, block).tolist())
+    for i in range(len(points)):
+        earlier = [j for j in range(i) if _dominates(tx, cons, rate, j, i)]
+        if i in kept:
+            assert not earlier, f"kept {i} is dominated by {earlier}"
+        else:
+            assert earlier, f"dropped {i} has no earlier dominator"
+
+
+@given(menus=st.lists(_points, min_size=1, max_size=3),
+       p_max=st.sampled_from([0.5, 2.0, 4.0, 100.0]),
+       p_fixed=st.sampled_from([0.5, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_pruned_scan_keeps_score_and_index(menus, p_max, p_fixed):
+    menus = [_menu(*zip(*points)) for points in menus]
+    full = reference_scan_product(menus, p_max, p_fixed)
+    pruned = oracle._scan_product(menus, p_max, p_fixed)
+    for ref, new in zip(full, pruned):
+        assert (new.score, new.idx) == (ref.score, ref.idx)
+
+
+def test_product_cap_counts_unpruned_points():
+    # identical points prune to one each, yet the full product is too large
+    side = 20001
+    assert side * side > oracle._PRODUCT_CAP
+    menu = _menu(np.ones(side), np.ones(side), np.ones(side))
+    assert len(menu.front) == 1
+    with pytest.raises(ValueError, match="grid too large"):
+        oracle._scan_product([menu, menu], 10.0, 1.0)
