@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -26,8 +27,7 @@ import numpy as np
 
 from .channel import generate_instance
 from .config import ConfigError, SystemConfig, load_config
-from .experiments import (CSV_COLUMNS, builtin_scenarios, run_sweep,
-                          write_csv, write_json)
+from .experiments import builtin_scenarios, run_sweep, write_csv, write_json
 from .model import Direct, compute_metrics
 from .oracle import GridSpec, brute_force_eem
 from .solver import Solution, solve_eem, solve_sem
@@ -74,6 +74,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # built on the first main() call, then reused
 def _build_parser() -> _Parser:
     parser = _Parser(prog="relayopt")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -218,14 +219,7 @@ def _cmd_sweep(args) -> int:
         spec = dataclasses.replace(spec, master_seed=args.master_seed)
 
     records = run_sweep(spec, threads=max(1, args.threads))
-    if args.out and args.out != "-":
-        write_csv(records, args.out)
-    else:
-        import csv as _csv
-        w = _csv.writer(sys.stdout)
-        w.writerow(CSV_COLUMNS)
-        for rec in records:
-            w.writerow([getattr(rec, col) for col in CSV_COLUMNS])
+    write_csv(records, args.out if args.out and args.out != "-" else sys.stdout)
     if args.json_out:
         write_json(records, args.json_out)
     return 0
@@ -330,9 +324,8 @@ def dispatch(subcommand: str, args) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
         return _COMMANDS[ns.command](ns)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -195,12 +195,16 @@ def _record_row(rec: ResultRecord) -> list:
     return [getattr(rec, col) for col in CSV_COLUMNS]
 
 
-def write_csv(records: Sequence[ResultRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        for rec in records:
-            w.writerow(_record_row(rec))
+def write_csv(records: Sequence[ResultRecord], out) -> None:
+    """Write the records as CSV to a path or to an open text stream."""
+    if not hasattr(out, "write"):
+        with open(out, "w", newline="") as fh:
+            write_csv(records, fh)
+        return
+    w = csv.writer(out)
+    w.writerow(CSV_COLUMNS)
+    for rec in records:
+        w.writerow(_record_row(rec))
 
 
 def _finite_or_none(value):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class RadioConfig:
     subcarrier_bw_hz: float = 12e3      # Hz per subcarrier
     noise_psd_dbm_hz: float = -174.0    # thermal noise floor
     snr_gap_db: float = 0.0             # gap to capacity of the transceiver
-    weights: Optional[np.ndarray] = None  # per-user rate weights, default all 1
 
     @property
     def noise_gap_watts(self) -> float:
@@ -70,11 +69,6 @@ class RadioConfig:
             * dbm_to_watts(self.noise_psd_dbm_hz)
             * self.subcarrier_bw_hz
         )
-
-    def user_weights(self) -> np.ndarray:
-        if self.weights is None:
-            return np.ones(self.n_users)
-        return np.asarray(self.weights, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -165,28 +159,33 @@ def link_rate_af(snr):
 
 
 def _entry_rate(k: int, n: int, e: Entry, chan, exact_snr: bool) -> float:
+    """snr_direct, snr_af_* and link_rate_* of one entry, minus their input
+    checks: system_rate checks the noise gap once, and a pair with no
+    hop SNR returns before the AF formulas."""
+    ngap = chan.noise_gap
     if isinstance(e, Direct):
-        return float(link_rate_direct(snr_direct(e.p_d, chan.g_bs_ue[k, n], chan.noise_gap)))
+        return float(link_rate_direct(e.p_d * chan.g_bs_ue[k, n] / ngap))
     m = chan.sector_of_ue[k]
-    s1 = snr_direct(e.p_bs, chan.g_bs_rn[m, n], chan.noise_gap)
-    s2 = snr_direct(e.p_rn, chan.g_rn_ue[k, n], chan.noise_gap)
+    s1 = e.p_bs * chan.g_bs_rn[m, n] / ngap
+    s2 = e.p_rn * chan.g_rn_ue[k, n] / ngap
     if s1 + s2 <= 0.0:
         return 0.0  # dead pair, carries nothing
-    s = snr_af_exact(s1, s2) if exact_snr else snr_af_approx(s1, s2)
+    s = snr_af_exact(s1, s2) if exact_snr else s1 * s2 / (s1 + s2)
     return float(link_rate_af(s))
 
 
 def system_rate(alloc: Allocation, chan, cfg: RadioConfig, exact_snr: bool = False) -> float:
-    """Weighted sum rate over allocated subcarriers, bits/s/Hz.
+    """Sum rate over allocated subcarriers, bits/s/Hz.
 
     Un-normalized sum; divide by N for the per-subcarrier average that
     figures are usually plotted in.  AF terms use the harmonic-mean SNR
     approximation unless exact_snr is set.
     """
-    w = cfg.user_weights()
+    if alloc.entries and chan.noise_gap <= 0.0:
+        raise ValueError("noise_gap must be positive")
     total = 0.0
     for (k, n), e in alloc.entries.items():
-        total += w[k] * _entry_rate(k, n, e, chan, exact_snr)
+        total += _entry_rate(k, n, e, chan, exact_snr)
     return total
 
 

@@ -19,12 +19,34 @@ winning assignment switches across the budget the power jumps; there a
 midpoint (bisection) step is taken whenever the bracket fails to halve
 over two steps, and the search pins the multiplier to float resolution
 as plain bisection would.
+
+Each sweep evaluates only a per-instance shortlist of the candidates
+that can win.  All direct users of a subcarrier share the water level
+1/(ln2*(q*xi_bs + lambda)), and a candidate's marginal rises with
+x = alpha*level - 1, so only the user with the largest direct gain can
+win the direct contest.  Substituting the optimal split beta gives an AF
+pair alpha*level = g1*g2 / (ngap*ln2*(sqrt(g1*b) + sqrt(g2*a))^2), with
+a = q*xi_bs + 2*lambda and b = q*xi_rn + 2*lambda, which rises with the access gain g2; users of one sector share the feeder gain
+g1, so only each sector's strongest access link can win there.  Neither
+ranking depends on q or lambda, so the shortlist holds 1 + M' rows per
+subcarrier (M' occupied sectors) instead of 2K, for every sweep of the
+solve.  A folded candidate whose gain equals its row's exactly has the
+same marginal, and ties keep the lowest candidate index, so the winners
+are those of the full sweep; a seeded-random tie-break draws among the
+folded twins too.  The shortlisted rows run the same floating-point
+operations as the full sweep would, so answers match it bit for bit.
+Only rounding could tell the two apart: where two gains of one contest
+lie within a few ulps, so that the rounded marginals could order them
+either way, or where every marginal of a subcarrier rounds to zero
+while the shortlisted winner has a positive power (one below about
+1.1e-16/alpha), since the full sweep then picks candidate 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, TYPE_CHECKING
 
 import numpy as np
@@ -55,7 +77,6 @@ class SolverParams:
     lambda_step: float = 0.0         # subgradient step; 0 -> 0.05 / p_max
     lambda_init: float = 1.0         # subgradient start
     tie_break: str = "lowest-index"  # "lowest-index" | "seeded-random"
-    tie_seed: int = 0
 
     def validate(self) -> None:
         if self.i_outer_max < 1 or self.i_inner_max < 1:
@@ -225,7 +246,15 @@ def _check_gains(name: str, gains) -> None:
 
 
 class _Problem:
-    """Per-instance constants, precomputed once per solve."""
+    """Per-instance constants, precomputed once per solve.
+
+    The candidate shortlist (see the module docstring) has one row per
+    contest: row 0 holds each subcarrier's strongest direct user, and
+    with relays one further row per occupied sector holds its strongest
+    AF user.  flat[r, n] is that candidate's index in the full
+    user-major candidate order (2k direct, 2k+1 AF; k without relays),
+    which fixes the lowest-index tie-break.
+    """
 
     def __init__(self, chan: "ChannelRealization", cfg: "SystemConfig"):
         if not (math.isfinite(chan.noise_gap) and chan.noise_gap > 0.0):
@@ -244,16 +273,27 @@ class _Problem:
         self.n_users = cfg.n_users
         self.n_subcarriers = cfg.n_subcarriers
         self.has_af = cfg.n_relays > 0 and chan.g_rn_ue is not None
+        self.cols = np.arange(self.n_subcarriers)
 
+        k_d = np.argmax(chan.g_bs_ue, axis=0)  # first max: lowest user
         with np.errstate(divide="ignore"):
-            # (K, N) water-level floors 1/alpha; inf for a dead link: no power
-            self.inv_alpha_d = 1.0 / (chan.g_bs_ue / self.ngap)
+            # (N,) water-level floors 1/alpha; inf for a dead link: no power
+            self.inv_alpha_d = 1.0 / (chan.g_bs_ue[k_d, self.cols] / self.ngap)
         self.af_dead = None
         if self.has_af:
             _check_gains("g_bs_rn", chan.g_bs_rn)
             _check_gains("g_rn_ue", chan.g_rn_ue)
-            g1 = chan.g_bs_rn[chan.sector_of_ue]  # (K, N) feeder gain per user
-            g2 = chan.g_rn_ue
+            # sector_row[k]: shortlist row of user k's AF contest
+            sectors, sector_row = np.unique(chan.sector_of_ue,
+                                            return_inverse=True)
+            self.sector_row = 1 + sector_row.reshape(-1)
+            k_a = np.empty((len(sectors), self.n_subcarriers), dtype=np.intp)
+            for r, m in enumerate(sectors):
+                members = np.flatnonzero(chan.sector_of_ue == m)
+                k_a[r] = members[np.argmax(chan.g_rn_ue[members], axis=0)]
+            self.flat = np.vstack([2 * k_d, 2 * k_a + 1])
+            g1 = chan.g_bs_rn[sectors]  # (M', N) feeder gain per row
+            g2 = chan.g_rn_ue[k_a, self.cols]
             dead = (g1 == 0.0) | (g2 == 0.0)
             if np.any(dead):
                 # a pair with a dead hop carries nothing; stand-in unit
@@ -266,13 +306,39 @@ class _Problem:
             self.sqrt_g2 = np.sqrt(g2)
             self.g1 = g1
             self.g2 = g2
-        self.wf_price = _water_filling_price(self.inv_alpha_d.min(axis=0),
-                                             self.p_max)
+        else:
+            self.flat = k_d[None, :]
+        self.wf_price = _water_filling_price(self.inv_alpha_d, self.p_max)
 
     def lambda_start(self, q: float) -> float:
         """Direct-only water-filling multiplier at q; exact when M = 0 and q = 0."""
         lam = self.wf_price - q * self.xi_bs
         return lam if lam > 0.0 else self.wf_price
+
+    @cached_property
+    def twins(self):
+        """(twin, row_of, count) for drawing among exactly tied candidates.
+
+        twin[f, n] marks full-order candidate f whose gain on subcarrier
+        n equals its shortlist row's (so its marginal does too), row_of[f]
+        is that row, and count[r, n] counts row r's twins.  Built on the
+        first seeded-random sweep only.
+        """
+        chan = self.chan
+        users = self.flat // 2 if self.has_af else self.flat
+        twin_d = chan.g_bs_ue == chan.g_bs_ue[users[0], self.cols]
+        if not self.has_af:
+            row_of = np.zeros(self.n_users, dtype=np.intp)
+            return twin_d, row_of, twin_d.sum(axis=0)[None, :]
+        g2_row = chan.g_rn_ue[users[1:], self.cols]  # real gains, dead ones too
+        twin = np.empty((2 * self.n_users, self.n_subcarriers), dtype=bool)
+        twin[0::2] = twin_d
+        twin[1::2] = chan.g_rn_ue == g2_row[self.sector_row - 1]
+        row_of = np.zeros(2 * self.n_users, dtype=np.intp)
+        row_of[1::2] = self.sector_row
+        count = np.zeros(self.flat.shape, dtype=np.intp)
+        np.add.at(count, row_of, twin)
+        return twin, row_of, count
 
 
 def _water_filling_price(floors, p_max: float) -> float:
@@ -293,7 +359,7 @@ def _water_filling_price(floors, p_max: float) -> float:
 
 @dataclass
 class _SweepResult:
-    """One full candidate sweep at fixed (q, lambda)."""
+    """One candidate sweep at fixed (q, lambda)."""
 
     lam: float
     winner_user: np.ndarray     # (N,)
@@ -308,64 +374,64 @@ class _SweepResult:
         return self.rate_sum - q * (p_fixed + self.cons_sum)
 
 
+_NO_CANDIDATE = np.iinfo(np.intp).max  # sorts after every candidate index
+
+
 def _sweep(prob: _Problem, q: float, lam: float,
            params: SolverParams) -> _SweepResult:
-    """Build all 2NK candidates and pick each subcarrier's winner."""
-    # direct candidates, all (k, n) at once
+    """Pick each subcarrier's winner among the shortlisted candidates."""
+    p = np.empty(prob.flat.shape)  # power per shortlisted candidate
+    x = np.empty_like(p)           # alpha * power
     wl_d = 1.0 / (LN2 * (q * prob.xi_bs + lam))
-    p_d = np.maximum(0.0, wl_d - prob.inv_alpha_d)
-    x_d = p_d / prob.inv_alpha_d
-    marg_d = _marginal(x_d)
-    rate_d = np.log1p(x_d) / LN2
-    cons_d = prob.xi_bs * p_d
-
+    np.maximum(0.0, wl_d - prob.inv_alpha_d, out=p[0])
+    np.divide(p[0], prob.inv_alpha_d, out=x[0])
     if prob.has_af:
         a = q * prob.xi_bs + 2.0 * lam
         b = q * prob.xi_rn + 2.0 * lam
-        x = prob.sqrt_g1 * math.sqrt(a)
-        y = prob.sqrt_g2 * math.sqrt(b)
-        beta = y / (x + y)
+        sx = prob.sqrt_g1 * math.sqrt(a)
+        sy = prob.sqrt_g2 * math.sqrt(b)
+        beta = sy / (sx + sy)
         alpha_a = beta * (1.0 - beta) * prob.g1 * prob.g2 / (
             (beta * prob.g1 + (1.0 - beta) * prob.g2) * prob.ngap)
         wl_a = 1.0 / (LN2 * (beta * a + (1.0 - beta) * b))
-        p_a = np.maximum(0.0, wl_a - 1.0 / alpha_a)
+        np.maximum(0.0, wl_a - 1.0 / alpha_a, out=p[1:])
         if prob.af_dead is not None:
-            p_a[prob.af_dead] = 0.0
-        x_a = alpha_a * p_a
-        marg_a = 0.5 * _marginal(x_a)
-        rate_a = 0.5 * np.log1p(x_a) / LN2
-        cons_a = 0.5 * p_a * (beta * prob.xi_bs + (1.0 - beta) * prob.xi_rn)
+            p[1:][prob.af_dead] = 0.0
+        np.multiply(alpha_a, p[1:], out=x[1:])
+    marg = _marginal(x)
+    marg[1:] *= 0.5  # AF occupies two slots
 
-        # candidate order (user-major, direct before AF) fixes the
-        # deterministic tie-break
-        marg = np.stack([marg_d, marg_a], axis=1).reshape(2 * prob.n_users, -1)
-        flat = np.argmax(marg, axis=0)  # first max = lowest user, direct first
-        if params.tie_break == "seeded-random":
-            flat = _retie_random(marg, flat, params)
-        winner_user = flat // 2
-        winner_af = (flat % 2).astype(bool)
+    # exact ties go to the lowest candidate index, as in the full order
+    best = marg.max(axis=0)
+    row = np.argmin(np.where(marg == best, prob.flat, _NO_CANDIDATE), axis=0)
+    cols = prob.cols
+    if params.tie_break == "seeded-random":
+        flat = _retie_random(prob, marg, best, row)
     else:
-        marg = marg_d
-        flat = np.argmax(marg, axis=0)
-        if params.tie_break == "seeded-random":
-            flat = _retie_random(marg, flat, params)
-        winner_user = flat
-        winner_af = np.zeros(prob.n_subcarriers, dtype=bool)
+        flat = prob.flat[row, cols]
 
-    cols = np.arange(prob.n_subcarriers)
-    wp_d = np.where(winner_af, 0.0, p_d[winner_user, cols])
+    wp = p[row, cols]
+    lg = np.log1p(x[row, cols])
     if prob.has_af:
-        wp_tot = np.where(winner_af, p_a[winner_user, cols], 0.0)
-        wbeta = beta[winner_user, cols]
+        winner_user = flat // 2
+        winner_af = row > 0
+        wbeta = beta[np.maximum(row - 1, 0), cols]  # read only where AF wins
+        wp_d = np.where(winner_af, 0.0, wp)
+        wp_tot = np.where(winner_af, wp, 0.0)
         wp_bs = wp_tot * wbeta
         wp_rn = wp_tot * (1.0 - wbeta)
-        rate = np.where(winner_af, rate_a[winner_user, cols], rate_d[winner_user, cols])
-        cons = np.where(winner_af, cons_a[winner_user, cols], cons_d[winner_user, cols])
+        rate = np.where(winner_af, 0.5 * lg / LN2, lg / LN2)
+        cons = np.where(winner_af,
+                        0.5 * wp * (wbeta * prob.xi_bs + (1.0 - wbeta) * prob.xi_rn),
+                        prob.xi_bs * wp)
     else:
+        winner_user = flat
+        winner_af = np.zeros(prob.n_subcarriers, dtype=bool)
+        wp_d = wp
         wp_bs = np.zeros(prob.n_subcarriers)
         wp_rn = np.zeros(prob.n_subcarriers)
-        rate = rate_d[winner_user, cols]
-        cons = cons_d[winner_user, cols]
+        rate = lg / LN2
+        cons = prob.xi_bs * wp
 
     return _SweepResult(
         lam=lam,
@@ -380,18 +446,25 @@ def _sweep(prob: _Problem, q: float, lam: float,
     )
 
 
-def _retie_random(marg: np.ndarray, flat: np.ndarray,
-                  params: SolverParams) -> np.ndarray:
-    """Replace first-index argmax by a seeded random choice on exact ties."""
-    best = marg[flat, np.arange(marg.shape[1])]
-    tied = (marg == best).sum(axis=0) > 1
-    if not np.any(tied):
-        return flat
-    rng = np.random.default_rng(params.tie_seed)
-    flat = flat.copy()
-    for n in np.nonzero(tied)[0]:
-        pool = np.nonzero(marg[:, n] == best[n])[0]
-        flat[n] = pool[rng.integers(len(pool))]
+def _retie_random(prob: _Problem, marg: np.ndarray, best: np.ndarray,
+                  row: np.ndarray) -> np.ndarray:
+    """Full-order index of each winner, drawn at random on exact ties.
+
+    Where several candidates, shortlisted or folded twins, tie for a
+    positive best marginal, a generator seeded with 0 at every sweep
+    draws one of them; `row` is moved to the drawn candidate's row.
+    """
+    flat = prob.flat[row, prob.cols]
+    tied = marg == best
+    twin, row_of, count = prob.twins
+    pool_size = np.where(tied, count, 0).sum(axis=0)
+    draw = np.flatnonzero((pool_size > 1) & (best > 0.0))
+    if draw.size:
+        rng = np.random.default_rng(0)
+        for n in draw:
+            pool = np.flatnonzero(twin[:, n] & tied[row_of, n])
+            flat[n] = pool[rng.integers(len(pool))]
+            row[n] = row_of[flat[n]]
     return flat
 
 

@@ -182,6 +182,100 @@ def bisection_search(prob, q, params, lam_hint=None):
     return solver._Search(best, bracket_sweeps, evals - bracket_sweeps, stop)
 
 
+def reference_candidates(prob, q, lam):
+    """All 2KN candidates of the full sweep at (q, lam).
+
+    Returns (marg, c): marg is the (2K, N) marginal matrix in user-major
+    order (row 2k direct, 2k+1 AF), or (K, N) without relays, and c
+    holds the (K, N) power, rate and consumption arrays per protocol.
+    """
+    chan = prob.chan
+    with np.errstate(divide="ignore"):
+        inv_alpha_d = 1.0 / (chan.g_bs_ue / prob.ngap)
+    wl_d = 1.0 / (LN2 * (q * prob.xi_bs + lam))
+    p_d = np.maximum(0.0, wl_d - inv_alpha_d)
+    x_d = p_d / inv_alpha_d
+    marg_d = solver._marginal(x_d)
+    c = {"p_d": p_d, "rate_d": np.log1p(x_d) / LN2, "cons_d": prob.xi_bs * p_d}
+    if not prob.has_af:
+        return marg_d, c
+
+    g1 = chan.g_bs_rn[chan.sector_of_ue]  # (K, N) feeder gain per user
+    g2 = chan.g_rn_ue
+    dead = (g1 == 0.0) | (g2 == 0.0)
+    g1 = np.where(dead, 1.0, g1)
+    g2 = np.where(dead, 1.0, g2)
+    a = q * prob.xi_bs + 2.0 * lam
+    b = q * prob.xi_rn + 2.0 * lam
+    x = np.sqrt(g1) * math.sqrt(a)
+    y = np.sqrt(g2) * math.sqrt(b)
+    beta = y / (x + y)
+    alpha_a = beta * (1.0 - beta) * g1 * g2 / (
+        (beta * g1 + (1.0 - beta) * g2) * prob.ngap)
+    wl_a = 1.0 / (LN2 * (beta * a + (1.0 - beta) * b))
+    p_a = np.maximum(0.0, wl_a - 1.0 / alpha_a)
+    p_a[dead] = 0.0
+    x_a = alpha_a * p_a
+    marg_a = 0.5 * solver._marginal(x_a)
+    c.update(p_a=p_a, beta=beta, rate_a=0.5 * np.log1p(x_a) / LN2,
+             cons_a=0.5 * p_a * (beta * prob.xi_bs + (1.0 - beta) * prob.xi_rn))
+    marg = np.stack([marg_d, marg_a], axis=1).reshape(2 * prob.n_users, -1)
+    return marg, c
+
+
+def reference_sweep(prob, q, lam, params):
+    """Reference candidate sweep: winner-take-all over all 2KN candidates.
+
+    The full sweep that the shortlisted solver._sweep must reproduce.
+    Exact ties go to the lowest candidate index, or under
+    "seeded-random" to a draw, from a generator seeded with 0 at every
+    sweep, in every column where several candidates tie for the best
+    marginal.  It can stand in for solver._sweep.
+    """
+    marg, c = reference_candidates(prob, q, lam)
+    cols = np.arange(prob.n_subcarriers)
+    flat = np.argmax(marg, axis=0)  # first max = lowest user, direct first
+    if params.tie_break == "seeded-random":
+        best = marg[flat, cols]
+        rng = np.random.default_rng(0)
+        for n in np.nonzero((marg == best).sum(axis=0) > 1)[0]:
+            pool = np.nonzero(marg[:, n] == best[n])[0]
+            flat[n] = pool[rng.integers(len(pool))]
+
+    if prob.has_af:
+        winner_user = flat // 2
+        winner_af = (flat % 2).astype(bool)
+        wp_d = np.where(winner_af, 0.0, c["p_d"][winner_user, cols])
+        wp_tot = np.where(winner_af, c["p_a"][winner_user, cols], 0.0)
+        wbeta = c["beta"][winner_user, cols]
+        wp_bs = wp_tot * wbeta
+        wp_rn = wp_tot * (1.0 - wbeta)
+        rate = np.where(winner_af, c["rate_a"][winner_user, cols],
+                        c["rate_d"][winner_user, cols])
+        cons = np.where(winner_af, c["cons_a"][winner_user, cols],
+                        c["cons_d"][winner_user, cols])
+    else:
+        winner_user = flat
+        winner_af = np.zeros(prob.n_subcarriers, dtype=bool)
+        wp_d = c["p_d"][winner_user, cols]
+        wp_bs = np.zeros(prob.n_subcarriers)
+        wp_rn = np.zeros(prob.n_subcarriers)
+        rate = c["rate_d"][winner_user, cols]
+        cons = c["cons_d"][winner_user, cols]
+
+    return solver._SweepResult(
+        lam=lam,
+        winner_user=winner_user,
+        winner_af=winner_af,
+        p_d=wp_d,
+        p_bs=wp_bs,
+        p_rn=wp_rn,
+        rate_sum=float(np.sum(rate)),
+        cons_sum=float(np.sum(cons)),
+        p_used=float(np.sum(wp_d) + np.sum(wp_bs) + np.sum(wp_rn)),
+    )
+
+
 def reference_scan_product(menus, p_max, p_fixed):
     """Reference oracle product scan: every combo of the full menus.
 

@@ -218,3 +218,32 @@ def test_flags_only_on_the_subcommands_that_read_them(capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and flag in err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    from relayopt import cli
+
+    base = ["solve", "--n", "4", "--m", "0", "--seed", "2"]
+    first = _solve_doc(capsys, base)
+    parser = cli._build_parser()
+    # --set values and a usage error of one call do not reach the next
+    assert _solve_doc(capsys, base + ["--set", "n_users=3"]) \
+        ["allocation"]["n_users"] == 3
+    assert main(base + ["--bogus"]) == 1
+    assert "--bogus" in capsys.readouterr().err
+    assert main(["solve", "--set", "n_users"]) == 1
+    capsys.readouterr()
+    assert _solve_doc(capsys, base) == first
+    assert first["allocation"]["n_users"] == SystemConfig().n_users
+    assert cli._build_parser() is parser
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_sweep_stdout_matches_the_csv_file(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--scenario", "convergence", "--samples", "2",
+            "--k", "2", "--n", "4"]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()

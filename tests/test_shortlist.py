@@ -1,0 +1,179 @@
+"""The shortlisted candidate sweep against the full 2KN reference sweep."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from helpers import reference_candidates, reference_sweep
+from relayopt import solver
+from relayopt.channel import ChannelRealization, generate_instance
+from relayopt.config import SystemConfig
+
+
+def _solve_both(chan, cfg, params=None):
+    return (solver.solve_eem(chan, cfg, params),
+            solver.solve_sem(chan, cfg, params))
+
+
+def _differences(ref, new):
+    """What differs between two (EEM, SEM) answers; empty if nothing."""
+    problems = []
+    for name, r, s in zip(("EEM", "SEM"), ref, new):
+        for field in ("ee", "rate_total"):
+            a, b = getattr(r.metrics, field), getattr(s.metrics, field)
+            if a != b:
+                problems.append(f"{name} {field} {b!r} != {a!r}")
+        if r.allocation.entries != s.allocation.entries:
+            problems.append(f"{name} allocation entries differ")
+        for field in ("bracket_sweeps", "search_sweeps"):
+            a, b = getattr(r.trace, field), getattr(s.trace, field)
+            if a != b:
+                problems.append(f"{name} {field} {b} != {a}")
+    return problems
+
+
+def _compare(monkeypatch, chan, cfg, params=None):
+    monkeypatch.setattr(solver, "_sweep", reference_sweep)
+    ref = _solve_both(chan, cfg, params)
+    monkeypatch.undo()
+    return _differences(ref, _solve_both(chan, cfg, params))
+
+
+def test_shortlist_matches_reference_sweep(monkeypatch):
+    # seeds 1-1000, each at one relay count: 250 instances per M
+    differ = {}
+    for seed in range(1, 1001):
+        cfg = SystemConfig(n_users=8, n_subcarriers=16, n_relays=seed % 4)
+        _, chan = generate_instance(cfg, seed)
+        problems = _compare(monkeypatch, chan, cfg)
+        if problems:
+            differ[(seed, cfg.n_relays)] = problems
+    assert not differ, f"{len(differ)} (seed, M) differ: {differ}"
+
+
+def _duplicated_users(seed, m):
+    """K=8, N=16 with users 5 and 6 exact copies of a boosted user 1."""
+    cfg = SystemConfig(n_users=8, n_subcarriers=16, n_relays=m)
+    _, chan = generate_instance(cfg, seed)
+    g_bs_ue = chan.g_bs_ue.copy()
+    g_bs_ue[1] *= 30.0
+    g_bs_ue[[5, 6]] = g_bs_ue[1]
+    if m == 0:
+        return cfg, dataclasses.replace(chan, g_bs_ue=g_bs_ue)
+    g_rn_ue = chan.g_rn_ue.copy()
+    sectors = chan.sector_of_ue.copy()
+    g_rn_ue[1] *= 30.0
+    g_rn_ue[[5, 6]] = g_rn_ue[1]
+    sectors[[5, 6]] = sectors[1]
+    return cfg, dataclasses.replace(chan, g_bs_ue=g_bs_ue, g_rn_ue=g_rn_ue,
+                                    sector_of_ue=sectors)
+
+
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_duplicated_users_lowest_index(monkeypatch, seed, m):
+    cfg, chan = _duplicated_users(seed, m)
+    assert _compare(monkeypatch, chan, cfg) == []
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_duplicated_users_seeded_random_draws_from_the_tied_pool(monkeypatch, m):
+    params = dataclasses.replace(SystemConfig().solver_params(),
+                                 tie_break="seeded-random")
+    drawn_twins = 0
+    for seed in (1, 2, 3):
+        cfg, chan = _duplicated_users(seed, m)
+        prob = solver._Problem(chan, cfg)
+        sol = solver.solve_eem(chan, cfg)
+        points = [(q, lam * f) for q, lam in zip(sol.trace.q_params,
+                                                 sol.trace.lambda_final)
+                  for f in (0.5, 1.0, 2.0)]
+        for q, lam in points:
+            marg, _ = reference_candidates(prob, q, lam)
+            ref = reference_sweep(prob, q, lam, params)
+            new = solver._sweep(prob, q, lam, params)
+            best = marg.max(axis=0)
+            flat = 2 * new.winner_user + new.winner_af if m else new.winner_user
+            for n in np.flatnonzero(best > 0.0):
+                pool = np.flatnonzero(marg[:, n] == best[n])
+                assert flat[n] in pool, (seed, q, lam, n)
+                drawn_twins += new.winner_user[n] in (5, 6)
+            for field in ("p_d", "p_bs", "p_rn"):
+                assert np.array_equal(getattr(new, field), getattr(ref, field))
+            for field in ("rate_sum", "cons_sum", "p_used"):
+                assert getattr(new, field) == getattr(ref, field)
+        # a whole seeded-random solve matches the reference up to labels
+        monkeypatch.setattr(solver, "_sweep", reference_sweep)
+        ref = _solve_both(chan, cfg, params)
+        monkeypatch.undo()
+        new = _solve_both(chan, cfg, params)
+        for r, s in zip(ref, new):
+            assert s.metrics == r.metrics
+            assert _powers(s.allocation) == _powers(r.allocation)
+    assert drawn_twins > 0  # folded twins are drawn, not only user 1
+
+
+def _powers(alloc):
+    return {n: e for (_, n), e in alloc.entries.items()}
+
+
+def test_zero_gains_and_dead_af_hops(monkeypatch):
+    cfg = SystemConfig(n_users=6, n_subcarriers=12, n_relays=3)
+    for seed in (1, 2, 3, 4):
+        _, chan = generate_instance(cfg, seed)
+        rng = np.random.default_rng(seed)
+        g_bs_ue = np.where(rng.random(chan.g_bs_ue.shape) < 0.3, 0.0,
+                           chan.g_bs_ue)
+        g_bs_rn = np.where(rng.random(chan.g_bs_rn.shape) < 0.3, 0.0,
+                           chan.g_bs_rn)
+        g_rn_ue = np.where(rng.random(chan.g_rn_ue.shape) < 0.3, 0.0,
+                           chan.g_rn_ue)
+        g_bs_ue[:, 0] = 0.0   # no direct link at all
+        g_bs_rn[:, 0] = 0.0   # every feeder dead: subcarrier 0 idles
+        g_bs_ue[:, 1] = 0.0
+        g_rn_ue[:, 1] = 0.0   # every access link dead: subcarrier 1 idles
+        # strong access links behind dead feeders: subcarrier 2 idles
+        g_bs_ue[:, 2] = 0.0
+        g_rn_ue[:, 2] = np.where(np.arange(6) % 2 == 0, 1.0, 0.0)
+        g_bs_rn[:, 2] = 0.0
+        chan = dataclasses.replace(chan, g_bs_ue=g_bs_ue, g_bs_rn=g_bs_rn,
+                                   g_rn_ue=g_rn_ue)
+        assert _compare(monkeypatch, chan, cfg) == [], seed
+        for sol in _solve_both(chan, cfg):
+            assert {n for _, n in sol.allocation.entries}.isdisjoint({0, 1, 2})
+
+
+@pytest.mark.parametrize("k, n, m", [(1, 1, 0), (1, 1, 1), (1, 1, 3),
+                                     (1, 16, 3), (8, 1, 3), (8, 16, 0),
+                                     (2, 3, 5)])
+def test_degenerate_sizes(monkeypatch, k, n, m):
+    # M > K leaves sectors without users, so the shortlist has fewer rows
+    cfg = SystemConfig(n_users=k, n_subcarriers=n, n_relays=m)
+    for seed in range(1, 11):
+        _, chan = generate_instance(cfg, seed)
+        assert _compare(monkeypatch, chan, cfg) == [], seed
+
+
+def test_single_user_constructed_channel(monkeypatch):
+    cfg = SystemConfig(n_users=1, n_subcarriers=1, n_relays=0)
+    chan = ChannelRealization(
+        g_bs_ue=np.array([[1e-10]]), g_bs_rn=np.empty((0, 1)), g_rn_ue=None,
+        sector_of_ue=None, noise_gap=cfg.noise_gap_watts, seed=0)
+    assert _compare(monkeypatch, chan, cfg) == []
+
+
+def test_shortlist_rows():
+    cfg = SystemConfig(n_users=8, n_subcarriers=16, n_relays=3)
+    _, chan = generate_instance(cfg, 4)
+    prob = solver._Problem(chan, cfg)
+    occupied = len(set(chan.sector_of_ue.tolist()))
+    assert prob.flat.shape == (1 + occupied, 16)
+    cols = np.arange(16)
+    assert np.array_equal(prob.flat[0], 2 * np.argmax(chan.g_bs_ue, axis=0))
+    for r, m in enumerate(sorted(set(chan.sector_of_ue.tolist())), start=1):
+        users = prob.flat[r] // 2
+        assert np.all(chan.sector_of_ue[users] == m)
+        members = np.flatnonzero(chan.sector_of_ue == m)
+        assert np.array_equal(chan.g_rn_ue[users, cols],
+                              chan.g_rn_ue[members].max(axis=0))
