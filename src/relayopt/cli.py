@@ -318,11 +318,6 @@ _COMMANDS = {
 }
 
 
-def dispatch(subcommand: str, args) -> int:
-    """Run one subcommand with its argument list; returns the exit status."""
-    return main([subcommand, *list(args)])
-
-
 def main(argv: Optional[list] = None) -> int:
     try:
         ns = _build_parser().parse_args(argv)

@@ -3,7 +3,12 @@
 A sweep is a Cartesian product of named parameter axes laid over a base
 configuration.  Every grid point solves the same `samples` channel
 realizations (seed = master_seed + sample index), so curves across grid
-points and across algorithms are paired sample-by-sample.
+points and across algorithms are paired sample-by-sample.  SEM is read
+off the Dinkelbach trajectory that EEM computes, so where EEM runs first
+a sample solves that trajectory once and derives both answers from it.
+
+A grid point's record holds means over its converged samples; the seeds
+of the samples that failed to converge are listed in the JSON mirror.
 """
 
 from __future__ import annotations
@@ -85,6 +90,8 @@ class ResultRecord:
     outer_iters_mean: float
     inner_iters_mean: float
     flagged: bool = False  # > 1% of samples failed (not a CSV column)
+    # seeds of the samples that did not converge (not a CSV column)
+    failed_seeds: list = field(default_factory=list)
 
 
 def aggregate(values: Sequence[float]) -> Tuple[float, float]:
@@ -99,11 +106,20 @@ def aggregate(values: Sequence[float]) -> Tuple[float, float]:
 
 
 def _solve_sample(cfg: SystemConfig, seed: int, algorithms):
-    """One channel realization solved by every requested algorithm."""
+    """One channel realization solved by every requested algorithm.
+
+    Where EEM runs before SEM, SEM reuses its Dinkelbach trajectory.
+    """
     _, chan = generate_instance(cfg, seed)
     out = {}
+    eem = None
     for alg in algorithms:
-        sol = _ALGORITHMS[alg](chan, cfg)
+        if alg == "SEM" and eem is not None:
+            sol = _ALGORITHMS[alg](chan, cfg, eem=eem)
+        else:
+            sol = _ALGORITHMS[alg](chan, cfg)
+        if alg == "EEM":
+            eem = sol
         t = sol.trace
         out[alg] = (
             sol.metrics.rate_per_subcarrier,
@@ -117,12 +133,14 @@ def _solve_sample(cfg: SystemConfig, seed: int, algorithms):
     return out
 
 
-def _point_records(spec: SweepSpec, cfg: SystemConfig, sample_results) -> list:
+def _point_records(spec: SweepSpec, cfg: SystemConfig, seeds,
+                   sample_results) -> list:
     records = []
     for alg in spec.algorithms:
         rows = [res[alg] for res in sample_results]
         ok = [r for r in rows if r[6]]
-        failures = len(rows) - len(ok)
+        failed_seeds = [s for s, r in zip(seeds, rows) if not r[6]]
+        failures = len(failed_seeds)
         if ok:
             se_m, se_s = aggregate([r[0] for r in ok])
             ee_m, ee_s = aggregate([r[1] for r in ok])
@@ -143,6 +161,7 @@ def _point_records(spec: SweepSpec, cfg: SystemConfig, sample_results) -> list:
             rho_mean=rho_m, rho_stderr=rho_s, txpower_mean=tx_m,
             outer_iters_mean=outer_m, inner_iters_mean=inner_m,
             flagged=failures > _FLAG_FAILURE_FRACTION * len(rows),
+            failed_seeds=failed_seeds,
         ))
     return records
 
@@ -163,7 +182,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> List[ResultRecord]:
                     lambda s: _solve_sample(cfg, s, spec.algorithms), seeds))
         else:
             results = [_solve_sample(cfg, s, spec.algorithms) for s in seeds]
-        records.extend(_point_records(spec, cfg, results))
+        records.extend(_point_records(spec, cfg, seeds, results))
     return records
 
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, TYPE_CHECKING
+from typing import NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -147,6 +147,9 @@ class Solution:
     allocation: Allocation
     metrics: Metrics
     trace: SolverTrace
+    # solve_eem's Dinkelbach run, for solve_sem(..., eem=) to reuse
+    _trajectory: Optional["_Trajectory"] = field(default=None, repr=False,
+                                                 compare=False)
 
 
 def _check_q_lambda(q: float, lam: float) -> None:
@@ -440,9 +443,9 @@ def _sweep(prob: _Problem, q: float, lam: float,
         p_d=wp_d,
         p_bs=wp_bs,
         p_rn=wp_rn,
-        rate_sum=float(np.sum(rate)),
-        cons_sum=float(np.sum(cons)),
-        p_used=float(np.sum(wp_d) + np.sum(wp_bs) + np.sum(wp_rn)),
+        rate_sum=float(rate.sum()),
+        cons_sum=float(cons.sum()),
+        p_used=float(wp_d.sum() + wp_bs.sum() + wp_rn.sum()),
     )
 
 
@@ -747,6 +750,15 @@ def _record_searches(trace: SolverTrace, steps) -> None:
         trace.stop_reasons.append(s.search.stop)
 
 
+class _Trajectory(NamedTuple):
+    """One Dinkelbach run and what it was solved for."""
+
+    prob: _Problem
+    params: SolverParams
+    steps: list
+    incumbent: _OuterStep   # last accepted step: the EEM answer
+
+
 def solve_eem(chan: "ChannelRealization", cfg: "SystemConfig",
               params: Optional[SolverParams] = None) -> Solution:
     """Energy-efficiency maximization via the Dinkelbach outer loop."""
@@ -772,11 +784,13 @@ def solve_eem(chan: "ChannelRealization", cfg: "SystemConfig",
     incumbent = [s for s in steps if s.accepted][-1]
     alloc = _to_allocation(prob, incumbent.sweep)
     metrics = compute_metrics(alloc, chan, prob.radio, prob.pm)
-    return Solution(alloc, metrics, trace)
+    return Solution(alloc, metrics, trace,
+                    _Trajectory(prob, params, steps, incumbent))
 
 
 def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig",
-              params: Optional[SolverParams] = None) -> Solution:
+              params: Optional[SolverParams] = None, *,
+              eem: Optional[Solution] = None) -> Solution:
     """Spectral-efficiency maximization.
 
     Runs the same outer trajectory as the energy-efficiency solve and
@@ -791,18 +805,41 @@ def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig",
     q_params holds the ratio parameter it was solved at, f_residual its
     plain rate (F at q=0).  Its search counters cover the whole
     trajectory.
+
+    eem, a solve_eem(chan, cfg, params) result for this very `chan`
+    object (unchanged since) and an equal cfg and params, hands over
+    that solve's trajectory: no search is run again, and the EEM
+    answer's allocation and metrics stand for its own iterate.  The
+    result is the same as without it.  An eem that carries no
+    trajectory, or was solved for another channel, config or solver
+    parameters, raises ValueError.
     """
     params = params if params is not None else cfg.solver_params()
     params.validate()
-    prob = _Problem(chan, cfg)
-    steps, _ = _dinkelbach_steps(prob, params)
+    if eem is None:
+        prob = _Problem(chan, cfg)
+        steps, _ = _dinkelbach_steps(prob, params)
+        reused = None
+    else:
+        traj = eem._trajectory
+        if traj is None:
+            raise ValueError("eem carries no Dinkelbach trajectory")
+        if traj.prob.chan is not chan:
+            raise ValueError("eem was solved for another channel")
+        if traj.prob.cfg != cfg or traj.params != params:
+            raise ValueError("eem was solved for another config or "
+                             "solver parameters")
+        prob, steps, reused = traj.prob, traj.steps, traj.incumbent
 
     best = None
     best_alloc = None
     best_metrics = None
     for s in steps:
-        alloc = _to_allocation(prob, s.sweep)
-        metrics = compute_metrics(alloc, chan, prob.radio, prob.pm)
+        if s is reused:
+            alloc, metrics = eem.allocation, eem.metrics
+        else:
+            alloc = _to_allocation(prob, s.sweep)
+            metrics = compute_metrics(alloc, chan, prob.radio, prob.pm)
         if best is None or metrics.rate_total > best_metrics.rate_total:
             best, best_alloc, best_metrics = s, alloc, metrics
 

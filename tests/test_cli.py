@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from relayopt.cli import dispatch, main
+from relayopt.cli import main
 from relayopt.experiments import CSV_COLUMNS
 from relayopt.model import Af, Allocation, Direct, check_feasibility
 from relayopt.config import SystemConfig
@@ -19,11 +19,6 @@ def test_scenarios_listing(capsys):
     out = capsys.readouterr().out
     for name in ("convergence", "users", "subcarriers", "radius", "d_r"):
         assert name in out
-
-
-def test_dispatch_wrapper(capsys):
-    assert dispatch("scenarios", []) == 0
-    assert "radius" in capsys.readouterr().out
 
 
 def test_solve_document_shape(capsys):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import relayopt.solver as solver
 from relayopt.channel import generate_instance
 from relayopt.config import SystemConfig
 from relayopt.experiments import (AXIS_NAMES, CSV_COLUMNS, SweepSpec,
@@ -196,3 +197,47 @@ def test_standard_errors_are_nonnegative():
         assert rec.se_stderr >= 0.0
         assert rec.ee_stderr >= 0.0
         assert rec.rho_stderr >= 0.0
+
+
+def test_sweep_runs_one_trajectory_per_sample_when_eem_goes_first(monkeypatch):
+    runs = []
+    real = solver._dinkelbach_steps
+
+    def counted(prob, params):
+        runs.append(prob.chan)
+        return real(prob, params)
+
+    monkeypatch.setattr(solver, "_dinkelbach_steps", counted)
+    base = _small_base()
+    axes = {"p_max_dbm": [-30.0, 60.0]}
+    eem_first = run_sweep(SweepSpec(name="pair", base=base, axes=axes,
+                                    samples=3, algorithms=("EEM", "SEM")))
+    assert len(runs) == 2 * 3
+    runs.clear()
+    sem_first = run_sweep(SweepSpec(name="pair", base=base, axes=axes,
+                                    samples=3, algorithms=("SEM", "EEM")))
+    assert len(runs) == 2 * 3 * 2  # SEM cannot reuse a later EEM solve
+    key = lambda r: (r.p_max_dbm, r.algorithm)
+    assert sorted(eem_first, key=key) == sorted(sem_first, key=key)
+
+
+def test_failed_seeds_are_listed_in_the_json_only(tmp_path):
+    # a four-sweep cap on each multiplier search leaves EEM short of
+    # convergence on seed 3 alone among seeds 2 and 3
+    base = _small_base(i_inner_max=4)
+    expected = [seed for seed in (2, 3) if solve_eem(
+        generate_instance(base, seed)[1], base).trace.termination != "converged"]
+    assert expected == [3]
+    spec = SweepSpec(name="fail", base=base, axes={}, samples=2,
+                     master_seed=2)
+    eem, sem = run_sweep(spec)
+    assert (eem.algorithm, eem.failures, eem.failed_seeds) == ("EEM", 1, [3])
+    assert eem.flagged
+    assert (sem.failures, sem.failed_seeds) == (0, [])
+    write_json([eem, sem], tmp_path / "sweep.json")
+    first = json.loads((tmp_path / "sweep.json").read_text())["records"][0]
+    assert first["failed_seeds"] == [3]
+    write_csv([eem, sem], tmp_path / "sweep.csv")
+    header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
+    assert header == ",".join(CSV_COLUMNS)
+    assert "failed_seeds" not in header

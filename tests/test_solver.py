@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,10 +11,11 @@ from helpers import best_feasible_f_on_grid, beta_quotient, dominance_holds, \
 from relayopt.channel import ChannelRealization, generate_instance
 from relayopt.config import SystemConfig
 from relayopt.model import LN2, Direct, check_feasibility, system_rate
-from relayopt.solver import (Candidate, SolverParams, af_beta, af_candidate,
-                             assign_subcarriers, direct_candidate, solve_eem,
-                             solve_inner, solve_sem,
-                             update_lambda_subgradient)
+import relayopt.solver as solver
+from relayopt.solver import (Candidate, Solution, SolverParams, af_beta,
+                             af_candidate, assign_subcarriers,
+                             direct_candidate, solve_eem, solve_inner,
+                             solve_sem, update_lambda_subgradient)
 
 
 # ---------------------------------------------------------------- candidates
@@ -393,6 +395,82 @@ def test_outer_limit_reported():
     sol = solve_eem(chan, cfg)
     assert sol.trace.termination == "outer-limit"
     assert len(sol.trace.q_sequence) == 1
+
+
+# ------------------------------------------------------- shared trajectory
+
+_DESK = SystemConfig()  # K=8, N=32, M=3, 0 dBm
+_SHARED_CASES = {
+    **{f"desk-m{m}": (dataclasses.replace(_DESK, n_relays=m), range(1, 9))
+       for m in (0, 1, 3)},
+    **{f"k1-n1-m{m}": (SystemConfig(n_users=1, n_subcarriers=1, n_relays=m),
+                       range(1, 6)) for m in (0, 1, 3)},
+    "minus-40dbm": (dataclasses.replace(_DESK, p_max_dbm=-40.0), range(1, 5)),
+    "plus-40dbm": (dataclasses.replace(_DESK, p_max_dbm=40.0), range(1, 5)),
+    "seeded-random": (dataclasses.replace(_DESK, tie_break="seeded-random"),
+                      range(1, 5)),
+    "subgradient": (dataclasses.replace(_DESK, lambda_mode="subgradient"),
+                    range(1, 3)),
+    # one outer step: SEM's answer is EEM's own iterate
+    "one-outer-step": (dataclasses.replace(_DESK, i_outer_max=1), range(1, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHARED_CASES))
+def test_sem_from_the_eem_trajectory_equals_a_plain_sem_solve(case):
+    cfg, seeds = _SHARED_CASES[case]
+    for seed in seeds:
+        _, chan = generate_instance(cfg, seed)
+        shared = solve_sem(chan, cfg, eem=solve_eem(chan, cfg))
+        plain = solve_sem(chan, cfg)
+        assert shared.allocation.entries == plain.allocation.entries, seed
+        assert shared.metrics == plain.metrics, seed
+        assert (dataclasses.asdict(shared.trace)
+                == dataclasses.asdict(plain.trace)), seed
+
+
+def test_sem_from_the_eem_trajectory_runs_no_search(monkeypatch):
+    cfg = SystemConfig(n_users=4, n_subcarriers=8, n_relays=2)
+    _, chan = generate_instance(cfg, seed=3)
+    eem = solve_eem(chan, cfg)
+    steps = eem._trajectory.steps
+    calls = {"sweep": 0, "metrics": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(solver, "_sweep", counting("sweep", solver._sweep))
+    monkeypatch.setattr(solver, "compute_metrics",
+                        counting("metrics", solver.compute_metrics))
+    sem = solve_sem(chan, cfg, eem=eem)
+    assert calls["sweep"] == 0
+    # every iterate but EEM's incumbent is measured; the incumbent's
+    # metrics are EEM's own
+    assert len(steps) >= 2
+    assert calls["metrics"] == len(steps) - 1
+    assert sem.metrics.rate_total >= eem.metrics.rate_total
+
+
+def test_sem_rejects_an_eem_solved_for_something_else():
+    cfg = SystemConfig(n_users=2, n_subcarriers=4, n_relays=1)
+    _, chan = generate_instance(cfg, seed=1)
+    _, other_chan = generate_instance(cfg, seed=2)
+    eem = solve_eem(chan, cfg)
+    with pytest.raises(ValueError, match="channel"):
+        solve_sem(other_chan, cfg, eem=eem)
+    with pytest.raises(ValueError, match="config"):
+        solve_sem(chan, dataclasses.replace(cfg, p_max_dbm=10.0), eem=eem)
+    with pytest.raises(ValueError, match="solver parameters"):
+        solve_sem(chan, cfg, SolverParams(eps_outer=1e-6), eem=eem)
+    # the defaults the EEM solve used, passed explicitly, are accepted
+    solve_sem(chan, cfg, cfg.solver_params(), eem=eem)
+    for bare in (Solution(eem.allocation, eem.metrics, eem.trace),
+                 solve_sem(chan, cfg)):
+        with pytest.raises(ValueError, match="no Dinkelbach trajectory"):
+            solve_sem(chan, cfg, eem=bare)
 
 
 def test_solver_params_validation():
