@@ -94,15 +94,22 @@ class ResultRecord:
     failed_seeds: list = field(default_factory=list)
 
 
+def _mean_stderr(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row means and standard errors (sample stddev / sqrt(n)) of a
+    (rows, n) array; the standard error of a single value is 0."""
+    n = rows.shape[1]
+    mean = rows.mean(axis=1)
+    if n < 2:
+        return mean, np.zeros_like(mean)
+    return mean, rows.std(axis=1, ddof=1) / math.sqrt(n)
+
+
 def aggregate(values: Sequence[float]) -> Tuple[float, float]:
     """Mean and standard error (sample stddev / sqrt(n)) of a list."""
     if len(values) == 0:
         raise ValueError("aggregate of empty input")
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    if arr.size < 2:
-        return mean, 0.0
-    return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
+    mean, err = _mean_stderr(np.asarray(values, dtype=float).reshape(1, -1))
+    return float(mean[0]), float(err[0])
 
 
 def _solve_sample(cfg: SystemConfig, seed: int, algorithms):
@@ -142,12 +149,10 @@ def _point_records(spec: SweepSpec, cfg: SystemConfig, seeds,
         failed_seeds = [s for s, r in zip(seeds, rows) if not r[6]]
         failures = len(failed_seeds)
         if ok:
-            se_m, se_s = aggregate([r[0] for r in ok])
-            ee_m, ee_s = aggregate([r[1] for r in ok])
-            rho_m, rho_s = aggregate([r[2] for r in ok])
-            tx_m, _ = aggregate([r[3] for r in ok])
-            outer_m, _ = aggregate([r[4] for r in ok])
-            inner_m, _ = aggregate([r[5] for r in ok])
+            # one (6, S) array: the six per-sample figures, row by row
+            mean, err = _mean_stderr(np.array(list(zip(*ok))[:6], dtype=float))
+            se_m, ee_m, rho_m, tx_m, outer_m, inner_m = mean.tolist()
+            se_s, ee_s, rho_s = err[:3].tolist()
         else:
             se_m = se_s = ee_m = ee_s = rho_m = rho_s = float("nan")
             tx_m = outer_m = inner_m = float("nan")

@@ -107,13 +107,6 @@ class Allocation:
     n_subcarriers: int
     entries: dict = field(default_factory=dict)
 
-    def entry_on(self, n: int):
-        """(user, entry) active on subcarrier n, or None."""
-        for (k, nn), e in self.entries.items():
-            if nn == n:
-                return k, e
-        return None
-
 
 @dataclass
 class Metrics:

@@ -14,11 +14,17 @@ The secant search starts from the direct-only water-filling multiplier
 multiplier), doubles or halves it until the budget is bracketed, and
 then runs Illinois regula falsi on the water level u = 1/(q*xi_bs +
 lambda).  Between assignment switches the allocated power is
-piecewise-linear in u, so a few steps reach the budget.  Where the
-winning assignment switches across the budget the power jumps; there a
-midpoint (bisection) step is taken whenever the bracket fails to halve
-over two steps, and the search pins the multiplier to float resolution
-as plain bisection would.
+piecewise-linear in u, so a few steps reach the budget; a midpoint
+(bisection) step is taken whenever the bracket fails to halve over two
+steps.  Where the winning assignment switches the power jumps, and the
+budget may lie inside the jump, where no multiplier meets it.  So
+whenever the bracket's two ends differ on one subcarrier only, the
+multiplier at which that subcarrier's two candidates tie is found on
+their closed forms alone (Brent's method, no sweep), pinned to float
+resolution.  If a piecewise-linear model of p_used puts the budget in
+that jump, the search sweeps just either side of the tie: the bracket
+is then pinned as plain bisection would pin it, or it is left on the
+one piece that holds the budget, where the secant resumes.
 
 Each sweep evaluates only a per-instance shortlist of the candidates
 that can win.  All direct users of a subcarrier share the water level
@@ -367,6 +373,7 @@ class _SweepResult:
     lam: float
     winner_user: np.ndarray     # (N,)
     winner_af: np.ndarray       # (N,) bool
+    winner_row: np.ndarray      # (N,) shortlist row of the winner
     p_d: np.ndarray             # (N,) direct power of the winner (0 if AF)
     p_bs: np.ndarray            # (N,)
     p_rn: np.ndarray            # (N,)
@@ -380,6 +387,23 @@ class _SweepResult:
 _NO_CANDIDATE = np.iinfo(np.intp).max  # sorts after every candidate index
 
 
+def _af_terms(prob: _Problem, q: float, lam: float, sqrt_g1, sqrt_g2, g1, g2):
+    """Split beta, effective gain and water level of AF pairs at (q, lam).
+
+    _sweep passes the (M', N) shortlist arrays, _candidate one element's
+    gains as floats; both run the same floating-point operations.
+    """
+    a = q * prob.xi_bs + 2.0 * lam
+    b = q * prob.xi_rn + 2.0 * lam
+    sx = sqrt_g1 * math.sqrt(a)
+    sy = sqrt_g2 * math.sqrt(b)
+    beta = sy / (sx + sy)
+    alpha = beta * (1.0 - beta) * g1 * g2 / (
+        (beta * g1 + (1.0 - beta) * g2) * prob.ngap)
+    wl = 1.0 / (LN2 * (beta * a + (1.0 - beta) * b))
+    return beta, alpha, wl
+
+
 def _sweep(prob: _Problem, q: float, lam: float,
            params: SolverParams) -> _SweepResult:
     """Pick each subcarrier's winner among the shortlisted candidates."""
@@ -389,14 +413,8 @@ def _sweep(prob: _Problem, q: float, lam: float,
     np.maximum(0.0, wl_d - prob.inv_alpha_d, out=p[0])
     np.divide(p[0], prob.inv_alpha_d, out=x[0])
     if prob.has_af:
-        a = q * prob.xi_bs + 2.0 * lam
-        b = q * prob.xi_rn + 2.0 * lam
-        sx = prob.sqrt_g1 * math.sqrt(a)
-        sy = prob.sqrt_g2 * math.sqrt(b)
-        beta = sy / (sx + sy)
-        alpha_a = beta * (1.0 - beta) * prob.g1 * prob.g2 / (
-            (beta * prob.g1 + (1.0 - beta) * prob.g2) * prob.ngap)
-        wl_a = 1.0 / (LN2 * (beta * a + (1.0 - beta) * b))
+        beta, alpha_a, wl_a = _af_terms(prob, q, lam, prob.sqrt_g1,
+                                        prob.sqrt_g2, prob.g1, prob.g2)
         np.maximum(0.0, wl_a - 1.0 / alpha_a, out=p[1:])
         if prob.af_dead is not None:
             p[1:][prob.af_dead] = 0.0
@@ -440,6 +458,7 @@ def _sweep(prob: _Problem, q: float, lam: float,
         lam=lam,
         winner_user=winner_user,
         winner_af=winner_af,
+        winner_row=row,
         p_d=wp_d,
         p_bs=wp_bs,
         p_rn=wp_rn,
@@ -488,6 +507,121 @@ _PIN_REL = 1e-15      # bracket width, relative to max(1, hi), that pins lambda
 _LAMBDA_CEIL = 1e300  # multiplier past which a bracket counts as failed
 
 
+def _candidate(prob: _Problem, q: float, lam: float, row: int, n: int):
+    """Marginal and radiated power of shortlist row `row` on subcarrier n.
+
+    Runs the floating-point operations of that element of _sweep, so the
+    two agree bit for bit and a tie falls where the sweep puts it.
+    """
+    if row == 0:
+        inv_alpha = prob.inv_alpha_d.item(n)
+        p = max(0.0, 1.0 / (LN2 * (q * prob.xi_bs + lam)) - inv_alpha)
+        return _marginal(p / inv_alpha), p
+    at = (row - 1, n)
+    if prob.af_dead is not None and prob.af_dead[at]:
+        return 0.0, 0.0
+    _, alpha, wl = _af_terms(prob, q, lam, *(
+        v.item(at) for v in (prob.sqrt_g1, prob.sqrt_g2, prob.g1, prob.g2)))
+    p = max(0.0, wl - 1.0 / alpha)
+    return 0.5 * _marginal(alpha * p), p
+
+
+def _tie_bracket(prob: _Problem, q: float, lo: float, hi: float,
+                 r_lo: _SweepResult, r_hi: _SweepResult, memo: dict):
+    """Pinned multipliers lo <= a < b <= hi across one subcarrier's switch.
+
+    Where the winners of the sweeps at lo and hi differ in shortlist row
+    on exactly one subcarrier n, and there the winner at lo has the
+    larger marginal at lo and the winner at hi at hi (strictly, so both
+    carry power at the switch and p_used jumps), the switch is where
+    their two marginals tie.  Brent's method finds it on those two
+    candidates' closed forms alone, no sweep, until the bracket is
+    pinned as _search_water_level pins lambda.  Returns (a, b, jump),
+    with the winner at lo still winning at a, the winner at hi at b, and
+    jump the drop in n's radiated power across the switch; or None.
+    memo keeps the switches found in one search.
+    """
+    differ = np.flatnonzero(r_lo.winner_row != r_hi.winner_row)
+    if differ.size != 1:
+        return None
+    n = int(differ[0])
+    row_lo, row_hi = int(r_lo.winner_row[n]), int(r_hi.winner_row[n])
+    key = (n, row_lo, row_hi)
+    if key in memo and lo <= memo[key][0] and memo[key][1] <= hi:
+        return memo[key]
+
+    # Exact ties go to the lower candidate index, as in _sweep; under
+    # "seeded-random" _sweep draws, so a pinned end may come out on the
+    # wrong side, and the next call starts from that sweep's verdict.
+    tie_sign = 1.0 if prob.flat[row_lo, n] < prob.flat[row_hi, n] else -1.0
+
+    def gap(lam, ties=tie_sign):  # > 0 where the winner at lo wins
+        m_lo = _candidate(prob, q, lam, row_lo, n)[0]
+        m_hi = _candidate(prob, q, lam, row_hi, n)[0]
+        if m_lo != m_hi or m_hi == 0.0:
+            return float(m_lo - m_hi)
+        return math.copysign(math.ulp(m_hi), ties)
+
+    # the sweeps at lo and hi have settled any tie there
+    g_lo, g_hi = gap(lo, 1.0), gap(hi, -1.0)
+    if not g_lo > 0.0 > g_hi:
+        return None
+    x, y = _brent(gap, lo, hi, g_lo, g_hi)
+    a, b = min(x, y), max(x, y)
+    jump = (_candidate(prob, q, b, row_lo, n)[1]
+            - _candidate(prob, q, b, row_hi, n)[1])
+    memo[key] = a, b, jump
+    return memo[key]
+
+
+def _brent(f, a: float, b: float, fa: float, fb: float):
+    """Brent's (1973) method: narrow a sign change of f to a pinned pair.
+
+    f is never 0, and fa and fb have opposite signs.  Inverse quadratic
+    interpolation or a secant step is taken where it stays well inside
+    the bracket and shrinks it fast enough, a midpoint step otherwise,
+    and no step is shorter than a quarter of the pin width, so the
+    bracket closes once the interpolation lands on the root.  Returns
+    the last two points, which straddle the sign change at most half a
+    pin width _PIN_REL * max(1, |x|) apart.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.25 * _PIN_REL * max(1.0, abs(b))
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol:
+            return b, c
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p = 2.0 * xm * s
+                q = 1.0 - s
+            else:       # inverse quadratic interpolation
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, xm)
+        fb = f(b)
+
+
 @dataclass
 class _Search:
     """One multiplier search (one inner solve)."""
@@ -522,7 +656,9 @@ def _search_water_level(prob: _Problem, q: float, params: SolverParams,
     piecewise-linear, with a midpoint step whenever the bracket fails to
     halve over two steps.  Where p_used jumps across p_max (an
     assignment switch) the bracket collapses instead and the best
-    feasible iterate seen wins.
+    feasible iterate seen wins; when the ends differ on one subcarrier,
+    the switch is located by _tie_bracket and settled in one or two
+    sweeps (see the module docstring).
     """
     p_max = prob.p_max
     over = p_max * (1.0 + _FEAS_SLACK)  # p_used above this is infeasible
@@ -585,6 +721,7 @@ def _search_water_level(prob: _Problem, q: float, params: SolverParams,
         u_hi, g_hi = 1.0 / (price0 + hi), r_hi.p_used - p_max
         side = 0           # which end moved last: +1 lo, -1 hi
         widths = [hi - lo]
+        ties = {}
         while True:
             stop = stop_rule(lo, hi, r_hi)
             if stop:
@@ -592,6 +729,33 @@ def _search_water_level(prob: _Problem, q: float, params: SolverParams,
             if evals >= params.i_inner_max:
                 stop = "iteration-cap"
                 break
+            tie = _tie_bracket(prob, q, lo, hi, r_lo, r_hi, ties)
+            if tie is not None:
+                # Model p_used as linear in u on both sides of the
+                # switch, a constant `jump` apart: the lo end's
+                # assignment then exceeds the budget at the switch by
+                # `excess`, and the hi end's by excess - jump.
+                a, b, jump = tie
+                w = (u_lo - 1.0 / (price0 + b)) / (u_lo - u_hi)
+                excess = ((1.0 - w) * (r_lo.p_used - p_max)
+                          + w * (r_hi.p_used - p_max + jump))
+                if 0.0 < excess <= jump:  # the budget lies in the jump
+                    # Sweep just above the switch, then just below it if
+                    # that still splits the bracket.  A pinned bracket
+                    # stops at the jump point; otherwise the budget lies
+                    # on one side's piece, where the secant restarts.
+                    for lam in (b, a):
+                        if lo < lam < hi and evals < params.i_inner_max:
+                            r = ev(lam)
+                            if r.p_used > over:
+                                lo, r_lo = lam, r
+                            else:
+                                hi, r_hi = lam, r
+                    u_lo, g_lo = 1.0 / (price0 + lo), r_lo.p_used - p_max
+                    u_hi, g_hi = 1.0 / (price0 + hi), r_hi.p_used - p_max
+                    side = 0
+                    widths.append(hi - lo)
+                    continue
             lam = 0.5 * (lo + hi)
             if len(widths) < 3 or widths[-1] <= 0.5 * widths[-3]:
                 u = (u_lo * g_hi - u_hi * g_lo) / (g_hi - g_lo)
@@ -603,7 +767,8 @@ def _search_water_level(prob: _Problem, q: float, params: SolverParams,
                 break
             r = ev(lam)
             if r.p_used > over:
-                lo, u_lo, g_lo = lam, 1.0 / (price0 + lam), r.p_used - p_max
+                lo, r_lo = lam, r
+                u_lo, g_lo = 1.0 / (price0 + lam), r.p_used - p_max
                 if side == 1:
                     g_hi *= 0.5  # Illinois: pull the stale end toward the root
                 side = 1

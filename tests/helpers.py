@@ -254,6 +254,7 @@ def reference_sweep(prob, q, lam, params):
                         c["rate_d"][winner_user, cols])
         cons = np.where(winner_af, c["cons_a"][winner_user, cols],
                         c["cons_d"][winner_user, cols])
+        winner_row = np.where(winner_af, prob.sector_row[winner_user], 0)
     else:
         winner_user = flat
         winner_af = np.zeros(prob.n_subcarriers, dtype=bool)
@@ -262,11 +263,13 @@ def reference_sweep(prob, q, lam, params):
         wp_rn = np.zeros(prob.n_subcarriers)
         rate = c["rate_d"][winner_user, cols]
         cons = c["cons_d"][winner_user, cols]
+        winner_row = np.zeros(prob.n_subcarriers, dtype=np.intp)
 
     return solver._SweepResult(
         lam=lam,
         winner_user=winner_user,
         winner_af=winner_af,
+        winner_row=winner_row,
         p_d=wp_d,
         p_bs=wp_bs,
         p_rn=wp_rn,

@@ -1,5 +1,6 @@
 """The secant multiplier search against the reference bisection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -73,6 +74,109 @@ def test_search_matches_reference_bisection(monkeypatch):
           f"secant {totals['secant'] / len(seeds):.1f}; "
           f"{jump_seeds} seeds stopped at a jump point")
     assert not differ, f"{len(differ)} seeds differ: {differ}"
+
+
+def _reference_jump_searches(cfg, seeds):
+    """(seed, prob, q, reference search) of every reference bisection
+    search of solve_eem on `seeds` that stops at a jump point."""
+    found = []
+    for seed in seeds:
+        _, chan = generate_instance(cfg, seed)
+        calls = []
+
+        def reference(prob, q, params, lam_hint=None):
+            res = bisection_search(prob, q, params)
+            calls.append((prob, q, res))
+            return res
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_search_lambda", reference)
+            solver.solve_eem(chan, cfg)
+        found += [(seed, prob, q, res) for prob, q, res in calls
+                  if res.stop == "jump-point"]
+    return found
+
+
+@pytest.fixture(scope="module")
+def desk_jumps():
+    return _reference_jump_searches(SystemConfig(), range(1, 401))
+
+
+@pytest.mark.parametrize("tie_break", ["lowest-index", "seeded-random"])
+def test_jump_searches_settle_at_the_tie(desk_jumps, tie_break):
+    params = dataclasses.replace(SystemConfig().solver_params(),
+                                 tie_break=tie_break)
+    assert len(desk_jumps) == 27  # desk seeds 1-400, K=8, N=32, M=3
+    problems = []
+    for seed, prob, q, ref in desk_jumps:
+        if tie_break != "lowest-index":
+            ref = bisection_search(prob, q, params)
+        new = solver._search_lambda(prob, q, params)
+        f_ref = ref.sweep.f_value(q, prob.p_fixed)
+        f_new = new.sweep.f_value(q, prob.p_fixed)
+        slack = 1e-12 * max(abs(f_ref), ref.sweep.rate_sum)
+        if new.stop != "jump-point" or new.evals > 10 or f_new < f_ref - slack:
+            problems.append((seed, q, new.stop, new.evals, f_new, f_ref))
+    assert not problems, problems
+
+
+def test_large_jump_seed_settles_in_few_sweeps():
+    # K=128, N=1024: bisecting its four jump searches took 181 sweeps
+    cfg = SystemConfig(n_users=128, n_subcarriers=1024, n_relays=3)
+    _, chan = generate_instance(cfg, 3)
+    calls = []
+
+    def reference(prob, q, params, lam_hint=None):
+        res = bisection_search(prob, q, params)
+        calls.append(res)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_search_lambda", reference)
+        ref = solver.solve_eem(chan, cfg)
+    prob = ref._trajectory.prob
+    ref_se = max(system_rate(solver._to_allocation(prob, r.sweep), chan,
+                             cfg.radio()) for r in calls)
+    eem = solver.solve_eem(chan, cfg)
+    sem = solver.solve_sem(chan, cfg, eem=eem)
+    assert eem.trace.stop_reasons == ["jump-point"] * 4
+    assert _sweeps(eem.trace) <= 60
+    assert math.isclose(eem.metrics.ee, ref.metrics.ee, rel_tol=1e-9)
+    assert math.isclose(sem.metrics.rate_total, ref_se, rel_tol=1e-9)
+
+
+def test_two_switching_subcarriers_fall_back_to_midpoint_steps(
+        desk_jumps, monkeypatch):
+    # Mark subcarriers 0 and 1 as switched in every infeasible sweep, so
+    # the bracket ends always differ on at least two subcarriers.
+    orig = solver._sweep
+
+    def two_switches(prob, q, lam, params):
+        r = orig(prob, q, lam, params)
+        if r.p_used > prob.p_max:
+            r.winner_row = r.winner_row.copy()
+            r.winner_row[:2] = -1
+        return r
+
+    monkeypatch.setattr(solver, "_sweep", two_switches)
+    _, prob, q, _ = desk_jumps[0]
+    params = prob.cfg.solver_params()
+    tried = []
+    tie_bracket = solver._tie_bracket
+
+    def spy(*args):
+        tried.append(tie_bracket(*args))
+        return tried[-1]
+
+    monkeypatch.setattr(solver, "_tie_bracket", spy)
+    new = solver._search_lambda(prob, q, params)
+    monkeypatch.setattr(solver, "_tie_bracket", lambda *a: None)
+    midpoint = solver._search_lambda(prob, q, params)
+    assert tried and not any(tried)
+    assert new.evals > 10  # the search bisected down to the pin
+    assert (new.stop, new.bracket_sweeps, new.search_sweeps, new.sweep.lam) \
+        == (midpoint.stop, midpoint.bracket_sweeps, midpoint.search_sweeps,
+            midpoint.sweep.lam)
 
 
 def _counting_sweep(monkeypatch):
