@@ -28,7 +28,7 @@ import numpy as np
 from .channel import generate_instance
 from .config import ConfigError, SystemConfig, load_config
 from .experiments import builtin_scenarios, run_sweep, write_csv, write_json
-from .model import Direct, compute_metrics
+from .model import compute_metrics
 from .oracle import GridSpec, brute_force_eem
 from .solver import Solution, solve_eem, solve_sem
 
@@ -161,17 +161,23 @@ def _load_cfg(args, base: Optional[SystemConfig] = None) -> SystemConfig:
     return load_config(_config_path(args), _collect_overrides(args), base=base)
 
 
+def _entry_rows(alloc):
+    """(user, subcarrier, af, p_bs, p_rn) of each entry, by subcarrier then user."""
+    order = np.lexsort((alloc.user, alloc.subcarrier))
+    return zip(alloc.user[order].tolist(), alloc.subcarrier[order].tolist(),
+               alloc.af[order].tolist(), alloc.p_bs[order].tolist(),
+               alloc.p_rn[order].tolist())
+
+
 def _allocation_doc(alloc) -> dict:
     entries = []
-    for (k, n) in sorted(alloc.entries, key=lambda kn: (kn[1], kn[0])):
-        entry = alloc.entries[(k, n)]
-        if isinstance(entry, Direct):
-            entries.append({"user": k, "subcarrier": n, "protocol": "direct",
-                            "p": float(entry.p_d)})
-        else:
+    for k, n, af, p_bs, p_rn in _entry_rows(alloc):
+        if af:
             entries.append({"user": k, "subcarrier": n, "protocol": "af",
-                            "p_bs": float(entry.p_bs),
-                            "p_rn": float(entry.p_rn)})
+                            "p_bs": p_bs, "p_rn": p_rn})
+        else:
+            entries.append({"user": k, "subcarrier": n, "protocol": "direct",
+                            "p": p_bs})
     return {"n_users": alloc.n_users, "n_subcarriers": alloc.n_subcarriers,
             "entries": entries}
 
@@ -226,10 +232,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _assignment_key(alloc):
-    out = {}
-    for (k, n), entry in alloc.entries.items():
-        out[n] = (k, "direct" if isinstance(entry, Direct) else "af")
-    return out
+    return [(n, k, af) for k, n, af, _, _ in _entry_rows(alloc)]
 
 
 def _cmd_oracle(args) -> int:

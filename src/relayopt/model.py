@@ -8,8 +8,9 @@ in, watts out; dBm only at the interface layer (see cli).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Optional
 
 import numpy as np
 
@@ -90,22 +91,71 @@ class Af:
         return self.p_bs + self.p_rn
 
 
-Entry = Union[Direct, Af]
-
-
-@dataclass
 class Allocation:
-    """Joint subcarrier/protocol/power assignment.
+    """Joint subcarrier/protocol/power assignment, one array slot per entry.
 
-    `entries` maps (user, subcarrier) -> Direct or Af.  A feasible
-    allocation has at most one entry per subcarrier; the representation
-    deliberately allows invalid states so check_feasibility has
-    something to do.
+    Entry i gives subcarrier[i] to user[i], over two amplify-and-forward
+    hops if af[i] is set; p_bs[i] is its BS power (the whole power of a
+    direct entry) and p_rn[i] its relay power (0 for a direct entry).
+    Allocation(n_users, n_subcarriers, {(user, subcarrier): Direct or
+    Af}) lays the entries out in the dict's order, and `entries` reads
+    them back as a read-only (user, subcarrier) -> Direct or Af view.
+    A feasible allocation has at most one entry per subcarrier; the
+    representation deliberately allows invalid states so
+    check_feasibility has something to do.
     """
 
-    n_users: int
-    n_subcarriers: int
-    entries: dict = field(default_factory=dict)
+    def __init__(self, n_users: int, n_subcarriers: int,
+                 entries: Optional[dict] = None):
+        rows = [(k, n, True, e.p_bs, e.p_rn) if isinstance(e, Af)
+                else (k, n, False, e.p_d, 0.0)
+                for (k, n), e in (entries or {}).items()]
+        self._set(n_users, n_subcarriers, *(zip(*rows) if rows else [()] * 5))
+
+    @classmethod
+    def from_arrays(cls, n_users: int, n_subcarriers: int, user, subcarrier,
+                    af, p_bs, p_rn) -> "Allocation":
+        """The allocation whose entry i is (user[i], subcarrier[i], ...)."""
+        alloc = cls.__new__(cls)
+        alloc._set(n_users, n_subcarriers, user, subcarrier, af, p_bs, p_rn)
+        return alloc
+
+    def _set(self, n_users, n_subcarriers, *columns):
+        self.n_users = n_users
+        self.n_subcarriers = n_subcarriers
+        arrays = [np.array(c, dtype=t) for c, t in
+                  zip(columns, (np.intp, np.intp, bool, float, float))]
+        if any(a.ndim != 1 or a.shape != arrays[0].shape for a in arrays):
+            raise ValueError("allocation arrays must be 1-D and of one length")
+        for name, arr in zip(_ENTRY_FIELDS, arrays):
+            arr.flags.writeable = False
+            setattr(self, name, arr)
+        self._view = None
+
+    @property
+    def entries(self):
+        """(user, subcarrier) -> Direct or Af, in entry order; read-only."""
+        if self._view is None:
+            self._view = {
+                (k, n): Af(pb, pr) if a else Direct(pb)
+                for k, n, a, pb, pr in zip(*(getattr(self, f).tolist()
+                                             for f in _ENTRY_FIELDS))}
+        return MappingProxyType(self._view)
+
+    def __eq__(self, other):
+        if not isinstance(other, Allocation):
+            return NotImplemented
+        return (self.n_users == other.n_users
+                and self.n_subcarriers == other.n_subcarriers
+                and all(np.array_equal(getattr(self, f), getattr(other, f))
+                        for f in _ENTRY_FIELDS))
+
+    def __repr__(self) -> str:
+        return (f"Allocation({self.n_users!r}, {self.n_subcarriers!r}, "
+                f"{dict(self.entries)!r})")
+
+
+_ENTRY_FIELDS = ("user", "subcarrier", "af", "p_bs", "p_rn")
 
 
 @dataclass
@@ -121,7 +171,7 @@ class Metrics:
 
 def snr_direct(power, gain, noise_gap):
     """Receiver SNR of a single hop: p*G / (gap * N0 * W)."""
-    if np.any(np.asarray(noise_gap) <= 0.0):
+    if (np.asarray(noise_gap) <= 0.0).any():
         raise ValueError("noise_gap must be positive")
     return power * gain / noise_gap
 
@@ -137,7 +187,7 @@ def snr_af_approx(g1, g2):
     Undefined when both hop SNRs vanish.
     """
     s = g1 + g2
-    if np.any(np.asarray(s) <= 0.0):
+    if (np.asarray(s) <= 0.0).any():
         raise ValueError("snr_af_approx requires g1 + g2 > 0")
     return g1 * g2 / s
 
@@ -151,20 +201,14 @@ def link_rate_af(snr):
     return 0.5 * np.log1p(snr) / LN2
 
 
-def _entry_rate(k: int, n: int, e: Entry, chan, exact_snr: bool) -> float:
-    """snr_direct, snr_af_* and link_rate_* of one entry, minus their input
-    checks: system_rate checks the noise gap once, and a pair with no
-    hop SNR returns before the AF formulas."""
-    ngap = chan.noise_gap
-    if isinstance(e, Direct):
-        return float(link_rate_direct(e.p_d * chan.g_bs_ue[k, n] / ngap))
-    m = chan.sector_of_ue[k]
-    s1 = e.p_bs * chan.g_bs_rn[m, n] / ngap
-    s2 = e.p_rn * chan.g_rn_ue[k, n] / ngap
-    if s1 + s2 <= 0.0:
-        return 0.0  # dead pair, carries nothing
-    s = snr_af_exact(s1, s2) if exact_snr else s1 * s2 / (s1 + s2)
-    return float(link_rate_af(s))
+def _sum_in_order(terms: np.ndarray, start: float = 0.0) -> float:
+    """start + terms[0] + terms[1] + ..., one addition at a time.
+
+    np.add.accumulate adds strictly left to right, as a loop over the
+    entries would; ndarray.sum adds pairwise and the builtin sum is
+    compensated on Python >= 3.12, so either could move the last bit.
+    """
+    return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
 
 
 def system_rate(alloc: Allocation, chan, cfg: RadioConfig, exact_snr: bool = False) -> float:
@@ -174,12 +218,21 @@ def system_rate(alloc: Allocation, chan, cfg: RadioConfig, exact_snr: bool = Fal
     figures are usually plotted in.  AF terms use the harmonic-mean SNR
     approximation unless exact_snr is set.
     """
-    if alloc.entries and chan.noise_gap <= 0.0:
-        raise ValueError("noise_gap must be positive")
-    total = 0.0
-    for (k, n), e in alloc.entries.items():
-        total += _entry_rate(k, n, e, chan, exact_snr)
-    return total
+    if not alloc.user.size:
+        return 0.0
+    k, n, af, ngap = alloc.user, alloc.subcarrier, alloc.af, chan.noise_gap
+    rate = np.zeros(k.shape)
+    d = ~af
+    rate[d] = link_rate_direct(
+        snr_direct(alloc.p_bs[d], chan.g_bs_ue[k[d], n[d]], ngap))
+    if af.any():
+        k, n = k[af], n[af]
+        s1 = snr_direct(alloc.p_bs[af], chan.g_bs_rn[chan.sector_of_ue[k], n], ngap)
+        s2 = snr_direct(alloc.p_rn[af], chan.g_rn_ue[k, n], ngap)
+        live = ~(s1 + s2 <= 0.0)  # a pair with no hop SNR carries nothing
+        snr = (snr_af_exact if exact_snr else snr_af_approx)(s1[live], s2[live])
+        rate[np.flatnonzero(af)[live]] = link_rate_af(snr)
+    return _sum_in_order(rate)
 
 
 def system_power(alloc: Allocation, pm: PowerModel, n_relays: int) -> float:
@@ -188,21 +241,15 @@ def system_power(alloc: Allocation, pm: PowerModel, n_relays: int) -> float:
     AF amplifier terms carry a factor 1/2 because each hop is active for
     only half of the frame.
     """
-    total = pm.p_c_bs + n_relays * pm.p_c_rn
-    for e in alloc.entries.values():
-        if isinstance(e, Direct):
-            total += pm.xi_bs * e.p_d
-        else:
-            total += 0.5 * (pm.xi_bs * e.p_bs + pm.xi_rn * e.p_rn)
-    return total
+    drain = np.where(alloc.af,
+                     0.5 * (pm.xi_bs * alloc.p_bs + pm.xi_rn * alloc.p_rn),
+                     pm.xi_bs * alloc.p_bs)
+    return _sum_in_order(drain, pm.p_c_bs + n_relays * pm.p_c_rn)
 
 
 def tx_power_used(alloc: Allocation) -> float:
     """Radiated power summed as the budget constraint counts it (no duty factor)."""
-    total = 0.0
-    for e in alloc.entries.values():
-        total += e.p_d if isinstance(e, Direct) else e.p_bs + e.p_rn
-    return total
+    return _sum_in_order(alloc.p_bs + alloc.p_rn)
 
 
 def energy_efficiency(rate: float, power: float) -> float:
@@ -212,8 +259,9 @@ def energy_efficiency(rate: float, power: float) -> float:
 
 
 def af_fraction(alloc: Allocation) -> float:
-    af_subcarriers = {n for (_, n), e in alloc.entries.items() if isinstance(e, Af)}
-    return len(af_subcarriers) / alloc.n_subcarriers
+    # a set, not np.unique, here and in check_feasibility: the first
+    # np.unique call imports numpy.ma, about 1 MB of peak memory
+    return len(set(alloc.subcarrier[alloc.af].tolist())) / alloc.n_subcarriers
 
 
 def check_feasibility(alloc: Allocation, cfg: RadioConfig, pm: PowerModel,
@@ -224,18 +272,15 @@ def check_feasibility(alloc: Allocation, cfg: RadioConfig, pm: PowerModel,
     subcarrier, and the radiated-power budget (with relative slack tol,
     since multiplier searches converge inexactly).
     """
-    violations = []
-    per_subcarrier: dict = {}
-    for (k, n), e in alloc.entries.items():
-        powers = (e.p_d,) if isinstance(e, Direct) else (e.p_bs, e.p_rn)
-        if any(p < 0.0 for p in powers):
-            violations.append(f"negative-power: user {k} subcarrier {n}")
-        per_subcarrier.setdefault(n, []).append(k)
-    for n, users in sorted(per_subcarrier.items()):
-        if len(users) > 1:
-            violations.append(
-                f"subcarrier-exclusivity: subcarrier {n} assigned to users {sorted(users)}"
-            )
+    neg = (alloc.p_bs < 0.0) | (alloc.p_rn < 0.0)
+    violations = [f"negative-power: user {k} subcarrier {n}" for k, n in
+                  zip(alloc.user[neg].tolist(), alloc.subcarrier[neg].tolist())]
+    carriers = np.sort(alloc.subcarrier)
+    for n in sorted(set(carriers[1:][carriers[1:] == carriers[:-1]].tolist())):
+        users = sorted(alloc.user[alloc.subcarrier == n].tolist())
+        violations.append(
+            f"subcarrier-exclusivity: subcarrier {n} assigned to users {users}"
+        )
     used = tx_power_used(alloc)
     if used > pm.p_max * (1.0 + tol):
         violations.append(

@@ -59,9 +59,7 @@ import numpy as np
 
 from .model import (
     LN2,
-    Af,
     Allocation,
-    Direct,
     Metrics,
     compute_metrics,
 )
@@ -492,15 +490,13 @@ def _retie_random(prob: _Problem, marg: np.ndarray, best: np.ndarray,
 
 def _to_allocation(prob: _Problem, sweep: _SweepResult) -> Allocation:
     """Materialize the winners with positive power; the rest idle."""
-    entries = {}
-    for n in range(prob.n_subcarriers):
-        k = int(sweep.winner_user[n])
-        if sweep.winner_af[n]:
-            if sweep.p_bs[n] + sweep.p_rn[n] > 0.0:
-                entries[(k, n)] = Af(float(sweep.p_bs[n]), float(sweep.p_rn[n]))
-        elif sweep.p_d[n] > 0.0:
-            entries[(k, n)] = Direct(float(sweep.p_d[n]))
-    return Allocation(prob.n_users, prob.n_subcarriers, entries)
+    af = sweep.winner_af
+    p_bs = np.where(af, sweep.p_bs, sweep.p_d)
+    p_rn = np.where(af, sweep.p_rn, 0.0)
+    on = np.flatnonzero(p_bs + p_rn > 0.0)
+    return Allocation.from_arrays(prob.n_users, prob.n_subcarriers,
+                                  sweep.winner_user[on], on, af[on],
+                                  p_bs[on], p_rn[on])
 
 
 _PIN_REL = 1e-15      # bracket width, relative to max(1, hi), that pins lambda

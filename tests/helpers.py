@@ -9,7 +9,8 @@ import math
 import numpy as np
 
 from relayopt import oracle, solver
-from relayopt.model import LN2, Direct
+from relayopt.model import (LN2, Af, Allocation, Direct, Metrics, energy_efficiency,
+                            link_rate_af, link_rate_direct, snr_af_exact)
 from relayopt.solver import af_candidate, assign_subcarriers, direct_candidate
 
 
@@ -336,3 +337,96 @@ def reference_scan_product(menus, p_max, p_fixed):
         raise ValueError(
             "budget coupling is searched exactly only up to 3 active subcarriers")
     return best_ee, best_rate
+
+
+def reference_allocation(prob, sweep):
+    """Per-subcarrier loop: the allocation solver._to_allocation must build."""
+    entries = {}
+    for n in range(prob.n_subcarriers):
+        k = int(sweep.winner_user[n])
+        if sweep.winner_af[n]:
+            if sweep.p_bs[n] + sweep.p_rn[n] > 0.0:
+                entries[(k, n)] = Af(float(sweep.p_bs[n]), float(sweep.p_rn[n]))
+        elif sweep.p_d[n] > 0.0:
+            entries[(k, n)] = Direct(float(sweep.p_d[n]))
+    return Allocation(prob.n_users, prob.n_subcarriers, entries)
+
+
+def reference_system_rate(alloc, chan, cfg, exact_snr=False):
+    """Per-entry loop over alloc.entries: the sum model.system_rate must match."""
+    if alloc.entries and chan.noise_gap <= 0.0:
+        raise ValueError("noise_gap must be positive")
+    ngap = chan.noise_gap
+    total = 0.0
+    for (k, n), e in alloc.entries.items():
+        if isinstance(e, Direct):
+            total += float(link_rate_direct(e.p_d * chan.g_bs_ue[k, n] / ngap))
+            continue
+        m = chan.sector_of_ue[k]
+        s1 = e.p_bs * chan.g_bs_rn[m, n] / ngap
+        s2 = e.p_rn * chan.g_rn_ue[k, n] / ngap
+        if s1 + s2 <= 0.0:
+            continue  # dead pair, carries nothing
+        s = snr_af_exact(s1, s2) if exact_snr else s1 * s2 / (s1 + s2)
+        total += float(link_rate_af(s))
+    return total
+
+
+def reference_system_power(alloc, pm, n_relays):
+    total = pm.p_c_bs + n_relays * pm.p_c_rn
+    for e in alloc.entries.values():
+        if isinstance(e, Direct):
+            total += pm.xi_bs * e.p_d
+        else:
+            total += 0.5 * (pm.xi_bs * e.p_bs + pm.xi_rn * e.p_rn)
+    return total
+
+
+def reference_tx_power_used(alloc):
+    total = 0.0
+    for e in alloc.entries.values():
+        total += e.p_d if isinstance(e, Direct) else e.p_bs + e.p_rn
+    return total
+
+
+def reference_af_fraction(alloc):
+    af_subcarriers = {n for (_, n), e in alloc.entries.items() if isinstance(e, Af)}
+    return len(af_subcarriers) / alloc.n_subcarriers
+
+
+def reference_check_feasibility(alloc, cfg, pm, tol=1e-9):
+    """Per-entry loop: the violation list model.check_feasibility must match."""
+    violations = []
+    per_subcarrier = {}
+    for (k, n), e in alloc.entries.items():
+        powers = (e.p_d,) if isinstance(e, Direct) else (e.p_bs, e.p_rn)
+        if any(p < 0.0 for p in powers):
+            violations.append(f"negative-power: user {k} subcarrier {n}")
+        per_subcarrier.setdefault(n, []).append(k)
+    for n, users in sorted(per_subcarrier.items()):
+        if len(users) > 1:
+            violations.append(
+                f"subcarrier-exclusivity: subcarrier {n} assigned to users {sorted(users)}"
+            )
+    used = reference_tx_power_used(alloc)
+    if used > pm.p_max * (1.0 + tol):
+        violations.append(
+            f"power-budget: radiated {used:.6e} W exceeds budget {pm.p_max:.6e} W"
+        )
+    return violations
+
+
+def reference_metrics(alloc, chan, cfg, pm, exact_snr=False):
+    """model.compute_metrics assembled from the per-entry loops above."""
+    rate = reference_system_rate(alloc, chan, cfg, exact_snr=exact_snr)
+    power = reference_system_power(alloc, pm, cfg.n_relays)
+    n = cfg.n_subcarriers
+    return Metrics(
+        rate_total=rate,
+        rate_per_subcarrier=rate / n,
+        power_total=power,
+        ee=energy_efficiency(rate, power),
+        ee_per_subcarrier=rate / n / power,
+        rho=reference_af_fraction(alloc),
+        tx_power_used=reference_tx_power_used(alloc),
+    )
