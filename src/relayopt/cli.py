@@ -19,8 +19,10 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -134,9 +136,54 @@ def _json_safe(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return repr(x)
+
+
+_SCALAR_TEXT = {str: encode_basestring_ascii, float: _float_text,
+                int: int.__repr__, bool: lambda b: "true" if b else "false",
+                type(None): lambda _: "null"}
+
+
+def _json_text(obj, pad: str) -> str:
+    """What json.dumps(obj, indent=2, default=_json_safe) writes at the
+    nesting level whose line break and indent is `pad`.
+
+    Dispatches on exact type; a non-str key raises TypeError and any other
+    type goes through _json_safe, as json's `default` would.
+    """
+    scalar = _SCALAR_TEXT.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = pad + "  "
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError("non-str key")
+            items.append(encode_basestring_ascii(key) + ": "
+                         + _json_text(value, inner))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if type(obj) in (list, tuple):
+        if not obj:
+            return "[]"
+        return ("[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj])
+                + pad + "]")
+    return _json_text(_json_safe(obj), pad)
+
+
 def _dump(obj, stream) -> None:
-    json.dump(obj, stream, indent=2, default=_json_safe)
-    stream.write("\n")
+    # json.dump runs its pure-Python encoder whenever indent is set;
+    # _json_text writes the same bytes for the documents built here
+    stream.write(_json_text(obj, "\n") + "\n")
 
 
 def _collect_overrides(args) -> dict:

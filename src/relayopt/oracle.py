@@ -13,9 +13,26 @@ Luccio & Preparata 1975).  Swapping a dropped point for that dominator
 keeps any combo feasible, never lowers its EE or rate (fp addition is
 monotone) and moves it earlier in scan order, so the first-index
 argmax, ties included, is the same combo as over the full product.
-The coarse menus and their frontiers are built once per brute-force
-call, since every assignment reuses the same (subcarrier, user,
-protocol) menus.
+
+Within that product the scan skips whole rows of the leading frontier
+(branch and bound, Land & Doig 1960).  Each row gets an upper bound on
+the EE and on the rate of any feasible combo in it: each trailing
+frontier, sorted by tx, is cut to its prefix that passes the scan's own
+budget test with the other trailing menus at their least tx, and the
+prefixes' best rate and least cons are combined with the scan's own
+left-to-right additions and rate / (p_fixed + cons).  Correctly rounded
++ and / are monotone (rates are >= 0, p_fixed + cons > 0), so no combo
+in a row scores above its bound.  The
+rows with the best bounds are scored exactly first; their scores are
+the incumbents, and only rows whose EE or rate bound is >= its
+incumbent are scanned, in index order.  A skipped row holds no combo
+that reaches the incumbent, let alone the maximum, and a lower-index row
+that only ties it is kept, so the first-index argmax cannot move.
+
+Menus and their frontiers are memoized per brute-force call by
+(slot, bracket): every assignment reuses the same coarse (subcarrier,
+user, protocol) menus, and the EE and rate refinements of one
+assignment share the local menus whenever they start from one point.
 """
 
 from __future__ import annotations
@@ -159,11 +176,70 @@ class _Best:
             self.idx = idx
 
 
+def _row_bounds(cols, p_cap, p_fixed):
+    """Upper bounds on the EE and the rate of any feasible combo in each
+    leading-menu row.
+
+    A feasible combo's trailing points each lie in that menu's feasible
+    prefix by tx, taken with every other trailing menu at its least tx,
+    because fp addition is monotone.  The bound adds the prefixes' best
+    rate and least cons in the scan's own left-to-right order; a row with
+    no feasible combo gets -inf.
+    """
+    r0, t0, c0 = cols[0]
+    t_min = [t.min() for _, t, _ in cols[1:]]
+
+    def tx_sum(x=None, p=None):  # row tx, trailing menu p at x, the rest at least tx
+        acc = t0
+        for q, lo in enumerate(t_min):
+            acc = acc + (x if q == p else lo)
+        return acc
+
+    feasible = tx_sum() <= p_cap   # iff some combo in the row is
+    rate, cons = r0, c0
+    for p, (r, t, c) in enumerate(cols[1:]):
+        order = np.argsort(t, kind="stable")
+        # each row's feasible prefix length by binary search; the +inf
+        # padding to a power of two is never feasible
+        bits = len(t).bit_length()
+        ts = np.concatenate([t[order], np.full((1 << bits) - len(t), np.inf)])
+        size = np.zeros(len(t0), dtype=np.intp)
+        for b in reversed(range(bits)):
+            wider = size + (1 << b)
+            size = np.where(tx_sum(ts[wider - 1], p) <= p_cap, wider, size)
+        last = np.maximum(size, 1) - 1
+        rate = rate + np.maximum.accumulate(r[order])[last]
+        cons = cons + np.minimum.accumulate(c[order])[last]
+    rate = np.where(feasible, rate, -math.inf)
+    return rate / (p_fixed + cons), rate
+
+
+def _score_rows(cols, rows, p_cap, p_fixed, best_ee, best_rate):
+    """Offer the max-EE and max-rate feasible combos of the given
+    leading-menu rows, as (row, trailing indices...) into the frontiers."""
+    rate, tx, cons = (a[rows] for a in cols[0])
+    for r, t, c in cols[1:]:
+        rate = rate[..., None] + r
+        tx = tx[..., None] + t
+        cons = cons[..., None] + c
+    feas = tx <= p_cap
+    if not np.any(feas):
+        return
+    rate = np.where(feas, rate, -1.0)
+    ee = rate / (p_fixed + cons)
+    for best, score in ((best_ee, ee), (best_rate, rate)):
+        j = int(np.argmax(score))
+        if rate.flat[j] >= 0.0:
+            i0, *rest = np.unravel_index(j, score.shape)
+            best.offer(float(score.flat[j]), (int(rows[i0]), *rest))
+
+
 def _scan_product(menus, p_max, p_fixed):
     """Max-EE and max-rate feasible combos over the menu product.
 
-    Scans the product of the menus' frontiers and returns the winning
-    combos as indices into the full menus.
+    Scans the product of the menus' frontiers, skipping the leading rows
+    whose bounds fall below the incumbents scored on the best-bound rows,
+    and returns the winning combos as indices into the full menus.
     """
     best_ee, best_rate = _Best(), _Best()
     if math.prod(len(m.rate) for m in menus) > _PRODUCT_CAP:
@@ -173,28 +249,22 @@ def _scan_product(menus, p_max, p_fixed):
             "budget coupling is searched exactly only up to 3 active subcarriers")
     fronts = [m.front for m in menus]
     cols = [(m.rate[f], m.tx[f], m.cons[f]) for m, f in zip(menus, fronts)]
+    p_cap = p_max * (1.0 + 1e-12)
 
-    def offer_block(rate, tx, cons, base):
-        feas = tx <= p_max * (1.0 + 1e-12)
-        if not np.any(feas):
-            return
-        rate = np.where(feas, rate, -1.0)
-        ee = rate / (p_fixed + cons)
-        for best, score in ((best_ee, ee), (best_rate, rate)):
-            j = int(np.argmax(score))
-            if rate.flat[j] >= 0.0:
-                i0, *rest = np.unravel_index(j, score.shape)
-                best.offer(float(score.flat[j]), (base + i0, *rest))
+    ee_bound, rate_bound = _row_bounds(cols, p_cap, p_fixed)
+    inc_ee, inc_rate = _Best(), _Best()
+    _score_rows(cols, [int(np.argmax(ee_bound)), int(np.argmax(rate_bound))],
+                p_cap, p_fixed, inc_ee, inc_rate)
+    # >= keeps a lower-index row that only ties an incumbent, so ties
+    # resolve to the same combo as over the whole product
+    live = np.flatnonzero((ee_bound >= inc_ee.score)
+                          | (rate_bound >= inc_rate.score))
 
     # each block holds whole rows of the leading menu, about _CHUNK combos
     step = max(1, _CHUNK // math.prod(len(f) for f in fronts[1:]))
-    for base in range(0, len(fronts[0]), step):
-        rate, tx, cons = (a[base:base + step] for a in cols[0])
-        for r, t, c in cols[1:]:
-            rate = rate[..., None] + r
-            tx = tx[..., None] + t
-            cons = cons[..., None] + c
-        offer_block(rate, tx, cons, base)
+    for start in range(0, len(live), step):
+        _score_rows(cols, live[start:start + step], p_cap, p_fixed,
+                    best_ee, best_rate)
 
     for best in (best_ee, best_rate):
         if best.idx is not None:
@@ -202,9 +272,8 @@ def _scan_product(menus, p_max, p_fixed):
     return best_ee, best_rate
 
 
-def _build_menus(active, chan, pm, brackets, memo=None):
+def _build_menus(active, chan, pm, brackets, memo):
     """One menu per active slot; `memo` caches them by (slot, bracket)."""
-    memo = {} if memo is None else memo
     menus = []
     for slot, bracket in zip(active, brackets):
         if (slot, bracket) not in memo:
@@ -235,9 +304,11 @@ def _combo_point(menus, idx):
 def _scan_assignment(active, chan, cfg, pm, grid, memo=None):
     """Grid-optimize one assignment; returns (ee, ee_point, rate, rate_point).
 
-    `memo` caches the coarse menus (and so their frontiers) across the
-    assignments of one instance.
+    `memo` caches the menus (and so their frontiers) by (slot, bracket):
+    the coarse menus across the assignments of one instance, the local
+    menus across the EE and rate refinements that start from one point.
     """
+    memo = {} if memo is None else memo
     p_fixed = pm.p_c_bs + cfg.n_relays * pm.p_c_rn
     if not active:
         return 0.0, [], 0.0, []
@@ -275,7 +346,7 @@ def _scan_assignment(active, chan, cfg, pm, grid, memo=None):
                     b_hi = min(beta + b_halfw, 1.0)
                     brackets.append((lo, hi, b_lo, b_hi, _REFINE_POINTS,
                                      _REFINE_POINTS))
-            local = _build_menus(active, chan, pm, brackets)
+            local = _build_menus(active, chan, pm, brackets, memo)
             loc_ee, loc_rate = _scan_product(local, p_max, p_fixed)
             cand = loc_ee if name == "ee" else loc_rate
             if cand.idx is not None and cand.score > score:

@@ -1,8 +1,14 @@
 import csv
+import io
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relayopt import cli
 from relayopt.cli import main
 from relayopt.experiments import CSV_COLUMNS
 from relayopt.model import Af, Allocation, Direct, check_feasibility
@@ -242,3 +248,45 @@ def test_sweep_stdout_matches_the_csv_file(tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def _reference_dump(doc):
+    return json.dumps(doc, indent=2, default=cli._json_safe) + "\n"
+
+
+def _fast_dump(doc):
+    buf = io.StringIO()
+    cli._dump(doc, buf)
+    return buf.getvalue()
+
+
+def test_dump_edge_document_matches_json_dump():
+    doc = {"nan": math.nan, "inf": [math.inf, -math.inf], "zero": [-0.0, 0.0],
+           "floats": [1e300, 5e-324, 0.1],
+           "numpy": [np.float64(1.5), np.float32(0.1), np.int64(-3),
+                     np.bool_(True), np.arange(3), np.array([[1.0, np.nan]])],
+           "empty": [{}, [], (), ""], "tuple": (1, (2, [3])),
+           "text": "h\u00e9llo \u2603 \"q\" \\ \n\t\x00 \U0001f600",
+           "\u00fc-key": [True, False, None, 10**30]}
+    assert _fast_dump(doc) == _reference_dump(doc)
+
+
+def test_dump_rejects_what_it_cannot_encode():
+    with pytest.raises(TypeError):
+        _fast_dump({"x": object()})
+
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.builds(np.float64, st.floats()), st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)), st.builds(np.bool_, st.booleans()))
+_json_docs = st.recursive(_json_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    st.lists(st.floats(), max_size=4).map(np.array)), max_leaves=24)
+
+
+@given(doc=_json_docs)
+@settings(max_examples=300, deadline=None)
+def test_dump_matches_json_dump(doc):
+    assert _fast_dump(doc) == _reference_dump(doc)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,3 +240,96 @@ def test_product_cap_counts_unpruned_points():
     assert len(menu.front) == 1
     with pytest.raises(ValueError, match="grid too large"):
         oracle._scan_product([menu, menu], 10.0, 1.0)
+
+
+# menus drawn from one small pool of points: rows repeat within and across
+# menus, rates (+-0 included) tie across rows, tx comes in no set order, and
+# the small budgets leave whole rows infeasible
+_pooled_menus = st.lists(st.tuples(_value, _value, _rate), min_size=1,
+                         max_size=6).flatmap(
+    lambda pool: st.lists(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=10), min_size=1, max_size=3))
+
+
+@given(menus=_pooled_menus, p_max=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]),
+       p_fixed=st.sampled_from([0.5, 1.0, 2.0]))
+@settings(max_examples=500, deadline=None)
+def test_row_pruning_keeps_first_argmax(menus, p_max, p_fixed):
+    menus = [_menu(*zip(*points)) for points in menus]
+    full = reference_scan_product(menus, p_max, p_fixed)
+    pruned = oracle._scan_product(menus, p_max, p_fixed)
+    for ref, new in zip(full, pruned):
+        assert (new.score, new.idx) == (ref.score, ref.idx)
+
+
+_rounding_menus = st.lists(
+    st.lists(st.tuples(*[st.floats(1e-3, 3.0)] * 3), min_size=1, max_size=8),
+    min_size=2, max_size=3)
+
+
+@given(menus=_rounding_menus, data=st.data(), ulps=st.integers(-2, 2),
+       p_fixed=st.floats(0.1, 2.0))
+@settings(max_examples=1000, deadline=None)
+def test_row_pruning_keeps_first_argmax_under_rounding(menus, data, ulps,
+                                                       p_fixed):
+    # sums that round, rates rising with tx as on the power grids (so a
+    # prefix's costliest point tends to be its best), and a budget within a
+    # few ulps of a combo's tx sum, added in the scan's order with one
+    # trailing menu at any point and the other at its least tx: where the
+    # row bounds cut their prefixes
+    menus = [np.array(points).T for points in menus]
+    menus = [_menu(tx, cons, np.sort(rate)[np.argsort(np.argsort(tx))])
+             for tx, cons, rate in menus]
+    free = data.draw(st.integers(1, len(menus) - 1))
+    i, j = (data.draw(st.integers(0, len(menus[q].tx) - 1)) for q in (0, free))
+    p_cap = menus[0].tx[i]
+    for q, m in enumerate(menus[1:], start=1):
+        p_cap = p_cap + (m.tx[j] if q == free else m.tx.min())
+    p_max = p_cap / (1.0 + 1e-12)
+    for _ in range(abs(ulps)):
+        p_max = np.nextafter(p_max, math.copysign(math.inf, ulps))
+    full = reference_scan_product(menus, float(p_max), p_fixed)
+    pruned = oracle._scan_product(menus, float(p_max), p_fixed)
+    for ref, new in zip(full, pruned):
+        assert (new.score, new.idx) == (ref.score, ref.idx)
+
+
+def test_scan_skips_rows_on_criterion_1_instance(monkeypatch):
+    cfg = SystemConfig(n_users=2, n_subcarriers=2, n_relays=1, p_max_dbm=0.0)
+    _, chan = generate_instance(cfg, 1)
+    scored, rows = [], []
+    score_rows, scan_product = oracle._score_rows, oracle._scan_product
+
+    def counting_score(cols, live, *args):
+        scored.append(len(live))
+        return score_rows(cols, live, *args)
+
+    def counting_scan(menus, *args):
+        rows.append(len(menus[0].front))
+        return scan_product(menus, *args)
+
+    monkeypatch.setattr(oracle, "_score_rows", counting_score)
+    monkeypatch.setattr(oracle, "_scan_product", counting_scan)
+    oracle.brute_force_eem(chan, cfg)
+    # the bounds leave about 1% of the leading rows to score
+    assert sum(scored) * 10 < sum(rows)
+
+
+def test_refinement_builds_each_local_menu_once(monkeypatch):
+    # on a 1 mW budget both the EE and the rate optimum sit at p_max, so the
+    # two refinements start from one point and re-grid the same brackets
+    cfg = _one_link_cfg(p_max_dbm=0.0)
+    chan = _chan(cfg, [[1e-10]])
+    built = []
+    menu_direct = oracle._menu_direct
+
+    def counting_menu(*args):
+        built.append(args)
+        return menu_direct(*args)
+
+    monkeypatch.setattr(oracle, "_menu_direct", counting_menu)
+    grid = GridSpec()
+    _, ee_point, _, rate_point = oracle._scan_assignment(
+        [(0, 0, "direct")], chan, cfg, cfg.power_model(), grid)
+    assert ee_point == rate_point
+    assert len(built) == len(set(built)) == 1 + grid.refine_rounds
