@@ -18,8 +18,7 @@ from .model import (Af, Allocation, Direct, Metrics, PowerModel, RadioConfig,
 from .oracle import (GridSpec, brute_force_eem, brute_force_sem,
                      enumerate_assignments, optimize_powers_on_grid)
 from .solver import (InnerTrace, Solution, SolverParams, SolverTrace,
-                     af_beta, af_candidate, assign_subcarriers,
-                     direct_candidate, solve_eem, solve_inner, solve_sem,
+                     af_beta, solve_eem, solve_inner, solve_sem,
                      update_lambda_subgradient)
 
 __version__ = "0.1.0"
@@ -29,10 +28,9 @@ __all__ = [
     "GridSpec", "InnerTrace", "Metrics", "PathLossClass", "PathLossModel",
     "PowerModel", "RadioConfig", "ResultRecord", "Solution", "SolverParams",
     "SolverTrace", "SweepSpec", "SystemConfig", "Topology",
-    "af_beta", "af_candidate", "aggregate", "assign_sector",
-    "assign_subcarriers", "brute_force_eem", "brute_force_sem",
-    "build_topology", "builtin_scenarios", "check_feasibility",
-    "compute_metrics", "dbm_to_watts", "direct_candidate",
+    "af_beta", "aggregate", "assign_sector", "brute_force_eem",
+    "brute_force_sem", "build_topology", "builtin_scenarios",
+    "check_feasibility", "compute_metrics", "dbm_to_watts",
     "energy_efficiency", "enumerate_assignments", "generate_instance",
     "link_rate_af", "link_rate_direct", "load_config",
     "optimize_powers_on_grid", "path_loss_db", "run_sweep", "sample_channel",

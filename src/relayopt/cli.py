@@ -8,9 +8,9 @@ Subcommands:
     scenarios    list the built-in sweep specs
 
 Every subcommand but `scenarios` takes the config flags; `--strict` is a
-`solve` flag and `--threads` a `sweep` flag.  Exit status: 0 success,
-1 bad input/validation (unknown flags included), 2 non-convergence under
-`solve --strict`.  RELAYOPT_CONFIG names a default config file.
+`solve` flag.  Exit status: 0 success, 1 bad input/validation (unknown
+flags included), 2 non-convergence under `solve --strict`.
+RELAYOPT_CONFIG names a default config file.
 """
 
 from __future__ import annotations
@@ -102,8 +102,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--algorithms", default=None,
                    help="comma list, e.g. EEM,SEM")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap for sweeps")
 
     p = sub.add_parser("oracle", help="certify the solver against brute force")
     _add_common(p)
@@ -271,7 +269,7 @@ def _cmd_sweep(args) -> int:
     if args.master_seed is not None:
         spec = dataclasses.replace(spec, master_seed=args.master_seed)
 
-    records = run_sweep(spec, threads=max(1, args.threads))
+    records = run_sweep(spec)
     write_csv(records, args.out if args.out and args.out != "-" else sys.stdout)
     if args.json_out:
         write_json(records, args.json_out)

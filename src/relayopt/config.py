@@ -55,7 +55,6 @@ class SystemConfig:
     lambda_mode: str = "bisection"   # secant search with a bisection safeguard
     lambda_step: float = 0.0         # 0 -> auto 0.05/p_max (subgradient mode)
     lambda_init: float = 1.0         # subgradient start
-    tie_break: str = "lowest-index"
     master_seed: int = 1
 
     # propagation
@@ -102,7 +101,6 @@ class SystemConfig:
             lambda_mode=self.lambda_mode,
             lambda_step=self.lambda_step,
             lambda_init=self.lambda_init,
-            tie_break=self.tie_break,
         )
 
     def validate(self) -> None:
@@ -141,7 +139,7 @@ class SystemConfig:
 
 _INT_FIELDS = {"n_users", "n_subcarriers", "n_relays", "i_outer_max",
                "i_inner_max", "master_seed"}
-_STR_FIELDS = {"lambda_mode", "tie_break"}
+_STR_FIELDS = {"lambda_mode"}
 _SCALAR_FIELDS = {f.name for f in fields(SystemConfig)} - {"pathloss"}
 _PATHLOSS_KEYS = {f"pathloss.{cls}.{attr}"
                   for cls in LINK_CLASSES

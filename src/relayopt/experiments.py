@@ -18,7 +18,6 @@ import dataclasses
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -171,9 +170,9 @@ def _point_records(spec: SweepSpec, cfg: SystemConfig, seeds,
     return records
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> List[ResultRecord]:
-    """All grid points x algorithms.  Deterministic for a given spec:
-    samples are reduced in index order regardless of `threads`."""
+def run_sweep(spec: SweepSpec) -> List[ResultRecord]:
+    """All grid points x algorithms, samples in index order.
+    Deterministic for a given spec."""
     spec.validate()
     names = list(spec.axes)
     records: List[ResultRecord] = []
@@ -181,12 +180,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> List[ResultRecord]:
         cfg = dataclasses.replace(spec.base, **dict(zip(names, combo)))
         cfg.validate()
         seeds = [spec.master_seed + i for i in range(spec.samples)]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(
-                    lambda s: _solve_sample(cfg, s, spec.algorithms), seeds))
-        else:
-            results = [_solve_sample(cfg, s, spec.algorithms) for s in seeds]
+        results = [_solve_sample(cfg, s, spec.algorithms) for s in seeds]
         records.extend(_point_records(spec, cfg, seeds, results))
     return records
 

@@ -32,7 +32,8 @@ that only ties it is kept, so the first-index argmax cannot move.
 Menus and their frontiers are memoized per brute-force call by
 (slot, bracket): every assignment reuses the same coarse (subcarrier,
 user, protocol) menus, and the EE and rate refinements of one
-assignment share the local menus whenever they start from one point.
+assignment share the local menus, and the scan of their product,
+whenever they start from one point.
 """
 
 from __future__ import annotations
@@ -307,6 +308,8 @@ def _scan_assignment(active, chan, cfg, pm, grid, memo=None):
     `memo` caches the menus (and so their frontiers) by (slot, bracket):
     the coarse menus across the assignments of one instance, the local
     menus across the EE and rate refinements that start from one point.
+    It also caches each local scan by its menus' keys, so a refinement
+    that re-grids the brackets of the other does not scan them again.
     """
     memo = {} if memo is None else memo
     p_fixed = pm.p_c_bs + cfg.n_relays * pm.p_c_rn
@@ -347,7 +350,10 @@ def _scan_assignment(active, chan, cfg, pm, grid, memo=None):
                     brackets.append((lo, hi, b_lo, b_hi, _REFINE_POINTS,
                                      _REFINE_POINTS))
             local = _build_menus(active, chan, pm, brackets, memo)
-            loc_ee, loc_rate = _scan_product(local, p_max, p_fixed)
+            key = ("scan", tuple(zip(active, brackets)))
+            if key not in memo:
+                memo[key] = _scan_product(local, p_max, p_fixed)
+            loc_ee, loc_rate = memo[key]
             cand = loc_ee if name == "ee" else loc_rate
             if cand.idx is not None and cand.score > score:
                 score = cand.score

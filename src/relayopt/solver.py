@@ -38,9 +38,9 @@ ranking depends on q or lambda, so the shortlist holds 1 + M' rows per
 subcarrier (M' occupied sectors) instead of 2K, for every sweep of the
 solve.  A folded candidate whose gain equals its row's exactly has the
 same marginal, and ties keep the lowest candidate index, so the winners
-are those of the full sweep; a seeded-random tie-break draws among the
-folded twins too.  The shortlisted rows run the same floating-point
-operations as the full sweep would, so answers match it bit for bit.
+are those of the full sweep.  The shortlisted rows run the same
+floating-point operations as the full sweep would, so answers match it
+bit for bit.
 Only rounding could tell the two apart: where two gains of one contest
 lie within a few ulps, so that the rounded marginals could order them
 either way, or where every marginal of a subcarrier rounds to zero
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -80,7 +79,6 @@ class SolverParams:
     lambda_mode: str = "bisection"   # "bisection" (secant search) | "subgradient"
     lambda_step: float = 0.0         # subgradient step; 0 -> 0.05 / p_max
     lambda_init: float = 1.0         # subgradient start
-    tie_break: str = "lowest-index"  # "lowest-index" | "seeded-random"
 
     def validate(self) -> None:
         if self.i_outer_max < 1 or self.i_inner_max < 1:
@@ -89,30 +87,10 @@ class SolverParams:
             raise ValueError("tolerances must be positive")
         if self.lambda_mode not in ("bisection", "subgradient"):
             raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
-        if self.tie_break not in ("lowest-index", "seeded-random"):
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
         if self.lambda_init <= 0.0:
             raise ValueError("lambda_init must be positive")
         if self.lambda_step < 0.0:
             raise ValueError("lambda_step must be >= 0")
-
-
-@dataclass
-class Candidate:
-    """Per-(user, subcarrier, protocol) closed-form subproblem solution."""
-
-    user: int
-    protocol: str         # "direct" | "af"
-    marginal: float       # objective gain if this candidate wins the subcarrier
-    effective_gain: float  # alpha, 1/W
-    p_d: float = 0.0
-    p_bs: float = 0.0
-    p_rn: float = 0.0
-    beta: Optional[float] = None
-
-    @property
-    def tx_power(self) -> float:
-        return self.p_d if self.protocol == "direct" else self.p_bs + self.p_rn
 
 
 @dataclass
@@ -168,74 +146,61 @@ def _marginal(x):
     return (np.log1p(x) - x / (1.0 + x)) / LN2
 
 
-def direct_candidate(q: float, lam: float, gain: float, noise_gap: float,
-                     xi_bs: float) -> Candidate:
-    """Water-filling solution of the single-hop subproblem at price q*xi + lam."""
-    _check_q_lambda(q, lam)
-    if gain <= 0.0 or noise_gap <= 0.0:
-        raise ValueError("gain and noise_gap must be positive")
-    alpha = gain / noise_gap
-    level = 1.0 / (LN2 * (q * xi_bs + lam))
-    p = max(0.0, level - 1.0 / alpha)
-    marg = float(_marginal(alpha * p)) if p > 0.0 else 0.0
-    return Candidate(user=-1, protocol="direct", marginal=marg,
-                     effective_gain=alpha, p_d=p)
+def _direct_terms(q, lam, xi_bs, inv_alpha, p=None, x=None):
+    """Water-filling power p and alpha*p of direct links at (q, lam).
+
+    inv_alpha is the water-level floor 1/alpha (inf for a dead link,
+    which gets no power).  This, _af_split and _af_terms are the only
+    home of the closed forms: _sweep passes shortlist arrays and its own
+    buffers p and x, _candidate one element's floats, and both run the
+    same floating-point operations.
+    """
+    wl = 1.0 / (LN2 * (q * xi_bs + lam))
+    p = np.maximum(0.0, wl - inv_alpha, out=p)
+    return p, np.divide(p, inv_alpha, out=x)
+
+
+def _af_split(q, lam, xi_bs, xi_rn, sqrt_g1, sqrt_g2):
+    """Optimal first-hop share beta of AF pairs, and their prices a, b.
+
+    Algebraically equal to the textbook quotient
+    (-g2*b + sqrt(g1*g2*a*b)) / (g1*a - g2*b) but free of its 0/0 at
+    g1*a = g2*b: with x = sqrt(g1*a), y = sqrt(g2*b) the quotient
+    collapses to y/(x+y).  x is taken as sqrt(g1)*sqrt(a), so a solve
+    takes the gains' roots once.  Kept apart from _af_terms for af_beta,
+    which must not form alpha: g1*g2 underflows to 0 for tiny gains.
+    """
+    a = q * xi_bs + 2.0 * lam
+    b = q * xi_rn + 2.0 * lam
+    sx = sqrt_g1 * math.sqrt(a)
+    sy = sqrt_g2 * math.sqrt(b)
+    return sy / (sx + sy), a, b
+
+
+def _af_terms(q, lam, xi_bs, xi_rn, ngap, sqrt_g1, sqrt_g2, g1, g2,
+              p=None, x=None):
+    """Split beta, water-filling total power p and alpha*p of AF pairs.
+
+    Arrays or floats, as _direct_terms.
+    """
+    beta, a, b = _af_split(q, lam, xi_bs, xi_rn, sqrt_g1, sqrt_g2)
+    alpha = beta * (1.0 - beta) * g1 * g2 / (
+        (beta * g1 + (1.0 - beta) * g2) * ngap)
+    wl = 1.0 / (LN2 * (beta * a + (1.0 - beta) * b))
+    p = np.maximum(0.0, wl - 1.0 / alpha, out=p)
+    return beta, p, np.multiply(alpha, p, out=x)
 
 
 def af_beta(q: float, lam: float, g1: float, g2: float,
             xi_bs: float, xi_rn: float) -> float:
     """Optimal first-hop share of an AF pair's total power.
 
-    Algebraically equal to the textbook quotient
-    (-g2*b + sqrt(g1*g2*a*b)) / (g1*a - g2*b) but free of its 0/0 at
-    g1*a = g2*b: with x = sqrt(g1*a), y = sqrt(g2*b) the quotient
-    collapses to y/(x+y).
+    The solver's own split (see _af_split), bit for bit.
     """
     _check_q_lambda(q, lam)
     if g1 <= 0.0 or g2 <= 0.0:
         raise ValueError("hop gains must be positive")
-    a = q * xi_bs + 2.0 * lam
-    b = q * xi_rn + 2.0 * lam
-    x = math.sqrt(g1 * a)
-    y = math.sqrt(g2 * b)
-    return y / (x + y)
-
-
-def af_candidate(q: float, lam: float, g1: float, g2: float, noise_gap: float,
-                 xi_bs: float, xi_rn: float) -> Candidate:
-    """Closed-form AF subproblem: split beta, then water-fill the total power."""
-    beta = af_beta(q, lam, g1, g2, xi_bs, xi_rn)
-    if noise_gap <= 0.0:
-        raise ValueError("noise_gap must be positive")
-    a = q * xi_bs + 2.0 * lam
-    b = q * xi_rn + 2.0 * lam
-    alpha = beta * (1.0 - beta) * g1 * g2 / ((beta * g1 + (1.0 - beta) * g2) * noise_gap)
-    level = 1.0 / (LN2 * (beta * a + (1.0 - beta) * b))
-    p = max(0.0, level - 1.0 / alpha)
-    marg = 0.5 * float(_marginal(alpha * p)) if p > 0.0 else 0.0
-    return Candidate(user=-1, protocol="af", marginal=marg, effective_gain=alpha,
-                     p_bs=beta * p, p_rn=(1.0 - beta) * p, beta=beta)
-
-
-def assign_subcarriers(candidates, tie_break: str = "lowest-index",
-                       rng: Optional[np.random.Generator] = None):
-    """Winner-take-all over one subcarrier's candidate list.
-
-    Returns the candidate with the largest marginal, or None if every
-    marginal is negative (the subcarrier idles).  Ties go to the first
-    candidate in list order, or to a random maximal candidate when
-    tie_break == "seeded-random".
-    """
-    if not candidates:
-        return None
-    best = max(c.marginal for c in candidates)
-    if best < 0.0:
-        return None
-    winners = [c for c in candidates if c.marginal == best]
-    if tie_break == "seeded-random" and len(winners) > 1:
-        rng = rng or np.random.default_rng(0)
-        return winners[int(rng.integers(len(winners)))]
-    return winners[0]
+    return _af_split(q, lam, xi_bs, xi_rn, math.sqrt(g1), math.sqrt(g2))[0]
 
 
 def update_lambda_subgradient(lam: float, step: float, p_max: float,
@@ -322,31 +287,6 @@ class _Problem:
         lam = self.wf_price - q * self.xi_bs
         return lam if lam > 0.0 else self.wf_price
 
-    @cached_property
-    def twins(self):
-        """(twin, row_of, count) for drawing among exactly tied candidates.
-
-        twin[f, n] marks full-order candidate f whose gain on subcarrier
-        n equals its shortlist row's (so its marginal does too), row_of[f]
-        is that row, and count[r, n] counts row r's twins.  Built on the
-        first seeded-random sweep only.
-        """
-        chan = self.chan
-        users = self.flat // 2 if self.has_af else self.flat
-        twin_d = chan.g_bs_ue == chan.g_bs_ue[users[0], self.cols]
-        if not self.has_af:
-            row_of = np.zeros(self.n_users, dtype=np.intp)
-            return twin_d, row_of, twin_d.sum(axis=0)[None, :]
-        g2_row = chan.g_rn_ue[users[1:], self.cols]  # real gains, dead ones too
-        twin = np.empty((2 * self.n_users, self.n_subcarriers), dtype=bool)
-        twin[0::2] = twin_d
-        twin[1::2] = chan.g_rn_ue == g2_row[self.sector_row - 1]
-        row_of = np.zeros(2 * self.n_users, dtype=np.intp)
-        row_of[1::2] = self.sector_row
-        count = np.zeros(self.flat.shape, dtype=np.intp)
-        np.add.at(count, row_of, twin)
-        return twin, row_of, count
-
 
 def _water_filling_price(floors, p_max: float) -> float:
     """Water-filling price 1/(ln2*L) of a budget over floors 1/alpha.
@@ -385,38 +325,18 @@ class _SweepResult:
 _NO_CANDIDATE = np.iinfo(np.intp).max  # sorts after every candidate index
 
 
-def _af_terms(prob: _Problem, q: float, lam: float, sqrt_g1, sqrt_g2, g1, g2):
-    """Split beta, effective gain and water level of AF pairs at (q, lam).
-
-    _sweep passes the (M', N) shortlist arrays, _candidate one element's
-    gains as floats; both run the same floating-point operations.
-    """
-    a = q * prob.xi_bs + 2.0 * lam
-    b = q * prob.xi_rn + 2.0 * lam
-    sx = sqrt_g1 * math.sqrt(a)
-    sy = sqrt_g2 * math.sqrt(b)
-    beta = sy / (sx + sy)
-    alpha = beta * (1.0 - beta) * g1 * g2 / (
-        (beta * g1 + (1.0 - beta) * g2) * prob.ngap)
-    wl = 1.0 / (LN2 * (beta * a + (1.0 - beta) * b))
-    return beta, alpha, wl
-
-
-def _sweep(prob: _Problem, q: float, lam: float,
-           params: SolverParams) -> _SweepResult:
+def _sweep(prob: _Problem, q: float, lam: float) -> _SweepResult:
     """Pick each subcarrier's winner among the shortlisted candidates."""
     p = np.empty(prob.flat.shape)  # power per shortlisted candidate
     x = np.empty_like(p)           # alpha * power
-    wl_d = 1.0 / (LN2 * (q * prob.xi_bs + lam))
-    np.maximum(0.0, wl_d - prob.inv_alpha_d, out=p[0])
-    np.divide(p[0], prob.inv_alpha_d, out=x[0])
+    _direct_terms(q, lam, prob.xi_bs, prob.inv_alpha_d, p[0], x[0])
     if prob.has_af:
-        beta, alpha_a, wl_a = _af_terms(prob, q, lam, prob.sqrt_g1,
-                                        prob.sqrt_g2, prob.g1, prob.g2)
-        np.maximum(0.0, wl_a - 1.0 / alpha_a, out=p[1:])
+        beta, _, _ = _af_terms(q, lam, prob.xi_bs, prob.xi_rn, prob.ngap,
+                               prob.sqrt_g1, prob.sqrt_g2, prob.g1, prob.g2,
+                               p[1:], x[1:])
         if prob.af_dead is not None:
             p[1:][prob.af_dead] = 0.0
-        np.multiply(alpha_a, p[1:], out=x[1:])
+            x[1:][prob.af_dead] = 0.0
     marg = _marginal(x)
     marg[1:] *= 0.5  # AF occupies two slots
 
@@ -424,10 +344,7 @@ def _sweep(prob: _Problem, q: float, lam: float,
     best = marg.max(axis=0)
     row = np.argmin(np.where(marg == best, prob.flat, _NO_CANDIDATE), axis=0)
     cols = prob.cols
-    if params.tie_break == "seeded-random":
-        flat = _retie_random(prob, marg, best, row)
-    else:
-        flat = prob.flat[row, cols]
+    flat = prob.flat[row, cols]
 
     wp = p[row, cols]
     lg = np.log1p(x[row, cols])
@@ -466,28 +383,6 @@ def _sweep(prob: _Problem, q: float, lam: float,
     )
 
 
-def _retie_random(prob: _Problem, marg: np.ndarray, best: np.ndarray,
-                  row: np.ndarray) -> np.ndarray:
-    """Full-order index of each winner, drawn at random on exact ties.
-
-    Where several candidates, shortlisted or folded twins, tie for a
-    positive best marginal, a generator seeded with 0 at every sweep
-    draws one of them; `row` is moved to the drawn candidate's row.
-    """
-    flat = prob.flat[row, prob.cols]
-    tied = marg == best
-    twin, row_of, count = prob.twins
-    pool_size = np.where(tied, count, 0).sum(axis=0)
-    draw = np.flatnonzero((pool_size > 1) & (best > 0.0))
-    if draw.size:
-        rng = np.random.default_rng(0)
-        for n in draw:
-            pool = np.flatnonzero(twin[:, n] & tied[row_of, n])
-            flat[n] = pool[rng.integers(len(pool))]
-            row[n] = row_of[flat[n]]
-    return flat
-
-
 def _to_allocation(prob: _Problem, sweep: _SweepResult) -> Allocation:
     """Materialize the winners with positive power; the rest idle."""
     af = sweep.winner_af
@@ -510,16 +405,14 @@ def _candidate(prob: _Problem, q: float, lam: float, row: int, n: int):
     two agree bit for bit and a tie falls where the sweep puts it.
     """
     if row == 0:
-        inv_alpha = prob.inv_alpha_d.item(n)
-        p = max(0.0, 1.0 / (LN2 * (q * prob.xi_bs + lam)) - inv_alpha)
-        return _marginal(p / inv_alpha), p
+        p, x = _direct_terms(q, lam, prob.xi_bs, prob.inv_alpha_d.item(n))
+        return _marginal(x), p
     at = (row - 1, n)
     if prob.af_dead is not None and prob.af_dead[at]:
         return 0.0, 0.0
-    _, alpha, wl = _af_terms(prob, q, lam, *(
+    _, p, x = _af_terms(q, lam, prob.xi_bs, prob.xi_rn, prob.ngap, *(
         v.item(at) for v in (prob.sqrt_g1, prob.sqrt_g2, prob.g1, prob.g2)))
-    p = max(0.0, wl - 1.0 / alpha)
-    return 0.5 * _marginal(alpha * p), p
+    return 0.5 * _marginal(x), p
 
 
 def _tie_bracket(prob: _Problem, q: float, lo: float, hi: float,
@@ -546,9 +439,7 @@ def _tie_bracket(prob: _Problem, q: float, lo: float, hi: float,
     if key in memo and lo <= memo[key][0] and memo[key][1] <= hi:
         return memo[key]
 
-    # Exact ties go to the lower candidate index, as in _sweep; under
-    # "seeded-random" _sweep draws, so a pinned end may come out on the
-    # wrong side, and the next call starts from that sweep's verdict.
+    # exact ties go to the lower candidate index, as in _sweep
     tie_sign = 1.0 if prob.flat[row_lo, n] < prob.flat[row_hi, n] else -1.0
 
     def gap(lam, ties=tie_sign):  # > 0 where the winner at lo wins
@@ -670,7 +561,7 @@ def _search_water_level(prob: _Problem, q: float, params: SolverParams,
     def ev(lam):
         nonlocal best, evals
         evals += 1
-        r = _sweep(prob, q, lam, params)
+        r = _sweep(prob, q, lam)
         if r.p_used <= over and (best is None or r.f_value(q, prob.p_fixed)
                                  > best.f_value(q, prob.p_fixed)):
             best = r
@@ -790,7 +681,7 @@ def _search_subgradient(prob: _Problem, q: float, params: SolverParams) -> _Sear
     evals = 0
     stop = "iteration-cap"
     for _ in range(params.i_inner_max):
-        r = _sweep(prob, q, lam, params)
+        r = _sweep(prob, q, lam)
         evals += 1
         if r.p_used <= p_max * (1.0 + _FEAS_SLACK):
             if best is None or r.f_value(q, prob.p_fixed) > best.f_value(q, prob.p_fixed):
@@ -807,7 +698,7 @@ def _search_subgradient(prob: _Problem, q: float, params: SolverParams) -> _Sear
         # no feasible iterate seen; raise the price until one appears
         lam = max(lam, 1e-12)
         while True:
-            r = _sweep(prob, q, lam, params)
+            r = _sweep(prob, q, lam)
             evals += 1
             if r.p_used <= p_max * (1.0 + _FEAS_SLACK):
                 best = r

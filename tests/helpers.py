@@ -1,7 +1,10 @@
 """Shared independent re-implementations used to cross-check the solver.
 
-Everything here is deliberately scalar and naive: the point is to agree
-with the vectorized production code without sharing its code paths.
+Each is a plain, unpruned version of a library computation: the full
+2KN candidate sweep written out afresh (it shares the marginal formula
+and the per-instance constants with the solver, not its closed-form
+kernel or its shortlist), bisection for the multiplier, every combo of
+the oracle's menus, and per-entry loops for the allocation metrics.
 """
 
 import math
@@ -11,7 +14,6 @@ import numpy as np
 from relayopt import oracle, solver
 from relayopt.model import (LN2, Af, Allocation, Direct, Metrics, energy_efficiency,
                             link_rate_af, link_rate_direct, snr_af_exact)
-from relayopt.solver import af_candidate, assign_subcarriers, direct_candidate
 
 
 def beta_quotient(q, lam, g1, g2, xi_bs, xi_rn):
@@ -23,51 +25,20 @@ def beta_quotient(q, lam, g1, g2, xi_bs, xi_rn):
     return num / den
 
 
-def candidates_on(chan, cfg, n, q, lam):
-    """Every (user, protocol) candidate for subcarrier n at fixed prices."""
-    ngap = chan.noise_gap
-    out = []
-    for k in range(cfg.n_users):
-        c = direct_candidate(q, lam, float(chan.g_bs_ue[k, n]), ngap, cfg.xi_bs)
-        out.append((k, "direct", c))
-        if cfg.n_relays > 0 and chan.g_rn_ue is not None:
-            m = int(chan.sector_of_ue[k])
-            c = af_candidate(q, lam, float(chan.g_bs_rn[m, n]),
-                             float(chan.g_rn_ue[k, n]), ngap,
-                             cfg.xi_bs, cfg.xi_rn)
-            out.append((k, "af", c))
-    return out
-
-
 def sweep_at(chan, cfg, q, lam):
-    """Scalar winner-take-all sweep: (rate, tx_power, amp_consumption)."""
-    rate = 0.0
-    tx = 0.0
-    cons = 0.0
-    for n in range(cfg.n_subcarriers):
-        cands = [c for _, _, c in candidates_on(chan, cfg, n, q, lam)]
-        win = assign_subcarriers(cands)
-        if win is None or win.tx_power <= 0.0:
-            continue
-        x = win.effective_gain * win.tx_power
-        if win.protocol == "direct":
-            rate += math.log1p(x) / LN2
-            cons += cfg.xi_bs * win.p_d
-        else:
-            rate += 0.5 * math.log1p(x) / LN2
-            cons += 0.5 * (cfg.xi_bs * win.p_bs + cfg.xi_rn * win.p_rn)
-        tx += win.tx_power
-    return rate, tx, cons
+    """Full winner-take-all sweep: (rate, tx_power, amp_consumption)."""
+    r = reference_sweep(solver._Problem(chan, cfg), q, lam)
+    return r.rate_sum, r.p_used, r.cons_sum
 
 
 def best_feasible_f_on_grid(chan, cfg, q, lams):
-    """max over a multiplier grid of F(q) among budget-feasible sweeps."""
-    p_fixed = cfg.p_c_bs_w + cfg.n_relays * cfg.p_c_rn_w
+    """max over a multiplier grid of F(q) among budget-feasible full sweeps."""
+    prob = solver._Problem(chan, cfg)
     best = -math.inf
     for lam in lams:
-        rate, tx, cons = sweep_at(chan, cfg, q, lam)
-        if tx <= cfg.p_max_w * (1.0 + 1e-12):
-            best = max(best, rate - q * (p_fixed + cons))
+        r = reference_sweep(prob, q, float(lam))
+        if r.p_used <= prob.p_max * (1.0 + 1e-12):
+            best = max(best, r.f_value(q, prob.p_fixed))
     return best
 
 
@@ -100,24 +71,18 @@ def kkt_residuals(sol, chan, cfg):
 
 def dominance_holds(sol, chan, cfg, rel=1e-9):
     """Winner-take-all optimality of the final allocation, re-derived."""
-    q = sol.trace.q_params[-1]
-    lam = sol.trace.lambda_final[-1]
-    chosen = {}
-    for (k, n), e in sol.allocation.entries.items():
-        chosen[n] = (k, "direct" if isinstance(e, Direct) else "af")
-    for n in range(cfg.n_subcarriers):
-        cands = candidates_on(chan, cfg, n, q, lam)
-        top = max(c.marginal for _, _, c in cands)
-        if n not in chosen:
-            if top > 1e-12:
-                return False
-            continue
-        k, proto = chosen[n]
-        mine = next(c.marginal for kk, pp, c in cands
-                    if kk == k and pp == proto)
-        if mine < top - rel * max(1.0, abs(top)):
-            return False
-    return True
+    prob = solver._Problem(chan, cfg)
+    marg, _ = reference_candidates(prob, sol.trace.q_params[-1],
+                                   sol.trace.lambda_final[-1])
+    top = marg.max(axis=0)
+    alloc = sol.allocation
+    idle = np.ones(cfg.n_subcarriers, dtype=bool)
+    idle[alloc.subcarrier] = False
+    row = 2 * alloc.user + alloc.af if prob.has_af else alloc.user
+    mine = marg[row, alloc.subcarrier]
+    top_on = top[alloc.subcarrier]
+    return bool(np.all(top[idle] <= 1e-12) and np.all(
+        mine >= top_on - rel * np.maximum(1.0, np.abs(top_on))))
 
 
 def bisection_search(prob, q, params, lam_hint=None):
@@ -138,7 +103,7 @@ def bisection_search(prob, q, params, lam_hint=None):
     def ev(lam):
         nonlocal evals
         evals += 1
-        return solver._sweep(prob, q, lam, params)
+        return solver._sweep(prob, q, lam)
 
     if q > 0.0:
         r = ev(0.0)
@@ -224,24 +189,16 @@ def reference_candidates(prob, q, lam):
     return marg, c
 
 
-def reference_sweep(prob, q, lam, params):
+def reference_sweep(prob, q, lam):
     """Reference candidate sweep: winner-take-all over all 2KN candidates.
 
     The full sweep that the shortlisted solver._sweep must reproduce.
-    Exact ties go to the lowest candidate index, or under
-    "seeded-random" to a draw, from a generator seeded with 0 at every
-    sweep, in every column where several candidates tie for the best
-    marginal.  It can stand in for solver._sweep.
+    Exact ties go to the lowest candidate index.  It can stand in for
+    solver._sweep.
     """
     marg, c = reference_candidates(prob, q, lam)
     cols = np.arange(prob.n_subcarriers)
     flat = np.argmax(marg, axis=0)  # first max = lowest user, direct first
-    if params.tie_break == "seeded-random":
-        best = marg[flat, cols]
-        rng = np.random.default_rng(0)
-        for n in np.nonzero((marg == best).sum(axis=0) > 1)[0]:
-            pool = np.nonzero(marg[:, n] == best[n])[0]
-            flat[n] = pool[rng.integers(len(pool))]
 
     if prob.has_af:
         winner_user = flat // 2

@@ -213,6 +213,8 @@ def test_oracle_rejects_nonpositive_seeds(capsys):
 def test_flags_only_on_the_subcommands_that_read_them(capsys):
     for argv, flag in ((["oracle", "--threads", "2"], "--threads"),
                        (["solve", "--threads", "2"], "--threads"),
+                       (["sweep", "--scenario", "radius", "--threads", "2"],
+                        "--threads"),
                        (["convergence", "--strict"], "--strict"),
                        (["sweep", "--scenario", "radius", "--strict"],
                         "--strict")):

@@ -95,6 +95,10 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text("snr_gap = 3\n")
     with pytest.raises(ConfigError, match="unknown config key"):
         load_config(str(path))
+    # the tie-break knob is gone: lowest index is the only rule
+    path.write_text("tie_break = lowest-index\n")
+    with pytest.raises(ConfigError, match="unknown config key: tie_break"):
+        load_config(str(path))
 
 
 def test_validation_failures_are_config_errors():

@@ -70,14 +70,10 @@ def test_single_point_matches_direct_solves():
     assert not rec.flagged
 
 
-def test_sweep_is_deterministic_and_thread_invariant():
+def test_sweep_is_deterministic():
     spec = SweepSpec(name="det", base=_small_base(),
                      axes={"p_max_dbm": [-30.0, 60.0]}, samples=3)
-    a = run_sweep(spec)
-    b = run_sweep(spec)
-    c = run_sweep(spec, threads=2)
-    assert a == b
-    assert a == c
+    assert run_sweep(spec) == run_sweep(spec)
 
 
 def test_sweep_grid_and_algorithm_order():

@@ -1,6 +1,5 @@
 """The secant multiplier search against the reference bisection."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -102,21 +101,80 @@ def desk_jumps():
     return _reference_jump_searches(SystemConfig(), range(1, 401))
 
 
-@pytest.mark.parametrize("tie_break", ["lowest-index", "seeded-random"])
-def test_jump_searches_settle_at_the_tie(desk_jumps, tie_break):
-    params = dataclasses.replace(SystemConfig().solver_params(),
-                                 tie_break=tie_break)
+def test_jump_searches_settle_at_the_tie(desk_jumps):
+    params = SystemConfig().solver_params()
     assert len(desk_jumps) == 27  # desk seeds 1-400, K=8, N=32, M=3
     problems = []
     for seed, prob, q, ref in desk_jumps:
-        if tie_break != "lowest-index":
-            ref = bisection_search(prob, q, params)
         new = solver._search_lambda(prob, q, params)
         f_ref = ref.sweep.f_value(q, prob.p_fixed)
         f_new = new.sweep.f_value(q, prob.p_fixed)
         slack = 1e-12 * max(abs(f_ref), ref.sweep.rate_sum)
         if new.stop != "jump-point" or new.evals > 10 or f_new < f_ref - slack:
             problems.append((seed, q, new.stop, new.evals, f_new, f_ref))
+    assert not problems, problems
+
+
+def _candidate_mismatches(prob, q, lam):
+    """Where _candidate's verdict differs from _sweep's at (q, lam).
+
+    Per subcarrier, the row with the largest _candidate marginal (ties
+    to the lowest full-order index) must be the sweep's winner row, and
+    its power the sweep's: p_d for a direct winner, beta*p and
+    (1-beta)*p with the public af_beta for an AF one, bit for bit.
+    """
+    sweep = solver._sweep(prob, q, lam)
+    rows = range(prob.flat.shape[0])
+    found = []
+    for n in range(prob.n_subcarriers):
+        cands = [solver._candidate(prob, q, lam, r, n) for r in rows]
+        best = max(m for m, _ in cands)
+        row = min((r for r in rows if cands[r][0] == best),
+                  key=lambda r: prob.flat[r, n])
+        p = cands[row][1]
+        if row != sweep.winner_row[n]:
+            found.append((q, lam, n, "row", row, int(sweep.winner_row[n])))
+        elif row == 0:
+            if p != sweep.p_d[n]:
+                found.append((q, lam, n, "p_d", p, sweep.p_d[n]))
+        else:
+            at = (row - 1, n)
+            beta = solver.af_beta(q, lam, prob.g1[at], prob.g2[at],
+                                  prob.xi_bs, prob.xi_rn)
+            if (p * beta, p * (1.0 - beta)) != (sweep.p_bs[n], sweep.p_rn[n]):
+                found.append((q, lam, n, "p_af", p, sweep.p_bs[n]))
+    return found
+
+
+def test_candidate_agrees_with_the_sweep(desk_jumps, monkeypatch):
+    # the tie finder reads switches off _candidate; they must fall where
+    # the sweep puts them, on a multiplier grid and at every pinned pair
+    cfg = SystemConfig()
+    problems = []
+    for seed in range(1, 11):
+        _, chan = generate_instance(cfg, seed)
+        sol = solver.solve_eem(chan, cfg)
+        prob = sol._trajectory.prob
+        for q, lam in zip(sol.trace.q_params, sol.trace.lambda_final):
+            for f in (1e-3, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 10.0, 1e3):
+                problems += _candidate_mismatches(prob, q, lam * f)
+    pinned = []
+    tie_bracket = solver._tie_bracket
+
+    def spy(prob, q, *args):
+        tie = tie_bracket(prob, q, *args)
+        if tie is not None:
+            pinned.append((prob, q, tie[0], tie[1]))
+        return tie
+
+    monkeypatch.setattr(solver, "_tie_bracket", spy)
+    params = cfg.solver_params()
+    for _, prob, q, _ in desk_jumps:
+        solver._search_lambda(prob, q, params)
+    assert len(pinned) >= len(desk_jumps)
+    for prob, q, a, b in pinned:
+        problems += _candidate_mismatches(prob, q, a)
+        problems += _candidate_mismatches(prob, q, b)
     assert not problems, problems
 
 
@@ -151,8 +209,8 @@ def test_two_switching_subcarriers_fall_back_to_midpoint_steps(
     # the bracket ends always differ on at least two subcarriers.
     orig = solver._sweep
 
-    def two_switches(prob, q, lam, params):
-        r = orig(prob, q, lam, params)
+    def two_switches(prob, q, lam):
+        r = orig(prob, q, lam)
         if r.p_used > prob.p_max:
             r.winner_row = r.winner_row.copy()
             r.winner_row[:2] = -1
@@ -229,9 +287,9 @@ def test_unclosable_bracket_raises(monkeypatch, mode):
     orig = solver._sweep
     count = [0]
 
-    def never_feasible(prob, q, lam, params):
+    def never_feasible(prob, q, lam):
         count[0] += 1
-        r = orig(prob, q, lam, params)
+        r = orig(prob, q, lam)
         r.p_used = 10.0 * prob.p_max
         return r
 

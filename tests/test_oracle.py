@@ -333,3 +333,29 @@ def test_refinement_builds_each_local_menu_once(monkeypatch):
         [(0, 0, "direct")], chan, cfg, cfg.power_model(), grid)
     assert ee_point == rate_point
     assert len(built) == len(set(built)) == 1 + grid.refine_rounds
+
+
+def test_refinement_scans_each_local_product_once(monkeypatch):
+    # the one-link case above: the rate refinement re-grids the EE
+    # refinement's brackets, so its scans are read from the memo
+    cfg = _one_link_cfg(p_max_dbm=0.0)
+    chan = _chan(cfg, [[1e-10]])
+    scanned = []
+    scan_product = oracle._scan_product
+
+    def counting_scan(menus, *args):
+        scanned.append(tuple(id(m) for m in menus))
+        return scan_product(menus, *args)
+
+    monkeypatch.setattr(oracle, "_scan_product", counting_scan)
+    grid = GridSpec()
+    _, ee_point, _, rate_point = oracle._scan_assignment(
+        [(0, 0, "direct")], chan, cfg, cfg.power_model(), grid)
+    assert ee_point == rate_point
+    assert len(scanned) == len(set(scanned)) == 1 + grid.refine_rounds
+    # over a whole criterion-1 instance no product is scanned twice
+    cfg = SystemConfig(n_users=2, n_subcarriers=2, n_relays=1, p_max_dbm=0.0)
+    _, chan = generate_instance(cfg, 1)
+    scanned.clear()
+    oracle.brute_force_eem(chan, cfg)
+    assert len(scanned) == len(set(scanned)) > 0

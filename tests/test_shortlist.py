@@ -5,15 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import reference_candidates, reference_sweep
+from helpers import reference_sweep
 from relayopt import solver
 from relayopt.channel import ChannelRealization, generate_instance
 from relayopt.config import SystemConfig
 
 
-def _solve_both(chan, cfg, params=None):
-    return (solver.solve_eem(chan, cfg, params),
-            solver.solve_sem(chan, cfg, params))
+def _solve_both(chan, cfg):
+    return solver.solve_eem(chan, cfg), solver.solve_sem(chan, cfg)
 
 
 def _differences(ref, new):
@@ -33,11 +32,11 @@ def _differences(ref, new):
     return problems
 
 
-def _compare(monkeypatch, chan, cfg, params=None):
+def _compare(monkeypatch, chan, cfg):
     monkeypatch.setattr(solver, "_sweep", reference_sweep)
-    ref = _solve_both(chan, cfg, params)
+    ref = _solve_both(chan, cfg)
     monkeypatch.undo()
-    return _differences(ref, _solve_both(chan, cfg, params))
+    return _differences(ref, _solve_both(chan, cfg))
 
 
 def test_shortlist_matches_reference_sweep(monkeypatch):
@@ -75,47 +74,6 @@ def _duplicated_users(seed, m):
 def test_duplicated_users_lowest_index(monkeypatch, seed, m):
     cfg, chan = _duplicated_users(seed, m)
     assert _compare(monkeypatch, chan, cfg) == []
-
-
-@pytest.mark.parametrize("m", [0, 2])
-def test_duplicated_users_seeded_random_draws_from_the_tied_pool(monkeypatch, m):
-    params = dataclasses.replace(SystemConfig().solver_params(),
-                                 tie_break="seeded-random")
-    drawn_twins = 0
-    for seed in (1, 2, 3):
-        cfg, chan = _duplicated_users(seed, m)
-        prob = solver._Problem(chan, cfg)
-        sol = solver.solve_eem(chan, cfg)
-        points = [(q, lam * f) for q, lam in zip(sol.trace.q_params,
-                                                 sol.trace.lambda_final)
-                  for f in (0.5, 1.0, 2.0)]
-        for q, lam in points:
-            marg, _ = reference_candidates(prob, q, lam)
-            ref = reference_sweep(prob, q, lam, params)
-            new = solver._sweep(prob, q, lam, params)
-            best = marg.max(axis=0)
-            flat = 2 * new.winner_user + new.winner_af if m else new.winner_user
-            for n in np.flatnonzero(best > 0.0):
-                pool = np.flatnonzero(marg[:, n] == best[n])
-                assert flat[n] in pool, (seed, q, lam, n)
-                drawn_twins += new.winner_user[n] in (5, 6)
-            for field in ("p_d", "p_bs", "p_rn"):
-                assert np.array_equal(getattr(new, field), getattr(ref, field))
-            for field in ("rate_sum", "cons_sum", "p_used"):
-                assert getattr(new, field) == getattr(ref, field)
-        # a whole seeded-random solve matches the reference up to labels
-        monkeypatch.setattr(solver, "_sweep", reference_sweep)
-        ref = _solve_both(chan, cfg, params)
-        monkeypatch.undo()
-        new = _solve_both(chan, cfg, params)
-        for r, s in zip(ref, new):
-            assert s.metrics == r.metrics
-            assert _powers(s.allocation) == _powers(r.allocation)
-    assert drawn_twins > 0  # folded twins are drawn, not only user 1
-
-
-def _powers(alloc):
-    return {n: e for (_, n), e in alloc.entries.items()}
 
 
 def test_zero_gains_and_dead_af_hops(monkeypatch):

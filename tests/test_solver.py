@@ -12,41 +12,29 @@ from relayopt.channel import ChannelRealization, generate_instance
 from relayopt.config import SystemConfig
 from relayopt.model import LN2, Direct, check_feasibility, system_rate
 import relayopt.solver as solver
-from relayopt.solver import (Candidate, Solution, SolverParams, af_beta,
-                             af_candidate, assign_subcarriers,
-                             direct_candidate, solve_eem, solve_inner,
-                             solve_sem, update_lambda_subgradient)
+from relayopt.solver import (Solution, SolverParams, af_beta, solve_eem,
+                             solve_inner, solve_sem,
+                             update_lambda_subgradient)
 
 
-# ---------------------------------------------------------------- candidates
+# ------------------------------------------------- closed-form kernel
 
 def test_direct_candidate_worked_example():
     # alpha = 2, water level 1/(ln2 * lam) = 1  ->  p = 1 - 1/2
-    c = direct_candidate(0.0, 1.0 / LN2, gain=2.0, noise_gap=1.0, xi_bs=2.6)
-    assert c.protocol == "direct"
-    assert c.effective_gain == pytest.approx(2.0, rel=1e-15)
-    assert c.p_d == pytest.approx(0.5, rel=1e-12)
-    assert c.marginal == pytest.approx(0.2786524795555183, rel=1e-12)
+    p, x = solver._direct_terms(0.0, 1.0 / LN2, 2.6, inv_alpha=0.5)
+    assert p == pytest.approx(0.5, rel=1e-12)
+    assert x / p == pytest.approx(2.0, rel=1e-15)  # effective gain alpha
+    assert solver._marginal(x) == pytest.approx(0.2786524795555183, rel=1e-12)
 
 
 def test_direct_candidate_clamps_to_zero():
-    c = direct_candidate(0.0, 1.0 / LN2, gain=0.5, noise_gap=1.0, xi_bs=2.6)
-    assert c.p_d == 0.0
-    assert c.marginal == 0.0
+    p, x = solver._direct_terms(0.0, 1.0 / LN2, 2.6, inv_alpha=2.0)
+    assert p == 0.0 and x == 0.0
+    assert solver._marginal(x) == 0.0
     # boundary: water level exactly 1/alpha
-    c = direct_candidate(0.0, 1.0 / LN2, gain=1.0, noise_gap=1.0, xi_bs=2.6)
-    assert c.p_d == 0.0
-
-
-def test_direct_candidate_rejects_bad_input():
-    with pytest.raises(ValueError):
-        direct_candidate(0.0, 0.0, gain=1.0, noise_gap=1.0, xi_bs=2.6)
-    with pytest.raises(ValueError):
-        direct_candidate(1.0, 1.0, gain=0.0, noise_gap=1.0, xi_bs=2.6)
-    with pytest.raises(ValueError):
-        direct_candidate(1.0, 1.0, gain=1.0, noise_gap=0.0, xi_bs=2.6)
-    with pytest.raises(ValueError):
-        direct_candidate(-0.1, 1.0, gain=1.0, noise_gap=1.0, xi_bs=2.6)
+    assert solver._direct_terms(0.0, 1.0 / LN2, 2.6, inv_alpha=1.0)[0] == 0.0
+    # a dead link (floor inf) gets no power
+    assert solver._direct_terms(0.0, 1.0, 2.6, inv_alpha=math.inf) == (0.0, 0.0)
 
 
 @given(q=st.floats(min_value=0.0, max_value=10.0),
@@ -55,10 +43,11 @@ def test_direct_candidate_rejects_bad_input():
 @settings(max_examples=200, deadline=None)
 def test_direct_candidate_satisfies_stationarity(q, lam, gain):
     ngap = 4.777e-17
-    c = direct_candidate(q, lam, gain, ngap, xi_bs=2.6)
-    if c.p_d > 0.0:
+    alpha = gain / ngap
+    p, _ = solver._direct_terms(q, lam, 2.6, 1.0 / alpha)
+    if p > 0.0:
         price = q * 2.6 + lam
-        lhs = c.effective_gain / (LN2 * (1.0 + c.effective_gain * c.p_d))
+        lhs = alpha / (LN2 * (1.0 + alpha * p))
         assert lhs == pytest.approx(price, rel=1e-12)
 
 
@@ -98,78 +87,73 @@ def test_af_beta_rejects_dead_hops():
         af_beta(1.0, 1.0, 1.0, -1.0, 2.6, 5.0)
 
 
+def test_af_beta_rejects_bad_prices():
+    with pytest.raises(ValueError, match="unbounded"):
+        af_beta(0.0, 0.0, 1.0, 1.0, 2.6, 5.0)
+    with pytest.raises(ValueError, match=">= 0"):
+        af_beta(-0.1, 1.0, 1.0, 1.0, 2.6, 5.0)
+
+
+def test_af_beta_is_the_kernels_split():
+    # the shortlist's (M', N) betas, element by element, bit for bit
+    cfg = SystemConfig()
+    for seed in (1, 2, 3):
+        _, chan = generate_instance(cfg, seed)
+        prob = solver._Problem(chan, cfg)
+        for q, lam in ((0.0, 30.0), (0.7, 0.02), (5.0, 1e-6)):
+            beta, _, _ = solver._af_terms(q, lam, prob.xi_bs, prob.xi_rn,
+                                          prob.ngap, prob.sqrt_g1,
+                                          prob.sqrt_g2, prob.g1, prob.g2)
+            for at in np.ndindex(beta.shape):
+                assert af_beta(q, lam, prob.g1[at], prob.g2[at], prob.xi_bs,
+                               prob.xi_rn) == beta[at], (seed, q, lam, at)
+
+
+def _af_kernel(q, lam, g1, g2, ngap=1.0, xi_bs=2.6, xi_rn=5.0):
+    return solver._af_terms(q, lam, xi_bs, xi_rn, ngap, math.sqrt(g1),
+                            math.sqrt(g2), g1, g2)
+
+
 def test_af_candidate_worked_example():
     # symmetric hops, both prices 1/ln2: beta = 1/2, alpha = g/4 = 2,
     # water level 1, p = 1 - 1/2
-    c = af_candidate(0.0, 0.5 / LN2, g1=8.0, g2=8.0, noise_gap=1.0,
-                     xi_bs=2.6, xi_rn=5.0)
-    assert c.protocol == "af"
-    assert c.beta == 0.5
-    assert c.effective_gain == pytest.approx(2.0, rel=1e-14)
-    assert c.p_bs == pytest.approx(0.25, rel=1e-12)
-    assert c.p_rn == pytest.approx(0.25, rel=1e-12)
-    assert c.tx_power == pytest.approx(0.5, rel=1e-12)
-    assert c.marginal == pytest.approx(0.13932623977775915, rel=1e-12)
+    beta, p, x = _af_kernel(0.0, 0.5 / LN2, g1=8.0, g2=8.0)
+    assert beta == 0.5
+    assert x / p == pytest.approx(2.0, rel=1e-14)  # effective gain alpha
+    assert p == pytest.approx(0.5, rel=1e-12)
+    assert beta * p == pytest.approx(0.25, rel=1e-12)
+    assert 0.5 * solver._marginal(x) == pytest.approx(0.13932623977775915,
+                                                      rel=1e-12)
 
 
 def test_af_candidate_split_sums_to_total():
+    # the sweep hands an AF winner's power out as beta*p and (1-beta)*p
+    cfg = SystemConfig(n_users=4, n_subcarriers=16, n_relays=2)
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        q = float(rng.uniform(0.0, 2.0))
-        lam = float(10.0 ** rng.uniform(-3, 2))
-        g1 = float(10.0 ** rng.uniform(-3, 3))
-        g2 = float(10.0 ** rng.uniform(-3, 3))
-        c = af_candidate(q, lam, g1, g2, 1.0, 2.6, 5.0)
-        p = c.p_bs + c.p_rn
-        assert p >= 0.0
-        if p > 0.0:
-            assert c.p_bs / p == pytest.approx(c.beta, rel=1e-12)
+    n_af = 0
+    for seed in (1, 2, 3):
+        _, chan = generate_instance(cfg, seed)
+        prob = solver._Problem(chan, cfg)
+        for _ in range(20):
+            q = float(rng.uniform(0.0, 2.0))
+            lam = float(10.0 ** rng.uniform(-3, 2))
+            sw = solver._sweep(prob, q, lam)
+            for n in np.flatnonzero(sw.winner_af):
+                beta, p, _ = solver._af_terms(
+                    q, lam, prob.xi_bs, prob.xi_rn, prob.ngap,
+                    *(v[sw.winner_row[n] - 1, n] for v in (
+                        prob.sqrt_g1, prob.sqrt_g2, prob.g1, prob.g2)))
+                assert p >= 0.0
+                assert sw.p_bs[n] + sw.p_rn[n] == pytest.approx(p, rel=1e-15)
+                if p > 0.0:
+                    assert sw.p_bs[n] / p == pytest.approx(beta, rel=1e-12)
+                    n_af += 1
+    assert n_af > 0
 
 
 def test_af_candidate_clamps_to_zero():
-    c = af_candidate(0.0, 10.0, g1=1e-3, g2=1e-3, noise_gap=1.0,
-                     xi_bs=2.6, xi_rn=5.0)
-    assert c.p_bs == 0.0 and c.p_rn == 0.0 and c.marginal == 0.0
-
-
-# ------------------------------------------------------------- winner pick
-
-def _cand(marginal, user=0, protocol="direct"):
-    return Candidate(user=user, protocol=protocol, marginal=marginal,
-                     effective_gain=1.0)
-
-
-def test_assign_subcarriers_idles_on_negative():
-    assert assign_subcarriers([_cand(-0.2), _cand(-0.01)]) is None
-    assert assign_subcarriers([]) is None
-
-
-def test_assign_subcarriers_zero_marginal_wins():
-    # a zero-power candidate may "win" an idle subcarrier; ties keep
-    # list order
-    first = _cand(0.0, user=0)
-    second = _cand(0.0, user=1)
-    assert assign_subcarriers([first, second]) is first
-
-
-def test_assign_subcarriers_picks_argmax():
-    a = _cand(0.3, user=0)
-    b = _cand(0.2, user=1, protocol="af")
-    assert assign_subcarriers([b, a]) is a
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        margs = rng.uniform(0.0, 1.0, 6)
-        cands = [_cand(m, user=i) for i, m in enumerate(margs)]
-        assert assign_subcarriers(cands).marginal == margs.max()
-
-
-def test_assign_subcarriers_seeded_random_tiebreak():
-    tied = [_cand(0.5, user=0), _cand(0.5, user=1), _cand(0.4, user=2)]
-    picks = {assign_subcarriers(tied, tie_break="seeded-random",
-                                rng=np.random.default_rng(s)).user
-             for s in range(20)}
-    assert picks <= {0, 1}
-    assert len(picks) == 2  # both maximal candidates are reachable
+    _, p, x = _af_kernel(0.0, 10.0, g1=1e-3, g2=1e-3)
+    assert p == 0.0 and x == 0.0
 
 
 def test_update_lambda_subgradient():
@@ -407,8 +391,6 @@ _SHARED_CASES = {
                        range(1, 6)) for m in (0, 1, 3)},
     "minus-40dbm": (dataclasses.replace(_DESK, p_max_dbm=-40.0), range(1, 5)),
     "plus-40dbm": (dataclasses.replace(_DESK, p_max_dbm=40.0), range(1, 5)),
-    "seeded-random": (dataclasses.replace(_DESK, tie_break="seeded-random"),
-                      range(1, 5)),
     "subgradient": (dataclasses.replace(_DESK, lambda_mode="subgradient"),
                     range(1, 3)),
     # one outer step: SEM's answer is EEM's own iterate
@@ -480,8 +462,6 @@ def test_solver_params_validation():
         SolverParams(eps_outer=0.0).validate()
     with pytest.raises(ValueError):
         SolverParams(lambda_mode="newton").validate()
-    with pytest.raises(ValueError):
-        SolverParams(tie_break="coin-flip").validate()
     with pytest.raises(ValueError):
         SolverParams(lambda_init=0.0).validate()
     SolverParams().validate()
