@@ -6,34 +6,29 @@ solver's closed forms.  Exists to certify, not to scale: the power
 grids are log-spaced (water-filling optima span decades) with local
 refinement rounds recovering near-continuous precision.
 
-The scan over one assignment's menu product stays exhaustive but
-visits only each menu's frontier: a point is dropped when a point at a
-lower index of the same menu has tx <=, cons <= and rate >= (Kung,
-Luccio & Preparata 1975).  Swapping a dropped point for that dominator
-keeps any combo feasible, never lowers its EE or rate (fp addition is
-monotone) and moves it earlier in scan order, so the first-index
-argmax, ties included, is the same combo as over the full product.
+The scan over one assignment's menu product is exhaustive in effect but
+skips whole rows of it (branch and bound, Land & Doig 1960).  A row is
+one point of the product of all menus but the last, summed left to
+right as the full scan sums it, and holds one combo per point of the
+last menu; a one-menu product takes its points as rows, each with one
+zero point.  Each row gets an upper bound on the EE and on the rate of
+any feasible combo in it: the last menu, sorted by tx, is cut to its
+prefix that passes the scan's own budget test with the row, and the
+prefix's best rate and least cons are added to the row's and combined
+as rate / (p_fixed + cons).  Correctly rounded + and / are monotone
+(rates are >= 0, p_fixed + cons > 0), so no combo in a row scores above
+its bound.  The rows with the best bounds are scored exactly first;
+their scores are the incumbents, and only rows whose EE or rate bound
+is >= its incumbent are scanned, in index order.  A skipped row holds
+no combo that reaches the incumbent, let alone the maximum, and a
+lower-index row that only ties it is kept, so the answer, ties
+included, is the first-index argmax over the full product.
 
-Within that product the scan skips whole rows of the leading frontier
-(branch and bound, Land & Doig 1960).  Each row gets an upper bound on
-the EE and on the rate of any feasible combo in it: each trailing
-frontier, sorted by tx, is cut to its prefix that passes the scan's own
-budget test with the other trailing menus at their least tx, and the
-prefixes' best rate and least cons are combined with the scan's own
-left-to-right additions and rate / (p_fixed + cons).  Correctly rounded
-+ and / are monotone (rates are >= 0, p_fixed + cons > 0), so no combo
-in a row scores above its bound.  The
-rows with the best bounds are scored exactly first; their scores are
-the incumbents, and only rows whose EE or rate bound is >= its
-incumbent are scanned, in index order.  A skipped row holds no combo
-that reaches the incumbent, let alone the maximum, and a lower-index row
-that only ties it is kept, so the first-index argmax cannot move.
-
-Menus and their frontiers are memoized per brute-force call by
-(slot, bracket): every assignment reuses the same coarse (subcarrier,
-user, protocol) menus, and the EE and rate refinements of one
-assignment share the local menus, and the scan of their product,
-whenever they start from one point.
+Menus are memoized per brute-force call by (slot, bracket): every
+assignment reuses the same coarse (subcarrier, user, protocol) menus,
+and the EE and rate refinements of one assignment share the local
+menus, and the scan of their product, whenever they start from one
+point.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -53,8 +47,8 @@ _P_FLOOR_REL = 1e-6     # grid floor relative to the budget
 _REFINE_POINTS = 21     # per-dimension points in refinement rounds
 _COARSE_BETA_CAP = 21   # beta grid cap when >= 2 AF subcarriers share the product
 _PRODUCT_CAP = 4 * 10**8  # combo guard per assignment
-_CHUNK = 1 << 22
-_FRONTIER_BLOCK = 128  # menu points tested per dense block
+_CHUNK = 1 << 22        # combos scored per block
+_ROW_BLOCK = 1 << 12    # leading rows bounded per block
 
 
 @dataclass
@@ -93,53 +87,8 @@ class _Menu:
     p_rn: np.ndarray   # zeros for direct entries
     beta: Optional[np.ndarray]
 
-    @cached_property
-    def front(self) -> np.ndarray:
-        """Ascending indices of the points no lower-index point dominates."""
-        return _frontier(self.tx, self.cons, self.rate)
 
-
-def _frontier(tx, cons, rate, block=_FRONTIER_BLOCK) -> np.ndarray:
-    """Indices i with no j < i such that tx_j <= tx_i, cons_j <= cons_i
-    and rate_j >= rate_i.
-
-    Works through the points in index blocks.  Earlier blocks are
-    represented by their kept points, since a dropped point's dominator
-    dominates all it dominates.  When none of those needs more tx than
-    any point of the block, as on the ascending power grids, a (cons,
-    best rate so far) staircase over them tests the block by binary
-    search; otherwise they are compared densely.  The block's survivors
-    are then compared densely with each other.
-    """
-    parts = []
-    k_tx = k_cons = k_rate = np.empty(0)     # kept points so far
-    s_cons = s_rate = np.empty(0)            # staircase: cons asc, rate cummax
-    for start in range(0, len(rate), block):
-        t = tx[start:start + block]
-        c = cons[start:start + block]
-        r = rate[start:start + block]
-        if not k_tx.size:
-            cand = np.arange(len(t))
-        elif k_tx.max() <= t.min():
-            pos = np.searchsorted(s_cons, c, side="right") - 1
-            cand = np.flatnonzero((pos < 0) | (s_rate[np.maximum(pos, 0)] < r))
-        else:
-            cand = np.flatnonzero(~((k_tx <= t[:, None]) & (k_cons <= c[:, None])
-                                    & (k_rate >= r[:, None])).any(axis=1))
-        t, c, r = t[cand], c[cand], r[cand]
-        earlier = np.tri(len(t), k=-1, dtype=bool)
-        keep = ~(earlier & (t <= t[:, None]) & (c <= c[:, None])
-                 & (r >= r[:, None])).any(axis=1)
-        parts.append(cand[keep] + start)
-        t, c, r = t[keep], c[keep], r[keep]
-        k_tx = np.concatenate([k_tx, t])
-        k_cons = np.concatenate([k_cons, c])
-        k_rate = np.concatenate([k_rate, r])
-        s_cons = np.concatenate([s_cons, c])
-        order = np.argsort(s_cons, kind="stable")
-        s_cons = s_cons[order]
-        s_rate = np.maximum.accumulate(np.concatenate([s_rate, r])[order])
-    return np.concatenate(parts)
+_ZERO = _Menu(*[np.zeros(1)] * 5, beta=None)
 
 
 def _menu_direct(gain, ngap, xi_bs, p_lo, p_hi, points) -> _Menu:
@@ -177,52 +126,59 @@ class _Best:
             self.idx = idx
 
 
-def _row_bounds(cols, p_cap, p_fixed):
+def _leading(lead, rows):
+    """Rate, tx and cons of the given rows of the product of the `lead`
+    menus, row-major, each summed left to right as the full scan sums it."""
+    (m, i), *rest = zip(lead, np.unravel_index(rows, [len(m.rate) for m in lead]))
+    rate, tx, cons = m.rate[i], m.tx[i], m.cons[i]
+    for m, i in rest:
+        rate, tx, cons = rate + m.rate[i], tx + m.tx[i], cons + m.cons[i]
+    return rate, tx, cons
+
+
+def _row_bounds(menus, p_cap, p_fixed):
     """Upper bounds on the EE and the rate of any feasible combo in each
-    leading-menu row.
+    leading row.
 
-    A feasible combo's trailing points each lie in that menu's feasible
-    prefix by tx, taken with every other trailing menu at its least tx,
-    because fp addition is monotone.  The bound adds the prefixes' best
-    rate and least cons in the scan's own left-to-right order; a row with
-    no feasible combo gets -inf.
+    A feasible combo's point of the last menu lies in that menu's prefix,
+    by ascending tx, of the points that pass the scan's budget test with
+    the row, because fp addition is monotone.  The bound adds the prefix's
+    best rate and least cons to the row's; a row with no feasible combo
+    gets -inf.  Rows are bounded in blocks of _ROW_BLOCK, so the
+    temporaries stay small however many rows the product has.
     """
-    r0, t0, c0 = cols[0]
-    t_min = [t.min() for _, t, _ in cols[1:]]
-
-    def tx_sum(x=None, p=None):  # row tx, trailing menu p at x, the rest at least tx
-        acc = t0
-        for q, lo in enumerate(t_min):
-            acc = acc + (x if q == p else lo)
-        return acc
-
-    feasible = tx_sum() <= p_cap   # iff some combo in the row is
-    rate, cons = r0, c0
-    for p, (r, t, c) in enumerate(cols[1:]):
-        order = np.argsort(t, kind="stable")
-        # each row's feasible prefix length by binary search; the +inf
-        # padding to a power of two is never feasible
-        bits = len(t).bit_length()
-        ts = np.concatenate([t[order], np.full((1 << bits) - len(t), np.inf)])
-        size = np.zeros(len(t0), dtype=np.intp)
+    *lead, last = menus
+    order = np.argsort(last.tx, kind="stable")
+    # the +inf padding to a power of two is never feasible
+    bits = len(order).bit_length()
+    ts = np.concatenate([last.tx[order], np.full((1 << bits) - len(order), np.inf)])
+    best_rate = np.maximum.accumulate(last.rate[order])
+    least_cons = np.minimum.accumulate(last.cons[order])
+    n_rows = math.prod(len(m.rate) for m in lead)
+    ee_bound, rate_bound = np.empty(n_rows), np.empty(n_rows)
+    for start in range(0, n_rows, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n_rows)
+        rate, tx, cons = _leading(lead, np.arange(start, stop))
+        # each row's feasible prefix length by binary search
+        size = np.zeros(len(tx), dtype=np.intp)
         for b in reversed(range(bits)):
             wider = size + (1 << b)
-            size = np.where(tx_sum(ts[wider - 1], p) <= p_cap, wider, size)
-        last = np.maximum(size, 1) - 1
-        rate = rate + np.maximum.accumulate(r[order])[last]
-        cons = cons + np.minimum.accumulate(c[order])[last]
-    rate = np.where(feasible, rate, -math.inf)
-    return rate / (p_fixed + cons), rate
+            size = np.where(tx + ts[wider - 1] <= p_cap, wider, size)
+        end = np.maximum(size, 1) - 1
+        rate = np.where(size > 0, rate + best_rate[end], -math.inf)
+        rate_bound[start:stop] = rate
+        ee_bound[start:stop] = rate / (p_fixed + (cons + least_cons[end]))
+    return ee_bound, rate_bound
 
 
-def _score_rows(cols, rows, p_cap, p_fixed, best_ee, best_rate):
-    """Offer the max-EE and max-rate feasible combos of the given
-    leading-menu rows, as (row, trailing indices...) into the frontiers."""
-    rate, tx, cons = (a[rows] for a in cols[0])
-    for r, t, c in cols[1:]:
-        rate = rate[..., None] + r
-        tx = tx[..., None] + t
-        cons = cons[..., None] + c
+def _score_rows(menus, rows, p_cap, p_fixed, best_ee, best_rate):
+    """Offer the max-EE and max-rate feasible combos of the given leading
+    rows, as (row, index into the last menu)."""
+    *lead, last = menus
+    rate, tx, cons = _leading(lead, rows)
+    rate = rate[:, None] + last.rate
+    tx = tx[:, None] + last.tx
+    cons = cons[:, None] + last.cons
     feas = tx <= p_cap
     if not np.any(feas):
         return
@@ -231,16 +187,16 @@ def _score_rows(cols, rows, p_cap, p_fixed, best_ee, best_rate):
     for best, score in ((best_ee, ee), (best_rate, rate)):
         j = int(np.argmax(score))
         if rate.flat[j] >= 0.0:
-            i0, *rest = np.unravel_index(j, score.shape)
-            best.offer(float(score.flat[j]), (int(rows[i0]), *rest))
+            i, t = divmod(j, len(last.rate))
+            best.offer(float(score.flat[j]), (int(rows[i]), t))
 
 
 def _scan_product(menus, p_max, p_fixed):
     """Max-EE and max-rate feasible combos over the menu product.
 
-    Scans the product of the menus' frontiers, skipping the leading rows
-    whose bounds fall below the incumbents scored on the best-bound rows,
-    and returns the winning combos as indices into the full menus.
+    Skips the leading rows whose bounds fall below the incumbents scored
+    on the best-bound rows, and returns the winning combos as one index
+    into each menu.
     """
     best_ee, best_rate = _Best(), _Best()
     if math.prod(len(m.rate) for m in menus) > _PRODUCT_CAP:
@@ -248,28 +204,32 @@ def _scan_product(menus, p_max, p_fixed):
     if len(menus) > 3:
         raise ValueError(
             "budget coupling is searched exactly only up to 3 active subcarriers")
-    fronts = [m.front for m in menus]
-    cols = [(m.rate[f], m.tx[f], m.cons[f]) for m, f in zip(menus, fronts)]
     p_cap = p_max * (1.0 + 1e-12)
+    n_menus = len(menus)
+    if n_menus == 1:  # its points are the rows, each with one zero point
+        menus = [*menus, _ZERO]
 
-    ee_bound, rate_bound = _row_bounds(cols, p_cap, p_fixed)
+    ee_bound, rate_bound = _row_bounds(menus, p_cap, p_fixed)
     inc_ee, inc_rate = _Best(), _Best()
-    _score_rows(cols, [int(np.argmax(ee_bound)), int(np.argmax(rate_bound))],
+    _score_rows(menus, np.array([np.argmax(ee_bound), np.argmax(rate_bound)]),
                 p_cap, p_fixed, inc_ee, inc_rate)
     # >= keeps a lower-index row that only ties an incumbent, so ties
     # resolve to the same combo as over the whole product
     live = np.flatnonzero((ee_bound >= inc_ee.score)
                           | (rate_bound >= inc_rate.score))
 
-    # each block holds whole rows of the leading menu, about _CHUNK combos
-    step = max(1, _CHUNK // math.prod(len(f) for f in fronts[1:]))
+    # each block holds whole leading rows, about _CHUNK combos
+    step = max(1, _CHUNK // len(menus[-1].rate))
     for start in range(0, len(live), step):
-        _score_rows(cols, live[start:start + step], p_cap, p_fixed,
+        _score_rows(menus, live[start:start + step], p_cap, p_fixed,
                     best_ee, best_rate)
 
+    shape = [len(m.rate) for m in menus[:-1]]
     for best in (best_ee, best_rate):
         if best.idx is not None:
-            best.idx = tuple(int(f[j]) for f, j in zip(fronts, best.idx))
+            row, t = best.idx
+            idx = (*(int(i) for i in np.unravel_index(row, shape)), t)
+            best.idx = idx[:n_menus]
     return best_ee, best_rate
 
 
@@ -305,9 +265,9 @@ def _combo_point(menus, idx):
 def _scan_assignment(active, chan, cfg, pm, grid, memo=None):
     """Grid-optimize one assignment; returns (ee, ee_point, rate, rate_point).
 
-    `memo` caches the menus (and so their frontiers) by (slot, bracket):
-    the coarse menus across the assignments of one instance, the local
-    menus across the EE and rate refinements that start from one point.
+    `memo` caches the menus by (slot, bracket): the coarse menus across
+    the assignments of one instance, the local menus across the EE and
+    rate refinements that start from one point.
     It also caches each local scan by its menus' keys, so a refinement
     that re-grids the brackets of the other does not scan them again.
     """

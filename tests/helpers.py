@@ -240,7 +240,7 @@ def reference_sweep(prob, q, lam):
 def reference_scan_product(menus, p_max, p_fixed):
     """Reference oracle product scan: every combo of the full menus.
 
-    The unpruned scan the frontier-pruned oracle._scan_product must
+    The unpruned scan the bound-pruned oracle._scan_product must
     reproduce, winning indices and tie-breaking included.  It can stand
     in for oracle._scan_product.
     """

@@ -187,10 +187,6 @@ def test_pruned_scan_matches_reference(monkeypatch):
     assert not differ, f"pruned oracle differs from the full scan on {differ}"
 
 
-def _dominates(tx, cons, rate, j, i):
-    return tx[j] <= tx[i] and cons[j] <= cons[i] and rate[j] >= rate[i]
-
-
 def _menu(tx, cons, rate):
     zeros = np.zeros(len(rate))
     return oracle._Menu(rate=np.asarray(rate, dtype=float),
@@ -202,22 +198,6 @@ def _menu(tx, cons, rate):
 _value = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.0])
 _rate = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.0, 2.0])
 _points = st.lists(st.tuples(_value, _value, _rate), min_size=1, max_size=24)
-
-
-@given(points=_points, sort_tx=st.booleans(),
-       block=st.sampled_from([1, 2, 3, 5, oracle._FRONTIER_BLOCK]))
-@settings(max_examples=300, deadline=None)
-def test_frontier_drops_exactly_the_earlier_dominated(points, sort_tx, block):
-    if sort_tx:  # ascending tx, as on the power grids: the staircase path
-        points = sorted(points, key=lambda p: p[0])
-    tx, cons, rate = (np.array(col) for col in zip(*points))
-    kept = set(oracle._frontier(tx, cons, rate, block).tolist())
-    for i in range(len(points)):
-        earlier = [j for j in range(i) if _dominates(tx, cons, rate, j, i)]
-        if i in kept:
-            assert not earlier, f"kept {i} is dominated by {earlier}"
-        else:
-            assert earlier, f"dropped {i} has no earlier dominator"
 
 
 @given(menus=st.lists(_points, min_size=1, max_size=3),
@@ -233,11 +213,11 @@ def test_pruned_scan_keeps_score_and_index(menus, p_max, p_fixed):
 
 
 def test_product_cap_counts_unpruned_points():
-    # identical points prune to one each, yet the full product is too large
+    # identical points: the bounds would leave one row to score, yet the
+    # full product the scan covers is too large
     side = 20001
     assert side * side > oracle._PRODUCT_CAP
     menu = _menu(np.ones(side), np.ones(side), np.ones(side))
-    assert len(menu.front) == 1
     with pytest.raises(ValueError, match="grid too large"):
         oracle._scan_product([menu, menu], 10.0, 1.0)
 
@@ -294,25 +274,62 @@ def test_row_pruning_keeps_first_argmax_under_rounding(menus, data, ulps,
         assert (new.score, new.idx) == (ref.score, ref.idx)
 
 
+def test_scan_in_row_blocks_matches_reference(monkeypatch):
+    # blocks of a few rows, so the bounds and the scan both run over many
+    # blocks, as they do on large leading products
+    monkeypatch.setattr(oracle, "_ROW_BLOCK", 3)
+    monkeypatch.setattr(oracle, "_CHUNK", 5)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        sizes = rng.integers(1, 9, size=rng.integers(1, 4))
+        menus = [_menu(*rng.choice([0.0, 0.5, 1.0, 2.0], size=(3, n)))
+                 for n in sizes]
+        p_max, p_fixed = rng.choice([0.5, 1.0, 2.0, 4.0]), rng.choice([0.5, 1.0])
+        full = reference_scan_product(menus, p_max, p_fixed)
+        pruned = oracle._scan_product(menus, p_max, p_fixed)
+        for ref, new in zip(full, pruned):
+            assert (new.score, new.idx) == (ref.score, ref.idx)
+
+
+def _count_scored_rows(monkeypatch, chan, cfg, n_menus=None):
+    """(rows scored, rows bounded) over the products of `n_menus` menus
+    (all products if None) in one brute force."""
+    scored, rows = [], []
+    score_rows, row_bounds = oracle._score_rows, oracle._row_bounds
+
+    def counting_score(menus, live, *args):
+        if n_menus in (None, len(menus)):
+            scored.append(len(live))
+        return score_rows(menus, live, *args)
+
+    def counting_bounds(menus, *args):
+        bounds = row_bounds(menus, *args)
+        if n_menus in (None, len(menus)):
+            rows.append(len(bounds[0]))
+        return bounds
+
+    monkeypatch.setattr(oracle, "_score_rows", counting_score)
+    monkeypatch.setattr(oracle, "_row_bounds", counting_bounds)
+    oracle.brute_force_eem(chan, cfg)
+    return sum(scored), sum(rows)
+
+
 def test_scan_skips_rows_on_criterion_1_instance(monkeypatch):
     cfg = SystemConfig(n_users=2, n_subcarriers=2, n_relays=1, p_max_dbm=0.0)
     _, chan = generate_instance(cfg, 1)
-    scored, rows = [], []
-    score_rows, scan_product = oracle._score_rows, oracle._scan_product
+    scored, rows = _count_scored_rows(monkeypatch, chan, cfg)
+    # the bounds leave about 0.15% of the leading rows to score
+    assert scored * 100 < rows
 
-    def counting_score(cols, live, *args):
-        scored.append(len(live))
-        return score_rows(cols, live, *args)
 
-    def counting_scan(menus, *args):
-        rows.append(len(menus[0].front))
-        return scan_product(menus, *args)
-
-    monkeypatch.setattr(oracle, "_score_rows", counting_score)
-    monkeypatch.setattr(oracle, "_scan_product", counting_scan)
-    oracle.brute_force_eem(chan, cfg)
-    # the bounds leave about 1% of the leading rows to score
-    assert sum(scored) * 10 < sum(rows)
+def test_scan_bounds_each_leading_pair_on_3_subcarriers(monkeypatch):
+    # three active subcarriers: each leading row is a pair of points,
+    # bounded with its own exact tx sum
+    cfg = SystemConfig(n_users=1, n_subcarriers=3, n_relays=0, p_max_dbm=0.0)
+    _, chan = generate_instance(cfg, 1)
+    scored, pairs = _count_scored_rows(monkeypatch, chan, cfg, n_menus=3)
+    assert pairs > 0
+    assert scored * 100 < pairs
 
 
 def test_refinement_builds_each_local_menu_once(monkeypatch):
