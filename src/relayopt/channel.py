@@ -116,8 +116,11 @@ def _gains(dist_m, link_class, plm, rng, n_subcarriers, fading):
     mean = 10.0 ** (-pl / 10.0)
     if not fading:
         return np.repeat(mean[:, None], n_subcarriers, axis=1)
-    e = rng.exponential(1.0, size=(len(dist_m), n_subcarriers))
-    return mean[:, None] * e
+    # the same stream and products as mean[:, None] * exponential(1.0, size),
+    # without the scale-by-1 pass and the second array
+    e = rng.standard_exponential(size=(len(dist_m), n_subcarriers))
+    e *= mean[:, None]
+    return e
 
 
 def sample_channel(topo: Topology, cfg, plm: PathLossModel, seed,

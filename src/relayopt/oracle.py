@@ -24,6 +24,19 @@ no combo that reaches the incumbent, let alone the maximum, and a
 lower-index row that only ties it is kept, so the answer, ties
 included, is the first-index argmax over the full product.
 
+Assignments are pruned by the same branch and bound, one level up.  Each
+active (subcarrier, user, protocol) slot gets an upper bound on its rate
+at any power <= p_max, from the menus' own rate expressions (for AF the
+weaker hop's direct rate, halved).  An assignment's rate bound is the sum
+of its slots' bounds with a 1e-9 relative margin for rounding, and its
+EE bound is that over p_fixed, since the amplifier power is >= 0.  With
+the paper's power model p_fixed (80 W at the stock config) dwarfs p_max
+(1 mW at 0 dBm), so EE <= rate / p_fixed is nearly tight and most
+assignments fall below the incumbents.  Assignments are scanned best
+bound first and skipped when both bounds fall strictly below the
+incumbents; ties go to the lowest enumeration index, so the answers are
+those of a scan of every assignment in enumeration order.
+
 Menus are memoized per brute-force call by (slot, bracket): every
 assignment reuses the same coarse (subcarrier, user, protocol) menus,
 and the EE and rate refinements of one assignment share the local
@@ -36,6 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -86,6 +100,17 @@ class _Menu:
     p_bs: np.ndarray   # == p for direct entries
     p_rn: np.ndarray   # zeros for direct entries
     beta: Optional[np.ndarray]
+
+    @cached_property
+    def tail(self):
+        """The menu as the last of a product: its distinct tx values,
+        ascending, and the best rate and least cons over the points with
+        tx up to each."""
+        order = np.argsort(self.tx, kind="stable")
+        tx = self.tx[order]
+        ends = np.flatnonzero(np.append(tx[1:] != tx[:-1], True))
+        return (tx[ends], np.maximum.accumulate(self.rate[order])[ends],
+                np.minimum.accumulate(self.cons[order])[ends])
 
 
 _ZERO = _Menu(*[np.zeros(1)] * 5, beta=None)
@@ -148,22 +173,22 @@ def _row_bounds(menus, p_cap, p_fixed):
     temporaries stay small however many rows the product has.
     """
     *lead, last = menus
-    order = np.argsort(last.tx, kind="stable")
-    # the +inf padding to a power of two is never feasible
-    bits = len(order).bit_length()
-    ts = np.concatenate([last.tx[order], np.full((1 << bits) - len(order), np.inf)])
-    best_rate = np.maximum.accumulate(last.rate[order])
-    least_cons = np.minimum.accumulate(last.cons[order])
+    ts, best_rate, least_cons = last.tail
+    ts_inf = np.append(ts, np.inf)  # one past the end is never feasible
     n_rows = math.prod(len(m.rate) for m in lead)
     ee_bound, rate_bound = np.empty(n_rows), np.empty(n_rows)
     for start in range(0, n_rows, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, n_rows)
         rate, tx, cons = _leading(lead, np.arange(start, stop))
-        # each row's feasible prefix length by binary search
-        size = np.zeros(len(tx), dtype=np.intp)
-        for b in reversed(range(bits)):
-            wider = size + (1 << b)
-            size = np.where(tx + ts[wider - 1] <= p_cap, wider, size)
+        # each row's count of feasible distinct tx values: a guess from the
+        # rounded difference, then exact steps under the scan's own test
+        size = np.searchsorted(ts, p_cap - tx, "right")
+        while True:
+            step = ((tx + ts_inf[size] <= p_cap).astype(np.intp)
+                    - ((size > 0) & ~(tx + ts_inf[size - 1] <= p_cap)))
+            if not step.any():
+                break
+            size += step
         end = np.maximum(size, 1) - 1
         rate = np.where(size > 0, rate + best_rate[end], -math.inf)
         rate_bound[start:stop] = rate
@@ -191,6 +216,15 @@ def _score_rows(menus, rows, p_cap, p_fixed, best_ee, best_rate):
             best.offer(float(score.flat[j]), (int(rows[i]), t))
 
 
+def _check_product(sizes):
+    """Reject a product of menus of these sizes that the scan cannot cover."""
+    if math.prod(sizes) > _PRODUCT_CAP:
+        raise ValueError("assignment power grid too large; reduce grid points")
+    if len(sizes) > 3:
+        raise ValueError(
+            "budget coupling is searched exactly only up to 3 active subcarriers")
+
+
 def _scan_product(menus, p_max, p_fixed):
     """Max-EE and max-rate feasible combos over the menu product.
 
@@ -199,11 +233,7 @@ def _scan_product(menus, p_max, p_fixed):
     into each menu.
     """
     best_ee, best_rate = _Best(), _Best()
-    if math.prod(len(m.rate) for m in menus) > _PRODUCT_CAP:
-        raise ValueError("assignment power grid too large; reduce grid points")
-    if len(menus) > 3:
-        raise ValueError(
-            "budget coupling is searched exactly only up to 3 active subcarriers")
+    _check_product([len(m.rate) for m in menus])
     p_cap = p_max * (1.0 + 1e-12)
     n_menus = len(menus)
     if n_menus == 1:  # its points are the rows, each with one zero point
@@ -262,6 +292,11 @@ def _combo_point(menus, idx):
     return out
 
 
+def _coarse_beta_points(active, grid):
+    n_af = sum(1 for _, _, proto in active if proto == "af")
+    return grid.beta_points if n_af < 2 else min(grid.beta_points, _COARSE_BETA_CAP)
+
+
 def _scan_assignment(active, chan, cfg, pm, grid, memo=None):
     """Grid-optimize one assignment; returns (ee, ee_point, rate, rate_point).
 
@@ -277,8 +312,7 @@ def _scan_assignment(active, chan, cfg, pm, grid, memo=None):
         return 0.0, [], 0.0, []
 
     p_max = pm.p_max
-    n_af = sum(1 for _, _, proto in active if proto == "af")
-    b_pts = grid.beta_points if n_af < 2 else min(grid.beta_points, _COARSE_BETA_CAP)
+    b_pts = _coarse_beta_points(active, grid)
     p_lo_g = p_max * _P_FLOOR_REL
 
     coarse = [(p_lo_g, p_max, 0.0, 1.0, grid.power_points, b_pts)] * len(active)
@@ -359,26 +393,62 @@ def _solution_from(alloc, chan, cfg, pm) -> Solution:
     return Solution(alloc, metrics, trace)
 
 
+def _rate_bound(slot, chan, p_max):
+    """Upper bound on the rate of `slot` at any power <= p_max.
+
+    Direct: the menus' rate expression at p_max.  AF: the same on the
+    weaker hop, halved, since s1*s2/(s1+s2) <= min(s1, s2) and
+    s_i <= p_max*g_i/ngap.  A NaN gain gives a NaN bound, which prunes
+    nothing.
+    """
+    n, k, proto = slot
+    if proto == "direct":
+        return float(np.log1p(p_max * chan.g_bs_ue[k, n] / chan.noise_gap) / LN2)
+    g = np.minimum(chan.g_bs_rn[chan.sector_of_ue[k], n], chan.g_rn_ue[k, n])
+    return float(0.5 * np.log1p(p_max * g / chan.noise_gap) / LN2)
+
+
 def _brute_force(chan, cfg, grid: Optional[GridSpec] = None):
     grid = grid if grid is not None else GridSpec()
     grid.validate()
     pm = cfg.power_model()
-    best = (-math.inf, None, None)   # ee, active, point
-    best_r = (-math.inf, None, None)
+    p_fixed = pm.p_c_bs + cfg.n_relays * pm.p_c_rn
+    assignments = [[(n, slot[0], slot[1]) for n, slot in enumerate(assignment)
+                    if slot is not None]
+                   for assignment in enumerate_assignments(
+                       cfg.n_users, cfg.n_subcarriers, cfg.n_relays)]
+    slot_bound, rate_bound = {}, []
+    for active in assignments:
+        # the guard covers every assignment, scanned or not, so whether an
+        # instance is in reach does not depend on its gains
+        b_pts = _coarse_beta_points(active, grid)
+        _check_product([grid.power_points * (b_pts if proto == "af" else 1)
+                        for _, _, proto in active])
+        for slot in active:
+            if slot not in slot_bound:
+                slot_bound[slot] = _rate_bound(slot, chan, pm.p_max)
+        # the margin covers rounding and any non-monotone log1p
+        rate_bound.append(sum(slot_bound[slot] for slot in active) * (1.0 + 1e-9))
+
+    # (score, assignment index, point); among equal scores the lowest index
+    # wins, as in a scan in enumeration order with strict >
+    best_ee = best_rate = (-math.inf, len(assignments), None)
     memo = {}
-    for assignment in enumerate_assignments(cfg.n_users, cfg.n_subcarriers,
-                                            cfg.n_relays):
-        active = [(n, slot[0], slot[1]) for n, slot in enumerate(assignment)
-                  if slot is not None]
-        ee, ee_point, rate, rate_point = _scan_assignment(active, chan, cfg, pm,
-                                                         grid, memo)
-        # strict > keeps the first (lexicographically smallest) assignment on ties
-        if ee > best[0]:
-            best = (ee, active, ee_point)
-        if rate > best_r[0]:
-            best_r = (rate, active, rate_point)
-    eem = _solution_from(_point_to_allocation(best[1], best[2], cfg), chan, cfg, pm)
-    sem = _solution_from(_point_to_allocation(best_r[1], best_r[2], cfg), chan, cfg, pm)
+    # best bound first, ties in enumeration order
+    for i in sorted(range(len(assignments)), key=lambda i: -rate_bound[i]):
+        # cons >= 0, so EE <= rate / p_fixed
+        ee_bound = rate_bound[i] / p_fixed if p_fixed > 0.0 else math.inf
+        if ee_bound < best_ee[0] and rate_bound[i] < best_rate[0]:
+            continue
+        ee, ee_point, rate, rate_point = _scan_assignment(
+            assignments[i], chan, cfg, pm, grid, memo)
+        if ee > best_ee[0] or (ee == best_ee[0] and i < best_ee[1]):
+            best_ee = (ee, i, ee_point)
+        if rate > best_rate[0] or (rate == best_rate[0] and i < best_rate[1]):
+            best_rate = (rate, i, rate_point)
+    eem, sem = (_solution_from(_point_to_allocation(assignments[i], point, cfg),
+                               chan, cfg, pm)
+                for _, i, point in (best_ee, best_rate))
     return eem, sem
 
 

@@ -296,6 +296,32 @@ def reference_scan_product(menus, p_max, p_fixed):
     return best_ee, best_rate
 
 
+def reference_brute_force(chan, cfg, grid=None):
+    """Reference oracle: every assignment scanned in enumeration order.
+
+    The loop the assignment-pruned oracle._brute_force must reproduce:
+    strict > keeps the first assignment among equal scores.  Returns the
+    (EEM, SEM) solutions.
+    """
+    grid = grid if grid is not None else oracle.GridSpec()
+    pm = cfg.power_model()
+    best_ee = best_rate = (-math.inf, None, None)   # score, active, point
+    memo = {}
+    for assignment in oracle.enumerate_assignments(cfg.n_users, cfg.n_subcarriers,
+                                                   cfg.n_relays):
+        active = [(n, slot[0], slot[1]) for n, slot in enumerate(assignment)
+                  if slot is not None]
+        ee, ee_point, rate, rate_point = oracle._scan_assignment(
+            active, chan, cfg, pm, grid, memo)
+        if ee > best_ee[0]:
+            best_ee = (ee, active, ee_point)
+        if rate > best_rate[0]:
+            best_rate = (rate, active, rate_point)
+    return tuple(oracle._solution_from(oracle._point_to_allocation(active, point, cfg),
+                                       chan, cfg, pm)
+                 for _, active, point in (best_ee, best_rate))
+
+
 def reference_allocation(prob, sweep):
     """Per-subcarrier loop: the allocation solver._to_allocation must build."""
     entries = {}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relayopt import channel
 from relayopt.channel import (PathLossModel, assign_sector, build_topology,
                               generate_instance, path_loss_db, sample_channel)
 from relayopt.config import SystemConfig
@@ -175,6 +176,27 @@ def test_generate_instance_reproducible():
     assert np.array_equal(chan_a.g_rn_ue, chan_b.g_rn_ue)
     _, chan_c = generate_instance(cfg, seed=78)
     assert not np.array_equal(chan_a.g_bs_ue, chan_c.g_bs_ue)
+
+
+def _scaled_exponential_gains(dist_m, link_class, plm, rng, n_subcarriers, fading):
+    mean = 10.0 ** (-path_loss_db(dist_m, link_class, plm) / 10.0)
+    return mean[:, None] * rng.exponential(1.0, size=(len(dist_m), n_subcarriers))
+
+
+@pytest.mark.parametrize("n_relays", [0, 3])
+def test_fading_draws_match_scaled_exponential(monkeypatch, n_relays):
+    # the in-place draw keeps every gain of the scaled exponential draw
+    cfg = SystemConfig(n_users=6, n_subcarriers=16, n_relays=n_relays)
+    for seed in (1, 2, 77):
+        _, chan = generate_instance(cfg, seed)
+        with monkeypatch.context() as m:
+            m.setattr(channel, "_gains", _scaled_exponential_gains)
+            _, ref = generate_instance(cfg, seed)
+        for name in ("g_bs_ue", "g_bs_rn", "g_rn_ue"):
+            new, old = getattr(chan, name), getattr(ref, name)
+            assert (new is None) == (old is None)
+            if new is not None:
+                assert new.shape == old.shape and new.tobytes() == old.tobytes()
 
 
 def test_generate_instance_mean_gain_tracks_pathloss():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from helpers import reference_scan_product
+from helpers import reference_brute_force, reference_scan_product
 from relayopt import oracle
 from relayopt.channel import ChannelRealization, generate_instance
 from relayopt.config import SystemConfig
@@ -293,7 +294,8 @@ def test_scan_in_row_blocks_matches_reference(monkeypatch):
 
 def _count_scored_rows(monkeypatch, chan, cfg, n_menus=None):
     """(rows scored, rows bounded) over the products of `n_menus` menus
-    (all products if None) in one brute force."""
+    (all products if None) when every assignment of the instance is
+    scanned with one memo."""
     scored, rows = [], []
     score_rows, row_bounds = oracle._score_rows, oracle._row_bounds
 
@@ -310,7 +312,7 @@ def _count_scored_rows(monkeypatch, chan, cfg, n_menus=None):
 
     monkeypatch.setattr(oracle, "_score_rows", counting_score)
     monkeypatch.setattr(oracle, "_row_bounds", counting_bounds)
-    oracle.brute_force_eem(chan, cfg)
+    reference_brute_force(chan, cfg)
     return sum(scored), sum(rows)
 
 
@@ -376,3 +378,91 @@ def test_refinement_scans_each_local_product_once(monkeypatch):
     scanned.clear()
     oracle.brute_force_eem(chan, cfg)
     assert len(scanned) == len(set(scanned)) > 0
+
+
+def _criterion_1_cfg(p_max_dbm=0.0):
+    return SystemConfig(n_users=2, n_subcarriers=2, n_relays=1, p_max_dbm=p_max_dbm)
+
+
+def _pruning_cases():
+    """(name, cfg, chan) of the instances the assignment pruning is checked on."""
+    for p_max_dbm, seeds in ((0.0, range(1, 41)), (30.0, range(1, 11))):
+        cfg = _criterion_1_cfg(p_max_dbm)
+        for seed in seeds:
+            _, chan = generate_instance(cfg, seed)
+            yield f"2x2x1 {p_max_dbm:g} dBm seed {seed}", cfg, chan
+    for k in (1, 2):
+        cfg = SystemConfig(n_users=k, n_subcarriers=3, n_relays=0, p_max_dbm=0.0)
+        _, chan = generate_instance(cfg, 1)
+        yield f"{k}x3x0", cfg, chan
+    cfg = _criterion_1_cfg()
+    _, chan = generate_instance(cfg, 1)
+    # user 1 a copy of user 0: assignments that swap them tie exactly
+    twin = dataclasses.replace(
+        chan, g_bs_ue=chan.g_bs_ue[[0, 0]], g_rn_ue=chan.g_rn_ue[[0, 0]],
+        sector_of_ue=chan.sector_of_ue[[0, 0]])
+    yield "twin users", cfg, twin
+    dead = dataclasses.replace(chan, g_rn_ue=chan.g_rn_ue.copy(),
+                               g_bs_ue=chan.g_bs_ue.copy())
+    dead.g_rn_ue[0, 0] = 0.0   # user 0's access hop on subcarrier 0
+    dead.g_bs_ue[1, 1] = 0.0   # user 1's direct link on subcarrier 1
+    yield "dead hop", cfg, dead
+
+
+@pytest.fixture(scope="module")
+def pruning_runs():
+    """Per case: the pruned and the reference answers, and every (active,
+    menus) the reference built, since it scans every assignment."""
+    runs = []
+    build_menus = oracle._build_menus
+    for name, cfg, chan in _pruning_cases():
+        built = []
+
+        def recording(active, *args):
+            menus = build_menus(active, *args)
+            built.append((active, menus))
+            return menus
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_build_menus", recording)
+            ref = reference_brute_force(chan, cfg)
+        runs.append((name, cfg, chan, oracle._brute_force(chan, cfg), ref, built))
+    return runs
+
+
+def test_assignment_pruning_matches_reference(pruning_runs):
+    differ = [name for name, _, _, new, ref, _ in pruning_runs
+              if _answers(new) != _answers(ref)]
+    assert not differ, f"pruned oracle differs from the in-order scan on {differ}"
+    # the twin instance's answers use user 0, the lower-index twin
+    twin = next(run[3] for run in pruning_runs if run[0] == "twin users")
+    assert [{k for k, _ in sol.allocation.entries} for sol in twin] == [{0}, {0}]
+
+
+def test_slot_rate_bound_covers_every_menu(pruning_runs):
+    checked, low = 0, []
+    for name, cfg, chan, _, _, built in pruning_runs:
+        p_max = cfg.power_model().p_max
+        for active, menus in built:
+            for slot, menu in zip(active, menus):
+                checked += 1
+                if not oracle._rate_bound(slot, chan, p_max) >= menu.rate.max():
+                    low.append((name, slot))
+    assert checked and not low, f"slot bounds below a menu rate: {low[:5]}"
+
+
+def test_assignment_pruning_skips_most_assignments(monkeypatch):
+    scanned = []
+    scan_assignment = oracle._scan_assignment
+
+    def counting(active, *args):
+        scanned[-1] += 1
+        return scan_assignment(active, *args)
+
+    monkeypatch.setattr(oracle, "_scan_assignment", counting)
+    cfg = _criterion_1_cfg()
+    for seed in range(1, 6):
+        scanned.append(0)
+        _, chan = generate_instance(cfg, seed)
+        oracle.brute_force_eem(chan, cfg)
+    assert max(scanned) <= 12, scanned
