@@ -18,8 +18,7 @@ from .model import (Af, Allocation, Direct, Metrics, PowerModel, RadioConfig,
 from .oracle import (GridSpec, brute_force_eem, brute_force_sem,
                      enumerate_assignments, optimize_powers_on_grid)
 from .solver import (InnerTrace, Solution, SolverParams, SolverTrace,
-                     af_beta, solve_eem, solve_inner, solve_sem,
-                     update_lambda_subgradient)
+                     af_beta, solve_eem, solve_inner, solve_sem)
 
 __version__ = "0.1.0"
 
@@ -36,5 +35,5 @@ __all__ = [
     "optimize_powers_on_grid", "path_loss_db", "run_sweep", "sample_channel",
     "snr_af_approx", "snr_af_exact", "snr_direct", "solve_eem", "solve_inner",
     "solve_sem", "system_power", "system_rate", "tx_power_used",
-    "update_lambda_subgradient", "watts_to_dbm", "write_csv", "write_json",
+    "watts_to_dbm", "write_csv", "write_json",
 ]

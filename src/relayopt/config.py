@@ -51,10 +51,6 @@ class SystemConfig:
     i_outer_max: int = 10
     i_inner_max: int = 100
     eps_outer: float = 1e-8
-    eps_inner: float = 1e-8
-    lambda_mode: str = "bisection"   # secant search with a bisection safeguard
-    lambda_step: float = 0.0         # 0 -> auto 0.05/p_max (subgradient mode)
-    lambda_init: float = 1.0         # subgradient start
     master_seed: int = 1
 
     # propagation
@@ -97,10 +93,6 @@ class SystemConfig:
             i_outer_max=self.i_outer_max,
             i_inner_max=self.i_inner_max,
             eps_outer=self.eps_outer,
-            eps_inner=self.eps_inner,
-            lambda_mode=self.lambda_mode,
-            lambda_step=self.lambda_step,
-            lambda_init=self.lambda_init,
         )
 
     def validate(self) -> None:
@@ -139,7 +131,6 @@ class SystemConfig:
 
 _INT_FIELDS = {"n_users", "n_subcarriers", "n_relays", "i_outer_max",
                "i_inner_max", "master_seed"}
-_STR_FIELDS = {"lambda_mode"}
 _SCALAR_FIELDS = {f.name for f in fields(SystemConfig)} - {"pathloss"}
 _PATHLOSS_KEYS = {f"pathloss.{cls}.{attr}"
                   for cls in LINK_CLASSES
@@ -151,8 +142,6 @@ def _coerce(key: str, raw) -> object:
     if not isinstance(raw, str):
         return raw
     text = raw.strip()
-    if key in _STR_FIELDS:
-        return text
     try:
         if key in _INT_FIELDS:
             return int(text)

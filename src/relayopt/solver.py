@@ -5,11 +5,10 @@ maximize F(q) = R - q*P and update q until the ratio stops improving.
 Inner loop: Lagrangian dual decomposition of the budget constraint;
 for a given multiplier every subcarrier solves a closed-form
 water-filling subproblem per (user, protocol) candidate and the best
-marginal wins the subcarrier.  The multiplier is found either by a
-bracketed secant search on the water level (default) or by the
-constant-step projected subgradient update.
+marginal wins the subcarrier.  The multiplier is found by a bracketed
+secant search on the water level.
 
-The secant search starts from the direct-only water-filling multiplier
+The search starts from the direct-only water-filling multiplier
 (or, after the first Dinkelbach iteration, from the previous iteration's
 multiplier), doubles or halves it until the budget is bracketed, and
 then runs Illinois regula falsi on the water level u = 1/(q*xi_bs +
@@ -75,22 +74,12 @@ class SolverParams:
     i_outer_max: int = 10
     i_inner_max: int = 100
     eps_outer: float = 1e-8
-    eps_inner: float = 1e-8
-    lambda_mode: str = "bisection"   # "bisection" (secant search) | "subgradient"
-    lambda_step: float = 0.0         # subgradient step; 0 -> 0.05 / p_max
-    lambda_init: float = 1.0         # subgradient start
 
     def validate(self) -> None:
         if self.i_outer_max < 1 or self.i_inner_max < 1:
             raise ValueError("iteration caps must be >= 1")
-        if self.eps_outer <= 0.0 or self.eps_inner <= 0.0:
+        if self.eps_outer <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.lambda_mode not in ("bisection", "subgradient"):
-            raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
-        if self.lambda_init <= 0.0:
-            raise ValueError("lambda_init must be positive")
-        if self.lambda_step < 0.0:
-            raise ValueError("lambda_step must be >= 0")
 
 
 @dataclass
@@ -201,12 +190,6 @@ def af_beta(q: float, lam: float, g1: float, g2: float,
     if g1 <= 0.0 or g2 <= 0.0:
         raise ValueError("hop gains must be positive")
     return _af_split(q, lam, xi_bs, xi_rn, math.sqrt(g1), math.sqrt(g2))[0]
-
-
-def update_lambda_subgradient(lam: float, step: float, p_max: float,
-                              p_used: float) -> float:
-    """Projected subgradient step on the budget multiplier."""
-    return max(0.0, lam - step * (p_max - p_used))
 
 
 def _check_gains(name: str, gains) -> None:
@@ -425,7 +408,7 @@ def _tie_bracket(prob: _Problem, q: float, lo: float, hi: float,
     carry power at the switch and p_used jumps), the switch is where
     their two marginals tie.  Brent's method finds it on those two
     candidates' closed forms alone, no sweep, until the bracket is
-    pinned as _search_water_level pins lambda.  Returns (a, b, jump),
+    pinned as _search_lambda pins lambda.  Returns (a, b, jump),
     with the winner at lo still winning at a, the winner at hi at b, and
     jump the drop in n's radiated power across the switch; or None.
     memo keeps the switches found in one search.
@@ -520,7 +503,6 @@ class _Search:
     # p_max; jump-point: lambda pinned to float resolution where p_used
     # jumps across the budget; iteration-cap: i_inner_max sweeps spent;
     # bracket-failure: bracketing alone took more than i_inner_max sweeps
-    # (subgradient: no feasible iterate, so the price was doubled to one)
     stop: str
 
     @property
@@ -532,8 +514,8 @@ class _Search:
         return self.stop in ("interior", "tolerance", "jump-point")
 
 
-def _search_water_level(prob: _Problem, q: float, params: SolverParams,
-                        lam_hint: Optional[float] = None) -> _Search:
+def _search_lambda(prob: _Problem, q: float, params: SolverParams,
+                   lam_hint: Optional[float] = None) -> _Search:
     """Find the budget multiplier by a bracketed secant search.
 
     p_used is non-increasing in lambda (it is the negated subgradient of
@@ -545,7 +527,9 @@ def _search_water_level(prob: _Problem, q: float, params: SolverParams,
     assignment switch) the bracket collapses instead and the best
     feasible iterate seen wins; when the ends differ on one subcarrier,
     the switch is located by _tie_bracket and settled in one or two
-    sweeps (see the module docstring).
+    sweeps (see the module docstring).  lam_hint, a positive multiplier,
+    seeds the search; None or 0 starts it from the water-filling
+    multiplier.
     """
     p_max = prob.p_max
     over = p_max * (1.0 + _FEAS_SLACK)  # p_used above this is infeasible
@@ -669,57 +653,6 @@ def _search_water_level(prob: _Problem, q: float, params: SolverParams,
     if bracket_sweeps > params.i_inner_max:
         stop = "bracket-failure"
     return _Search(best, bracket_sweeps, evals - bracket_sweeps, stop)
-
-
-def _search_subgradient(prob: _Problem, q: float, params: SolverParams) -> _Search:
-    """Constant-step projected subgradient on the budget multiplier."""
-    p_max = prob.p_max
-    step = params.lambda_step if params.lambda_step > 0.0 else 0.05 / p_max
-    lam_floor = 1e-18 if q == 0.0 else 0.0  # zero price at q=0 is undefined
-    lam = max(params.lambda_init, lam_floor)
-    best = None
-    evals = 0
-    stop = "iteration-cap"
-    for _ in range(params.i_inner_max):
-        r = _sweep(prob, q, lam)
-        evals += 1
-        if r.p_used <= p_max * (1.0 + _FEAS_SLACK):
-            if best is None or r.f_value(q, prob.p_fixed) > best.f_value(q, prob.p_fixed):
-                best = r
-        new_lam = update_lambda_subgradient(lam, step, p_max, r.p_used)
-        new_lam = max(new_lam, lam_floor)
-        if abs(new_lam - lam) <= params.eps_inner:
-            lam = new_lam
-            stop = "tolerance"
-            break
-        lam = new_lam
-    search_sweeps = evals
-    if best is None:
-        # no feasible iterate seen; raise the price until one appears
-        lam = max(lam, 1e-12)
-        while True:
-            r = _sweep(prob, q, lam)
-            evals += 1
-            if r.p_used <= p_max * (1.0 + _FEAS_SLACK):
-                best = r
-                break
-            lam *= 2.0
-            if lam > _LAMBDA_CEIL:
-                raise RuntimeError("lambda bracket failed to close")
-        stop = "bracket-failure"
-    return _Search(best, evals - search_sweeps, search_sweeps, stop)
-
-
-def _search_lambda(prob: _Problem, q: float, params: SolverParams,
-                   lam_hint: Optional[float] = None) -> _Search:
-    """One inner solve's multiplier search.
-
-    lam_hint, a positive multiplier, seeds the secant search; None or 0
-    starts it from the water-filling multiplier.
-    """
-    if params.lambda_mode == "bisection":
-        return _search_water_level(prob, q, params, lam_hint)
-    return _search_subgradient(prob, q, params)
 
 
 def solve_inner(q: float, chan: "ChannelRealization", cfg: "SystemConfig",

@@ -88,12 +88,12 @@ def dominance_holds(sol, chan, cfg, rel=1e-9):
 def bisection_search(prob, q, params, lam_hint=None):
     """Reference multiplier search: plain bisection on p_used(lambda).
 
-    Doubles lambda up from params.lambda_init until the budget holds,
-    then halves the bracket until the budget slack is <= 1e-12 p_max,
-    the bracket is pinned to float resolution, or i_inner_max sweeps
-    are spent, returning the best-F feasible iterate.  It shares only
-    the candidate sweep with the library search and ignores lam_hint,
-    so it can stand in for solver._search_lambda.
+    Doubles lambda up from 1 until the budget holds, then halves the
+    bracket until the budget slack is <= 1e-12 p_max, the bracket is
+    pinned to float resolution, or i_inner_max sweeps are spent,
+    returning the best-F feasible iterate.  It shares only the candidate
+    sweep with the library search and ignores lam_hint, so it can stand
+    in for solver._search_lambda.
     """
     p_max = prob.p_max
     over = p_max * (1.0 + solver._FEAS_SLACK)
@@ -111,7 +111,7 @@ def bisection_search(prob, q, params, lam_hint=None):
             return solver._Search(r, 1, 0, "interior")
 
     lo = 0.0
-    hi = params.lambda_init
+    hi = 1.0
     r_hi = ev(hi)
     while r_hi.p_used > over:
         lo = hi

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from relayopt.config import ConfigError, SystemConfig, load_config
+from relayopt.solver import SolverParams
 
 
 def test_defaults_match_reference_parameters():
@@ -19,8 +20,8 @@ def test_defaults_match_reference_parameters():
     assert (cfg.p_c_bs_w, cfg.p_c_rn_w) == (60.0, 20.0)
     assert (cfg.xi_bs, cfg.xi_rn) == (2.6, 5.0)
     assert (cfg.i_outer_max, cfg.i_inner_max) == (10, 100)
-    assert cfg.eps_outer == cfg.eps_inner == 1e-8
-    assert cfg.lambda_mode == "bisection"
+    assert cfg.eps_outer == 1e-8
+    assert cfg.solver_params() == SolverParams()
     assert cfg.master_seed == 1
     cfg.validate()
 
@@ -43,14 +44,14 @@ def test_load_config_file_and_sections(tmp_path):
     path.write_text(
         "n_users = 4\n"
         "p_max_dbm = 10\n"
-        "lambda_mode = subgradient\n"
+        "eps_outer = 1e-6\n"
         "[pathloss.rn_ue_nlos]\n"
         "intercept_db = 145.4\n"
         "slope_db = 37.5\n")
     cfg = load_config(str(path))
     assert cfg.n_users == 4 and isinstance(cfg.n_users, int)
     assert cfg.p_max_dbm == 10.0
-    assert cfg.lambda_mode == "subgradient"
+    assert cfg.eps_outer == 1e-6
     assert cfg.pathloss.rn_ue_nlos.intercept_db == 145.4
     assert cfg.pathloss.rn_ue_nlos.slope_db == 37.5
     # the stock defaults must not be mutated through the shared factory
@@ -81,9 +82,10 @@ def test_base_layer(tmp_path):
 
 def test_string_coercion():
     cfg = load_config(None, {"n_users": "4", "p_max_dbm": "-30",
-                             "lambda_mode": "bisection"})
+                             "eps_outer": " 1e-6 "})
     assert cfg.n_users == 4
     assert cfg.p_max_dbm == -30.0
+    assert cfg.eps_outer == 1e-6
     with pytest.raises(ConfigError, match="cannot parse"):
         load_config(None, {"n_users": "four"})
 
@@ -99,6 +101,10 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text("tie_break = lowest-index\n")
     with pytest.raises(ConfigError, match="unknown config key: tie_break"):
         load_config(str(path))
+    # one multiplier search, with no mode or tuning knobs of its own
+    for key in ("lambda_mode", "lambda_step", "lambda_init", "eps_inner"):
+        with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
+            load_config(None, {key: "1"})
 
 
 def test_validation_failures_are_config_errors():
@@ -106,8 +112,8 @@ def test_validation_failures_are_config_errors():
         load_config(None, {"xi_bs": 0.9})
     with pytest.raises(ConfigError, match="d_r"):
         load_config(None, {"d_r": 1.5})
-    with pytest.raises(ConfigError, match="lambda_mode"):
-        load_config(None, {"lambda_mode": "newton"})
+    with pytest.raises(ConfigError, match="tolerances must be positive"):
+        load_config(None, {"eps_outer": 0})
     with pytest.raises(ConfigError):
         load_config(None, {"n_subcarriers": 0})
     with pytest.raises(ConfigError, match="slope_db"):

@@ -249,24 +249,34 @@ def _counting_sweep(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("mode", ["bisection", "subgradient"])
-def test_trace_counts_every_sweep(monkeypatch, mode):
+@pytest.mark.parametrize("case", ["bisection", "tight-cap"])
+def test_trace_counts_every_sweep(monkeypatch, case):
     count = _counting_sweep(monkeypatch)
-    cfg = SystemConfig(n_users=8, n_subcarriers=32, n_relays=3,
-                       lambda_mode=mode)
+    tight = case == "tight-cap"
+    cfg = SystemConfig(n_users=8, n_subcarriers=32, n_relays=3)
+    if tight:
+        cfg.i_inner_max = 2
     rejected = 0
-    for seed in range(1, 41 if mode == "bisection" else 6):
+    stops = set()
+    for seed in range(1, 6 if tight else 41):
         _, chan = generate_instance(cfg, seed)
         for solve in (solver.solve_eem, solver.solve_sem):
             count[0] = 0
-            t = solve(chan, cfg).trace
+            sol = solve(chan, cfg)
+            t = sol.trace
             assert _sweeps(t) == count[0]
             assert len(t.bracket_sweeps) == len(t.search_sweeps) \
                 == len(t.stop_reasons)
             assert set(t.stop_reasons) <= STOPS
+            stops.update(t.stop_reasons)
+            assert check_feasibility(sol.allocation, cfg.radio(),
+                                     cfg.power_model()) == [], seed
         # EEM lists the safeguard-rejected search after the accepted ones
         rejected += len(t.stop_reasons) > len(t.q_sequence)
-    assert mode == "subgradient" or rejected > 0
+    if tight:  # the rare stops of the search, reached by a 2-sweep cap
+        assert {"iteration-cap", "bracket-failure"} <= stops
+    else:
+        assert rejected > 0
 
 
 def test_accepted_searches_match_inner_iterations():
@@ -279,10 +289,8 @@ def test_accepted_searches_match_inner_iterations():
     assert t.stop_reasons[0] in ("tolerance", "jump-point")
 
 
-@pytest.mark.parametrize("mode", ["bisection", "subgradient"])
-def test_unclosable_bracket_raises(monkeypatch, mode):
-    cfg = SystemConfig(n_users=2, n_subcarriers=4, n_relays=1,
-                       lambda_mode=mode, i_inner_max=5)
+def test_unclosable_bracket_raises(monkeypatch):
+    cfg = SystemConfig(n_users=2, n_subcarriers=4, n_relays=1, i_inner_max=5)
     _, chan = generate_instance(cfg, 1)
     orig = solver._sweep
     count = [0]

@@ -13,8 +13,7 @@ from relayopt.config import SystemConfig
 from relayopt.model import LN2, Direct, check_feasibility, system_rate
 import relayopt.solver as solver
 from relayopt.solver import (Solution, SolverParams, af_beta, solve_eem,
-                             solve_inner, solve_sem,
-                             update_lambda_subgradient)
+                             solve_inner, solve_sem)
 
 
 # ------------------------------------------------- closed-form kernel
@@ -154,15 +153,6 @@ def test_af_candidate_split_sums_to_total():
 def test_af_candidate_clamps_to_zero():
     _, p, x = _af_kernel(0.0, 10.0, g1=1e-3, g2=1e-3)
     assert p == 0.0 and x == 0.0
-
-
-def test_update_lambda_subgradient():
-    assert update_lambda_subgradient(0.1, 0.05, p_max=2.0, p_used=1.0) == 0.05
-    assert update_lambda_subgradient(0.01, 0.05, p_max=2.0, p_used=1.0) == 0.0
-    assert update_lambda_subgradient(0.3, 0.05, p_max=1.0, p_used=1.0) == 0.3
-    # over budget raises the price
-    assert update_lambda_subgradient(0.1, 0.05, p_max=1.0, p_used=3.0) == \
-        pytest.approx(0.2, rel=1e-12)
 
 
 # ------------------------------------------------------------- inner solve
@@ -359,19 +349,6 @@ def test_eem_monotone_in_budget():
         last = ee
 
 
-def test_subgradient_mode_agrees_loosely():
-    cfg_b = SystemConfig(n_users=3, n_subcarriers=8, n_relays=1, p_max_dbm=0.0)
-    cfg_s = SystemConfig(n_users=3, n_subcarriers=8, n_relays=1, p_max_dbm=0.0,
-                         lambda_mode="subgradient")
-    _, chan = generate_instance(cfg_b, seed=31)
-    ee_b = solve_eem(chan, cfg_b).metrics.ee
-    sol_s = solve_eem(chan, cfg_s)
-    assert check_feasibility(sol_s.allocation, cfg_s.radio(),
-                             cfg_s.power_model()) == []
-    assert sol_s.metrics.ee <= ee_b * (1.0 + 1e-9)
-    assert sol_s.metrics.ee >= 0.5 * ee_b
-
-
 def test_outer_limit_reported():
     cfg = SystemConfig(n_users=4, n_subcarriers=8, n_relays=1,
                        p_max_dbm=50.0, i_outer_max=1)
@@ -391,8 +368,8 @@ _SHARED_CASES = {
                        range(1, 6)) for m in (0, 1, 3)},
     "minus-40dbm": (dataclasses.replace(_DESK, p_max_dbm=-40.0), range(1, 5)),
     "plus-40dbm": (dataclasses.replace(_DESK, p_max_dbm=40.0), range(1, 5)),
-    "subgradient": (dataclasses.replace(_DESK, lambda_mode="subgradient"),
-                    range(1, 3)),
+    # searches stopped at the iteration cap or on bracket failure
+    "inner-cap-2": (dataclasses.replace(_DESK, i_inner_max=2), range(1, 4)),
     # one outer step: SEM's answer is EEM's own iterate
     "one-outer-step": (dataclasses.replace(_DESK, i_outer_max=1), range(1, 4)),
 }
@@ -461,7 +438,7 @@ def test_solver_params_validation():
     with pytest.raises(ValueError):
         SolverParams(eps_outer=0.0).validate()
     with pytest.raises(ValueError):
-        SolverParams(lambda_mode="newton").validate()
+        SolverParams(i_inner_max=0).validate()
     with pytest.raises(ValueError):
-        SolverParams(lambda_init=0.0).validate()
+        SolverParams(eps_outer=-1.0).validate()
     SolverParams().validate()
