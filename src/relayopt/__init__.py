@@ -17,15 +17,14 @@ from .model import (Af, Allocation, Direct, Metrics, PowerModel, RadioConfig,
                     system_rate, tx_power_used, watts_to_dbm)
 from .oracle import (GridSpec, brute_force_eem, brute_force_sem,
                      enumerate_assignments, optimize_powers_on_grid)
-from .solver import (InnerTrace, Solution, SolverParams, SolverTrace,
-                     af_beta, solve_eem, solve_inner, solve_sem)
+from .solver import Solution, SolverTrace, af_beta, solve_eem, solve_sem
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Af", "Allocation", "ChannelRealization", "ConfigError", "Direct",
-    "GridSpec", "InnerTrace", "Metrics", "PathLossClass", "PathLossModel",
-    "PowerModel", "RadioConfig", "ResultRecord", "Solution", "SolverParams",
+    "GridSpec", "Metrics", "PathLossClass", "PathLossModel",
+    "PowerModel", "RadioConfig", "ResultRecord", "Solution",
     "SolverTrace", "SweepSpec", "SystemConfig", "Topology",
     "af_beta", "aggregate", "assign_sector", "brute_force_eem",
     "brute_force_sem", "build_topology", "builtin_scenarios",
@@ -33,7 +32,7 @@ __all__ = [
     "energy_efficiency", "enumerate_assignments", "generate_instance",
     "link_rate_af", "link_rate_direct", "load_config",
     "optimize_powers_on_grid", "path_loss_db", "run_sweep", "sample_channel",
-    "snr_af_approx", "snr_af_exact", "snr_direct", "solve_eem", "solve_inner",
+    "snr_af_approx", "snr_af_exact", "snr_direct", "solve_eem",
     "solve_sem", "system_power", "system_rate", "tx_power_used",
     "watts_to_dbm", "write_csv", "write_json",
 ]

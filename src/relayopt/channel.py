@@ -7,6 +7,7 @@ are distance path loss times i.i.d. unit-mean exponential fading
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
@@ -46,8 +47,13 @@ class PathLossModel:
 
     def validate(self) -> None:
         for name in LINK_CLASSES:
-            if getattr(self, name).slope_db <= 0.0:
+            cls = getattr(self, name)
+            if not math.isfinite(cls.intercept_db):
+                raise ValueError(f"pathloss.{name}.intercept_db must be finite")
+            if not 0.0 < cls.slope_db < math.inf:
                 raise ValueError(f"pathloss.{name}.slope_db must be positive")
+        if not math.isfinite(self.min_coupling_loss_db):
+            raise ValueError("pathloss.min_coupling_loss_db must be finite")
 
 
 def path_loss_db(distance_m, link_class: str, plm: PathLossModel):

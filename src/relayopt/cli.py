@@ -266,8 +266,6 @@ def _cmd_sweep(args) -> int:
     if args.algorithms:
         algs = tuple(a.strip().upper() for a in args.algorithms.split(","))
         spec = dataclasses.replace(spec, algorithms=algs)
-    if args.master_seed is not None:
-        spec = dataclasses.replace(spec, master_seed=args.master_seed)
 
     records = run_sweep(spec)
     write_csv(records, args.out if args.out and args.out != "-" else sys.stdout)

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .channel import LINK_CLASSES, PathLossModel
 from .model import PowerModel, RadioConfig, dbm_to_watts
-from .solver import SolverParams
 
 
 class ConfigError(ValueError):
@@ -88,41 +88,52 @@ class SystemConfig:
             p_max=self.p_max_w,
         )
 
-    def solver_params(self) -> SolverParams:
-        return SolverParams(
-            i_outer_max=self.i_outer_max,
-            i_inner_max=self.i_inner_max,
-            eps_outer=self.eps_outer,
-        )
-
     def validate(self) -> None:
+        """Raise ConfigError naming the first bad key.
+
+        Every check is written so that NaN fails it.
+        """
         def bad(key, why):
             raise ConfigError(f"invalid config: {key}: {why}")
 
-        if self.n_users < 1:
+        for key in _REAL_FIELDS:
+            if not math.isfinite(getattr(self, key)):
+                bad(key, "must be finite")
+        if not self.n_users >= 1:
             bad("n_users", "must be >= 1")
-        if self.n_subcarriers < 1:
+        if not self.n_subcarriers >= 1:
             bad("n_subcarriers", "must be >= 1")
-        if self.n_relays < 0:
+        if not self.n_relays >= 0:
             bad("n_relays", "must be >= 0")
-        if self.cell_radius_km <= 0.0:
+        if not self.cell_radius_km > 0.0:
             bad("cell_radius_km", "must be positive")
         if self.n_relays > 0 and not (0.0 < self.d_r < 1.0):
             bad("d_r", "must lie in (0, 1) when n_relays > 0")
-        if self.subcarrier_bw_hz <= 0.0:
+        if not self.subcarrier_bw_hz > 0.0:
             bad("subcarrier_bw_hz", "must be positive")
         if not self.xi_bs > 1.0:
             bad("xi_bs", "drain-efficiency reciprocal must exceed 1")
         if not self.xi_rn > 1.0:
             bad("xi_rn", "drain-efficiency reciprocal must exceed 1")
-        if self.p_c_bs_w < 0.0:
+        if not self.p_c_bs_w >= 0.0:
             bad("p_c_bs_w", "must be >= 0")
-        if self.p_c_rn_w < 0.0:
+        if not self.p_c_rn_w >= 0.0:
             bad("p_c_rn_w", "must be >= 0")
-        try:
-            self.solver_params().validate()
-        except ValueError as exc:
-            raise ConfigError(f"invalid config: {exc}") from exc
+        for key in ("i_outer_max", "i_inner_max"):
+            if not getattr(self, key) >= 1:
+                bad(key, "iteration caps must be >= 1")
+        if not self.eps_outer > 0.0:
+            bad("eps_outer", "tolerances must be positive")
+        # dB figures whose watts underflow to 0 or overflow are rejected
+        for key, watts in (("p_max_dbm", lambda: self.p_max_w),
+                           ("noise_psd_dbm_hz, snr_gap_db",
+                            lambda: self.noise_gap_watts)):
+            try:
+                w = watts()
+            except OverflowError:
+                w = math.inf
+            if not 0.0 < w < math.inf:
+                bad(key, "power in watts must be positive and finite")
         try:
             self.pathloss.validate()
         except ValueError as exc:
@@ -132,6 +143,7 @@ class SystemConfig:
 _INT_FIELDS = {"n_users", "n_subcarriers", "n_relays", "i_outer_max",
                "i_inner_max", "master_seed"}
 _SCALAR_FIELDS = {f.name for f in fields(SystemConfig)} - {"pathloss"}
+_REAL_FIELDS = tuple(sorted(_SCALAR_FIELDS - _INT_FIELDS))
 _PATHLOSS_KEYS = {f"pathloss.{cls}.{attr}"
                   for cls in LINK_CLASSES
                   for attr in ("intercept_db", "slope_db")}

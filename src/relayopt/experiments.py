@@ -2,10 +2,11 @@
 
 A sweep is a Cartesian product of named parameter axes laid over a base
 configuration.  Every grid point solves the same `samples` channel
-realizations (seed = master_seed + sample index), so curves across grid
-points and across algorithms are paired sample-by-sample.  SEM is read
-off the Dinkelbach trajectory that EEM computes, so where EEM runs first
-a sample solves that trajectory once and derives both answers from it.
+realizations (seed = the base configuration's master_seed + sample
+index), so curves across grid points and across algorithms are paired
+sample-by-sample.  SEM is read off the Dinkelbach trajectory that EEM
+computes, so where EEM runs first a sample solves that trajectory once
+and derives both answers from it.
 
 A grid point's record holds means over its converged samples; the seeds
 of the samples that failed to converge are listed in the JSON mirror.
@@ -50,7 +51,6 @@ class SweepSpec:
     axes: Dict[str, list] = field(default_factory=dict)
     samples: int = 200
     algorithms: Tuple[str, ...] = ("EEM", "SEM")
-    master_seed: int = 1
 
     def validate(self) -> None:
         if self.samples < 1:
@@ -179,7 +179,7 @@ def run_sweep(spec: SweepSpec) -> List[ResultRecord]:
     for combo in itertools.product(*(spec.axes[a] for a in names)):
         cfg = dataclasses.replace(spec.base, **dict(zip(names, combo)))
         cfg.validate()
-        seeds = [spec.master_seed + i for i in range(spec.samples)]
+        seeds = [cfg.master_seed + i for i in range(spec.samples)]
         results = [_solve_sample(cfg, s, spec.algorithms) for s in seeds]
         records.extend(_point_records(spec, cfg, seeds, results))
     return records

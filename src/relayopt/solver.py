@@ -70,19 +70,6 @@ _FEAS_SLACK = 1e-12  # relative slack when classifying an iterate as feasible
 
 
 @dataclass
-class SolverParams:
-    i_outer_max: int = 10
-    i_inner_max: int = 100
-    eps_outer: float = 1e-8
-
-    def validate(self) -> None:
-        if self.i_outer_max < 1 or self.i_inner_max < 1:
-            raise ValueError("iteration caps must be >= 1")
-        if self.eps_outer <= 0.0:
-            raise ValueError("tolerances must be positive")
-
-
-@dataclass
 class SolverTrace:
     """Outer-loop record of one solve.
 
@@ -103,14 +90,6 @@ class SolverTrace:
     bracket_sweeps: list = field(default_factory=list)   # sweeps before the bracket search
     search_sweeps: list = field(default_factory=list)    # sweeps inside the bracket
     stop_reasons: list = field(default_factory=list)     # see _Search.stop
-
-
-@dataclass
-class InnerTrace:
-    iterations: int
-    converged: bool
-    p_used: float
-    f_value: float
 
 
 @dataclass
@@ -212,6 +191,7 @@ class _Problem:
     """
 
     def __init__(self, chan: "ChannelRealization", cfg: "SystemConfig"):
+        cfg.validate()
         if not (math.isfinite(chan.noise_gap) and chan.noise_gap > 0.0):
             raise ValueError("noise_gap must be positive and finite")
         _check_gains("g_bs_ue", chan.g_bs_ue)
@@ -276,14 +256,17 @@ def _water_filling_price(floors, p_max: float) -> float:
 
     Exact water-filling by sorting: with the floors ascending, the level
     L = (p_max + sum of the m lowest floors) / m for the largest m whose
-    m-th floor lies below it.  With no live link there is no level; any
-    positive price then serves as a start.
+    m-th floor lies below it.  A budget below the float resolution of
+    the lowest floor clears no floor; the level is then that floor.  With
+    no live link there is no level; any positive price then serves as a
+    start.
     """
     floors = np.sort(floors[np.isfinite(floors)])
     if floors.size == 0:
         return 1.0
     levels = (p_max + np.cumsum(floors)) / np.arange(1, floors.size + 1)
-    level = levels[np.nonzero(levels > floors)[0][-1]]
+    cleared = np.flatnonzero(levels > floors)
+    level = levels[cleared[-1]] if cleared.size else floors[0]
     return 1.0 / (LN2 * level)
 
 
@@ -514,7 +497,7 @@ class _Search:
         return self.stop in ("interior", "tolerance", "jump-point")
 
 
-def _search_lambda(prob: _Problem, q: float, params: SolverParams,
+def _search_lambda(prob: _Problem, q: float,
                    lam_hint: Optional[float] = None) -> _Search:
     """Find the budget multiplier by a bracketed secant search.
 
@@ -532,6 +515,7 @@ def _search_lambda(prob: _Problem, q: float, params: SolverParams,
     multiplier.
     """
     p_max = prob.p_max
+    i_inner_max = prob.cfg.i_inner_max
     over = p_max * (1.0 + _FEAS_SLACK)  # p_used above this is infeasible
     # Budget slack at exit.  Kept near float resolution so that rates
     # reported for different q parameters differ through the objective,
@@ -597,7 +581,7 @@ def _search_lambda(prob: _Problem, q: float, params: SolverParams,
             stop = stop_rule(lo, hi, r_hi)
             if stop:
                 break
-            if evals >= params.i_inner_max:
+            if evals >= i_inner_max:
                 stop = "iteration-cap"
                 break
             tie = _tie_bracket(prob, q, lo, hi, r_lo, r_hi, ties)
@@ -616,7 +600,7 @@ def _search_lambda(prob: _Problem, q: float, params: SolverParams,
                     # stops at the jump point; otherwise the budget lies
                     # on one side's piece, where the secant restarts.
                     for lam in (b, a):
-                        if lo < lam < hi and evals < params.i_inner_max:
+                        if lo < lam < hi and evals < i_inner_max:
                             r = ev(lam)
                             if r.p_used > over:
                                 lo, r_lo = lam, r
@@ -650,31 +634,9 @@ def _search_lambda(prob: _Problem, q: float, params: SolverParams,
                     g_lo *= 0.5
                 side = -1
             widths.append(hi - lo)
-    if bracket_sweeps > params.i_inner_max:
+    if bracket_sweeps > i_inner_max:
         stop = "bracket-failure"
     return _Search(best, bracket_sweeps, evals - bracket_sweeps, stop)
-
-
-def solve_inner(q: float, chan: "ChannelRealization", cfg: "SystemConfig",
-                params: Optional[SolverParams] = None):
-    """Maximize F(q) = R - q*P over assignments and powers at fixed q.
-
-    Returns (Allocation, lambda*, InnerTrace).  The returned allocation
-    is integral and feasible; non-convergence of the multiplier search
-    is reported in the trace, not raised.
-    """
-    if q < 0.0:
-        raise ValueError("q must be >= 0")
-    params = params if params is not None else cfg.solver_params()
-    params.validate()
-    prob = _Problem(chan, cfg)
-    search = _search_lambda(prob, q, params)
-    sweep = search.sweep
-    alloc = _to_allocation(prob, sweep)
-    trace = InnerTrace(iterations=search.evals, converged=search.converged,
-                       p_used=sweep.p_used,
-                       f_value=sweep.f_value(q, prob.p_fixed))
-    return alloc, sweep.lam, trace
 
 
 @dataclass
@@ -692,7 +654,7 @@ class _OuterStep:
         return self.search.sweep
 
 
-def _dinkelbach_steps(prob: _Problem, params: SolverParams):
+def _dinkelbach_steps(prob: _Problem):
     """Run the Dinkelbach outer loop, recording every inner solve.
 
     Returns (steps, termination).  A step with accepted=False is the
@@ -706,8 +668,8 @@ def _dinkelbach_steps(prob: _Problem, params: SolverParams):
     q = 0.0
     hint = None
     termination = "outer-limit"
-    for _ in range(params.i_outer_max):
-        search = _search_lambda(prob, q, params, hint)
+    for _ in range(prob.cfg.i_outer_max):
+        search = _search_lambda(prob, q, hint)
         sweep = search.sweep
         f_val = sweep.f_value(q, prob.p_fixed)
         p_total = prob.p_fixed + sweep.cons_sum
@@ -722,7 +684,7 @@ def _dinkelbach_steps(prob: _Problem, params: SolverParams):
         if hint <= 0.0:
             hint = sweep.lam
         q = q_new
-        if delta <= params.eps_outer:
+        if delta <= prob.cfg.eps_outer:
             termination = "converged" if search.converged else "inner-limit"
             break
     return steps, termination
@@ -739,18 +701,14 @@ class _Trajectory(NamedTuple):
     """One Dinkelbach run and what it was solved for."""
 
     prob: _Problem
-    params: SolverParams
     steps: list
     incumbent: _OuterStep   # last accepted step: the EEM answer
 
 
-def solve_eem(chan: "ChannelRealization", cfg: "SystemConfig",
-              params: Optional[SolverParams] = None) -> Solution:
+def solve_eem(chan: "ChannelRealization", cfg: "SystemConfig") -> Solution:
     """Energy-efficiency maximization via the Dinkelbach outer loop."""
-    params = params if params is not None else cfg.solver_params()
-    params.validate()
     prob = _Problem(chan, cfg)
-    steps, termination = _dinkelbach_steps(prob, params)
+    steps, termination = _dinkelbach_steps(prob)
 
     trace = SolverTrace()
     for s in steps:
@@ -770,11 +728,10 @@ def solve_eem(chan: "ChannelRealization", cfg: "SystemConfig",
     alloc = _to_allocation(prob, incumbent.sweep)
     metrics = compute_metrics(alloc, chan, prob.radio, prob.pm)
     return Solution(alloc, metrics, trace,
-                    _Trajectory(prob, params, steps, incumbent))
+                    _Trajectory(prob, steps, incumbent))
 
 
-def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig",
-              params: Optional[SolverParams] = None, *,
+def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig", *,
               eem: Optional[Solution] = None) -> Solution:
     """Spectral-efficiency maximization.
 
@@ -791,19 +748,16 @@ def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig",
     plain rate (F at q=0).  Its search counters cover the whole
     trajectory.
 
-    eem, a solve_eem(chan, cfg, params) result for this very `chan`
-    object (unchanged since) and an equal cfg and params, hands over
-    that solve's trajectory: no search is run again, and the EEM
-    answer's allocation and metrics stand for its own iterate.  The
-    result is the same as without it.  An eem that carries no
-    trajectory, or was solved for another channel, config or solver
-    parameters, raises ValueError.
+    eem, a solve_eem(chan, cfg) result for this very `chan` object
+    (unchanged since) and an equal cfg, hands over that solve's
+    trajectory: no search is run again, and the EEM answer's allocation
+    and metrics stand for its own iterate.  The result is the same as
+    without it.  An eem that carries no trajectory, or was solved for
+    another channel or config, raises ValueError.
     """
-    params = params if params is not None else cfg.solver_params()
-    params.validate()
     if eem is None:
         prob = _Problem(chan, cfg)
-        steps, _ = _dinkelbach_steps(prob, params)
+        steps, _ = _dinkelbach_steps(prob)
         reused = None
     else:
         traj = eem._trajectory
@@ -811,9 +765,8 @@ def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig",
             raise ValueError("eem carries no Dinkelbach trajectory")
         if traj.prob.chan is not chan:
             raise ValueError("eem was solved for another channel")
-        if traj.prob.cfg != cfg or traj.params != params:
-            raise ValueError("eem was solved for another config or "
-                             "solver parameters")
+        if traj.prob.cfg != cfg:
+            raise ValueError("eem was solved for another config")
         prob, steps, reused = traj.prob, traj.steps, traj.incumbent
 
     best = None

@@ -85,7 +85,7 @@ def dominance_holds(sol, chan, cfg, rel=1e-9):
         mine >= top_on - rel * np.maximum(1.0, np.abs(top_on))))
 
 
-def bisection_search(prob, q, params, lam_hint=None):
+def bisection_search(prob, q, lam_hint=None):
     """Reference multiplier search: plain bisection on p_used(lambda).
 
     Doubles lambda up from 1 until the budget holds, then halves the
@@ -129,7 +129,7 @@ def bisection_search(prob, q, params, lam_hint=None):
         if hi - lo <= 1e-15 * max(1.0, hi):
             stop = "jump-point"
             break
-        if evals >= params.i_inner_max:
+        if evals >= prob.cfg.i_inner_max:
             stop = "iteration-cap"
             break
         mid = 0.5 * (lo + hi)
@@ -143,7 +143,7 @@ def bisection_search(prob, q, params, lam_hint=None):
             hi, r_hi = mid, r
             if r.f_value(q, prob.p_fixed) > best.f_value(q, prob.p_fixed):
                 best = r
-    if bracket_sweeps > params.i_inner_max:
+    if bracket_sweeps > prob.cfg.i_inner_max:
         stop = "bracket-failure"
     return solver._Search(best, bracket_sweeps, evals - bracket_sweeps, stop)
 

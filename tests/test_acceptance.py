@@ -157,9 +157,9 @@ def test_criterion_5_relaying_and_cell_size():
     radii = [0.75, 1.0, 1.5, 2.0]
     spec = SweepSpec(
         name="radius-acceptance",
-        base=SystemConfig(n_users=8, n_subcarriers=32),
+        base=SystemConfig(n_users=8, n_subcarriers=32, master_seed=1),
         axes={"cell_radius_km": radii, "n_relays": [0, 3]},
-        samples=200, algorithms=("EEM",), master_seed=1)
+        samples=200, algorithms=("EEM",))
     records = run_sweep(spec)
     by_key = {(r.cell_radius_km, r.n_relays): r for r in records}
     rho = [by_key[(r, 3)].rho_mean for r in radii]
@@ -179,9 +179,9 @@ def test_criterion_6_relay_placement():
     spec = SweepSpec(
         name="placement-acceptance",
         base=SystemConfig(n_users=8, n_subcarriers=32, n_relays=3,
-                          cell_radius_km=1.5, p_max_dbm=0.0),
+                          cell_radius_km=1.5, p_max_dbm=0.0, master_seed=1),
         axes={"d_r": ratios},
-        samples=200, algorithms=("EEM",), master_seed=1)
+        samples=200, algorithms=("EEM",))
     records = run_sweep(spec)
     elapsed = time.perf_counter() - t0
     ee = [r.ee_mean for r in records]

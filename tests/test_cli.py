@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from relayopt import cli
 from relayopt.cli import main
 from relayopt.experiments import CSV_COLUMNS
 from relayopt.model import Af, Allocation, Direct, check_feasibility
-from relayopt.config import SystemConfig
+from relayopt.config import ConfigError, SystemConfig, load_config
 
 
 def _solve_doc(capsys, argv):
@@ -121,6 +122,41 @@ def test_env_config_is_honored(tmp_path, monkeypatch, capsys):
     # explicit flags still override the environment config
     doc = _solve_doc(capsys, ["solve", "--k", "2"])
     assert doc["allocation"]["n_users"] == 2
+
+
+def test_sweep_seed_is_read_from_every_config_layer(tmp_path, monkeypatch,
+                                                    capsys):
+    argv = ["sweep", "--scenario", "convergence", "--samples", "2"]
+    assert main(argv + ["--seed", "7"]) == 0
+    expected = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out != expected  # the default seed is 1
+    path = tmp_path / "seed.ini"
+    path.write_text("master_seed = 7\n")
+    for extra in (["--set", "master_seed=7"], ["--config", str(path)]):
+        assert main(argv + extra) == 0
+        assert capsys.readouterr().out == expected, extra
+    monkeypatch.setenv("RELAYOPT_CONFIG", str(path))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("key, value", [
+    ("p_max_dbm", "nan"), ("p_max_dbm", "-inf"), ("p_max_dbm", "4000"),
+    ("p_max_dbm", "-4000"), ("xi_bs", "inf"), ("p_c_bs_w", "nan"),
+    ("p_c_rn_w", "inf"), ("eps_outer", "nan"), ("cell_radius_km", "inf"),
+    ("noise_psd_dbm_hz", "4000"), ("pathloss.bs_ue_nlos.slope_db", "nan"),
+])
+def test_non_finite_settings_are_config_errors(key, value, capsys):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(None, {key: value})
+    argv = ["solve", "--k", "2", "--n", "4", "--m", "1", "--set",
+            f"{key}={value}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid config")
+    assert "Traceback" not in captured.err
 
 
 def test_sweep_writes_csv_and_json(tmp_path, capsys):

@@ -3,7 +3,6 @@ import dataclasses
 import pytest
 
 from relayopt.config import ConfigError, SystemConfig, load_config
-from relayopt.solver import SolverParams
 
 
 def test_defaults_match_reference_parameters():
@@ -21,7 +20,6 @@ def test_defaults_match_reference_parameters():
     assert (cfg.xi_bs, cfg.xi_rn) == (2.6, 5.0)
     assert (cfg.i_outer_max, cfg.i_inner_max) == (10, 100)
     assert cfg.eps_outer == 1e-8
-    assert cfg.solver_params() == SolverParams()
     assert cfg.master_seed == 1
     cfg.validate()
 
@@ -32,7 +30,6 @@ def test_derived_views():
     assert cfg.cell_radius_m == 1500.0
     assert cfg.power_model().p_max == cfg.p_max_w
     assert cfg.radio().n_subcarriers == 32
-    assert cfg.solver_params().i_outer_max == 10
 
 
 def test_load_config_defaults_equal_stock():

@@ -23,13 +23,12 @@ def _sweeps(trace):
 
 def test_search_matches_reference_bisection(monkeypatch):
     cfg = SystemConfig(n_users=8, n_subcarriers=16, n_relays=2)
-    params = cfg.solver_params()
     seeds = [cfg.master_seed + i for i in range(1000)]
     new_search = solver._search_lambda
     calls = []
 
-    def reference(prob, q, params, lam_hint=None):
-        res = bisection_search(prob, q, params)
+    def reference(prob, q, lam_hint=None):
+        res = bisection_search(prob, q)
         calls.append((q, res))
         return res
 
@@ -52,7 +51,7 @@ def test_search_matches_reference_bisection(monkeypatch):
         problems = []
         for q, r in calls:
             f_ref = r.sweep.f_value(q, prob.p_fixed)
-            f_new = new_search(prob, q, params).sweep.f_value(q, prob.p_fixed)
+            f_new = new_search(prob, q).sweep.f_value(q, prob.p_fixed)
             slack = 1e-12 * max(abs(f_ref), r.sweep.rate_sum)
             if f_new < f_ref - slack:
                 problems.append(f"F({q:.6g}) {f_new!r} < {f_ref!r}")
@@ -83,8 +82,8 @@ def _reference_jump_searches(cfg, seeds):
         _, chan = generate_instance(cfg, seed)
         calls = []
 
-        def reference(prob, q, params, lam_hint=None):
-            res = bisection_search(prob, q, params)
+        def reference(prob, q, lam_hint=None):
+            res = bisection_search(prob, q)
             calls.append((prob, q, res))
             return res
 
@@ -102,11 +101,10 @@ def desk_jumps():
 
 
 def test_jump_searches_settle_at_the_tie(desk_jumps):
-    params = SystemConfig().solver_params()
     assert len(desk_jumps) == 27  # desk seeds 1-400, K=8, N=32, M=3
     problems = []
     for seed, prob, q, ref in desk_jumps:
-        new = solver._search_lambda(prob, q, params)
+        new = solver._search_lambda(prob, q)
         f_ref = ref.sweep.f_value(q, prob.p_fixed)
         f_new = new.sweep.f_value(q, prob.p_fixed)
         slack = 1e-12 * max(abs(f_ref), ref.sweep.rate_sum)
@@ -168,9 +166,8 @@ def test_candidate_agrees_with_the_sweep(desk_jumps, monkeypatch):
         return tie
 
     monkeypatch.setattr(solver, "_tie_bracket", spy)
-    params = cfg.solver_params()
     for _, prob, q, _ in desk_jumps:
-        solver._search_lambda(prob, q, params)
+        solver._search_lambda(prob, q)
     assert len(pinned) >= len(desk_jumps)
     for prob, q, a, b in pinned:
         problems += _candidate_mismatches(prob, q, a)
@@ -184,8 +181,8 @@ def test_large_jump_seed_settles_in_few_sweeps():
     _, chan = generate_instance(cfg, 3)
     calls = []
 
-    def reference(prob, q, params, lam_hint=None):
-        res = bisection_search(prob, q, params)
+    def reference(prob, q, lam_hint=None):
+        res = bisection_search(prob, q)
         calls.append(res)
         return res
 
@@ -218,7 +215,6 @@ def test_two_switching_subcarriers_fall_back_to_midpoint_steps(
 
     monkeypatch.setattr(solver, "_sweep", two_switches)
     _, prob, q, _ = desk_jumps[0]
-    params = prob.cfg.solver_params()
     tried = []
     tie_bracket = solver._tie_bracket
 
@@ -227,9 +223,9 @@ def test_two_switching_subcarriers_fall_back_to_midpoint_steps(
         return tried[-1]
 
     monkeypatch.setattr(solver, "_tie_bracket", spy)
-    new = solver._search_lambda(prob, q, params)
+    new = solver._search_lambda(prob, q)
     monkeypatch.setattr(solver, "_tie_bracket", lambda *a: None)
-    midpoint = solver._search_lambda(prob, q, params)
+    midpoint = solver._search_lambda(prob, q)
     assert tried and not any(tried)
     assert new.evals > 10  # the search bisected down to the pin
     assert (new.stop, new.bracket_sweeps, new.search_sweeps, new.sweep.lam) \
@@ -303,7 +299,7 @@ def test_unclosable_bracket_raises(monkeypatch):
 
     monkeypatch.setattr(solver, "_sweep", never_feasible)
     with pytest.raises(RuntimeError, match="bracket failed"):
-        solver.solve_inner(0.0, chan, cfg)
+        solver._search_lambda(solver._Problem(chan, cfg), 0.0)
     assert count[0] < 2000
 
 
@@ -325,7 +321,6 @@ def test_degenerate_configs_solve_or_reject(k, n, m, p_max_dbm,
         g_rn_ue=g[-kn:].reshape(k, n) if m else None,
         sector_of_ue=np.zeros(k, dtype=int) if m else None,
         noise_gap=cfg.noise_gap_watts, seed=0)
-    params = cfg.solver_params()
     for solve in (solver.solve_eem, solver.solve_sem):
         try:
             sol = solve(chan, cfg)
@@ -340,5 +335,5 @@ def test_degenerate_configs_solve_or_reject(k, n, m, p_max_dbm,
         assert check_feasibility(sol.allocation, cfg.radio(),
                                  cfg.power_model()) == []
         t = sol.trace
-        assert _sweeps(t) <= params.i_outer_max * params.i_inner_max
+        assert _sweeps(t) <= cfg.i_outer_max * cfg.i_inner_max
         assert set(t.stop_reasons) <= STOPS

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from helpers import best_feasible_f_on_grid, beta_quotient, dominance_holds, \
     kkt_residuals, sweep_at
 from relayopt.channel import ChannelRealization, generate_instance
-from relayopt.config import SystemConfig
+from relayopt.config import ConfigError, SystemConfig
 from relayopt.model import LN2, Direct, check_feasibility, system_rate
 import relayopt.solver as solver
-from relayopt.solver import (Solution, SolverParams, af_beta, solve_eem,
-                             solve_inner, solve_sem)
+from relayopt.solver import Solution, af_beta, solve_eem, solve_sem
 
 
 # ------------------------------------------------- closed-form kernel
@@ -199,40 +198,59 @@ def test_dead_links_idle_their_subcarrier():
         assert sol.trace.termination == "converged"
 
 
+def _inner_solve(q, chan, cfg):
+    """One multiplier search at fixed q: its allocation, the search and
+    the per-instance problem."""
+    prob = solver._Problem(chan, cfg)
+    search = solver._search_lambda(prob, q)
+    return solver._to_allocation(prob, search.sweep), search, prob
+
+
 def test_solve_inner_spends_budget_at_q_zero():
     cfg = SystemConfig(n_users=1, n_subcarriers=1, n_relays=0, p_max_dbm=0.0)
     chan = _single_link_channel(1e-10, cfg)
-    alloc, lam, trace = solve_inner(0.0, chan, cfg)
-    assert trace.converged
-    assert lam > 0.0
+    alloc, search, _ = _inner_solve(0.0, chan, cfg)
+    assert search.converged
+    assert search.sweep.lam > 0.0
     entry = alloc.entries[(0, 0)]
     assert entry.p_d == pytest.approx(cfg.p_max_w, rel=1e-5)
-    assert trace.p_used <= cfg.p_max_w * (1.0 + 1e-9)
+    assert search.sweep.p_used <= cfg.p_max_w * (1.0 + 1e-9)
 
 
 def test_solve_inner_idles_under_huge_price():
     cfg = SystemConfig(n_users=1, n_subcarriers=1, n_relays=0, p_max_dbm=0.0)
     chan = _single_link_channel(1e-10, cfg)
-    alloc, _, trace = solve_inner(1e12, chan, cfg)
+    alloc, search, _ = _inner_solve(1e12, chan, cfg)
     assert alloc.entries == {}
-    assert trace.p_used == 0.0
-
-
-def test_solve_inner_rejects_negative_q():
-    cfg = SystemConfig(n_users=1, n_subcarriers=1, n_relays=0)
-    chan = _single_link_channel(1e-10, cfg)
-    with pytest.raises(ValueError):
-        solve_inner(-1.0, chan, cfg)
+    assert search.sweep.p_used == 0.0
 
 
 def test_solve_inner_beats_multiplier_grid():
     cfg = SystemConfig(n_users=2, n_subcarriers=4, n_relays=1, p_max_dbm=0.0)
     _, chan = generate_instance(cfg, seed=5)
     for q in (0.001, 0.01):
-        _, _, trace = solve_inner(q, chan, cfg)
+        _, search, prob = _inner_solve(q, chan, cfg)
         lams = np.geomspace(1e-4, 1e8, 400)
         grid_best = best_feasible_f_on_grid(chan, cfg, q, lams)
-        assert trace.f_value >= grid_best - 1e-6 * max(1.0, abs(grid_best))
+        f_value = search.sweep.f_value(q, prob.p_fixed)
+        assert f_value >= grid_best - 1e-6 * max(1.0, abs(grid_best))
+
+
+@pytest.mark.parametrize("p_max_dbm", [-200.0, -300.0, -400.0])
+def test_budget_below_float_resolution_idles(p_max_dbm):
+    # p_max is below the float resolution of every water-level floor, so
+    # no water-filling level clears one: the solve idles and converges
+    cfg = SystemConfig(n_users=8, n_subcarriers=32, n_relays=3,
+                       p_max_dbm=p_max_dbm)
+    _, chan = generate_instance(cfg, cfg.master_seed)
+    eem = solve_eem(chan, cfg)
+    sem = solve_sem(chan, cfg, eem=eem)
+    for sol in (eem, sem):
+        assert sol.trace.termination == "converged"
+        assert sol.metrics.ee == 0.0
+        assert sol.metrics.tx_power_used == 0.0
+        assert check_feasibility(sol.allocation, cfg.radio(),
+                                 cfg.power_model()) == []
 
 
 def test_allocated_power_monotone_in_multiplier():
@@ -317,7 +335,7 @@ def test_sem_never_loses_rate_to_the_zero_q_solve():
     cfg = SystemConfig(n_users=3, n_subcarriers=8, n_relays=1, p_max_dbm=10.0)
     _, chan = generate_instance(cfg, seed=17)
     sem = solve_sem(chan, cfg)
-    alloc0, _, _ = solve_inner(0.0, chan, cfg)
+    alloc0, _, _ = _inner_solve(0.0, chan, cfg)
     rate0 = system_rate(alloc0, chan, cfg.radio())
     assert sem.metrics.rate_total >= rate0
     assert sem.trace.f_residual == pytest.approx(sem.metrics.rate_total,
@@ -420,12 +438,11 @@ def test_sem_rejects_an_eem_solved_for_something_else():
     eem = solve_eem(chan, cfg)
     with pytest.raises(ValueError, match="channel"):
         solve_sem(other_chan, cfg, eem=eem)
-    with pytest.raises(ValueError, match="config"):
-        solve_sem(chan, dataclasses.replace(cfg, p_max_dbm=10.0), eem=eem)
-    with pytest.raises(ValueError, match="solver parameters"):
-        solve_sem(chan, cfg, SolverParams(eps_outer=1e-6), eem=eem)
-    # the defaults the EEM solve used, passed explicitly, are accepted
-    solve_sem(chan, cfg, cfg.solver_params(), eem=eem)
+    for changed in ({"p_max_dbm": 10.0}, {"eps_outer": 1e-6}):
+        with pytest.raises(ValueError, match="eem was solved for another config"):
+            solve_sem(chan, dataclasses.replace(cfg, **changed), eem=eem)
+    # an equal copy of the config the EEM solve used is accepted
+    solve_sem(chan, dataclasses.replace(cfg), eem=eem)
     for bare in (Solution(eem.allocation, eem.metrics, eem.trace),
                  solve_sem(chan, cfg)):
         with pytest.raises(ValueError, match="no Dinkelbach trajectory"):
@@ -433,12 +450,15 @@ def test_sem_rejects_an_eem_solved_for_something_else():
 
 
 def test_solver_params_validation():
-    with pytest.raises(ValueError):
-        SolverParams(i_outer_max=0).validate()
-    with pytest.raises(ValueError):
-        SolverParams(eps_outer=0.0).validate()
-    with pytest.raises(ValueError):
-        SolverParams(i_inner_max=0).validate()
-    with pytest.raises(ValueError):
-        SolverParams(eps_outer=-1.0).validate()
-    SolverParams().validate()
+    # the solver settings are config keys: the library solves reject a
+    # bad one as load_config and the CLI do
+    cfg = SystemConfig(n_users=1, n_subcarriers=1, n_relays=0)
+    chan = _single_link_channel(1e-10, cfg)
+    for key, value in (("i_outer_max", 0), ("eps_outer", 0.0),
+                       ("i_inner_max", 0), ("eps_outer", -1.0),
+                       ("eps_outer", math.nan)):
+        bad = dataclasses.replace(cfg, **{key: value})
+        for solve in (solve_eem, solve_sem):
+            with pytest.raises(ConfigError, match=key):
+                solve(chan, bad)
+    solve_eem(chan, cfg)
