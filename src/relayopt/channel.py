@@ -65,7 +65,6 @@ def path_loss_db(distance_m, link_class: str, plm: PathLossModel):
 
 @dataclass
 class Topology:
-    cell_radius_m: float
     rn_positions: np.ndarray            # (M, 2) meters
     ue_positions: np.ndarray            # (K, 2) meters
     sector_of_ue: Optional[np.ndarray]  # (K,) relay index, None when M == 0
@@ -78,7 +77,6 @@ class ChannelRealization:
     g_rn_ue: Optional[np.ndarray]  # (K, N) access-link gains via the serving relay
     sector_of_ue: Optional[np.ndarray]
     noise_gap: float               # W, per-subcarrier noise power x SNR gap
-    seed: object                   # whatever seeded the fading draw
 
 
 def assign_sector(ue_angle, n_relays: int):
@@ -114,7 +112,7 @@ def build_topology(cfg: "SystemConfig", seed) -> Topology:
     ue = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
     sectors = assign_sector(theta, m) if m > 0 else None
-    return Topology(radius_m, rn, ue, sectors)
+    return Topology(rn, ue, sectors)
 
 
 def _gains(dist_m, link_class, plm, rng, n_subcarriers, fading):
@@ -129,16 +127,18 @@ def _gains(dist_m, link_class, plm, rng, n_subcarriers, fading):
     return e
 
 
-def sample_channel(topo: Topology, cfg, plm: PathLossModel, seed,
+def sample_channel(topo: Topology, cfg: "SystemConfig", seed,
                    fading: bool = True) -> ChannelRealization:
     """Draw one fading realization on top of the topology's path losses.
 
-    Deterministic in (topo, seed).  `fading=False` is a test hook that
-    returns the bare path-loss gains.
+    Path losses follow cfg.pathloss.  Deterministic in (topo, cfg,
+    seed).  `fading=False` is a test hook that returns the bare
+    path-loss gains.
     """
     rng = np.random.default_rng(seed)
     n = cfg.n_subcarriers
     m = len(topo.rn_positions)
+    plm = cfg.pathloss
 
     # UEs can land arbitrarily close to a transmitter; keep distances
     # positive and let the coupling-loss clamp bound the gain
@@ -165,7 +165,6 @@ def sample_channel(topo: Topology, cfg, plm: PathLossModel, seed,
         g_rn_ue=g_rn_ue,
         sector_of_ue=topo.sector_of_ue,
         noise_gap=cfg.noise_gap_watts,
-        seed=seed,
     )
 
 
@@ -178,5 +177,5 @@ def generate_instance(cfg: "SystemConfig", seed):
     ss = np.random.SeedSequence(seed)
     topo_seed, fade_seed = ss.spawn(2)
     topo = build_topology(cfg, topo_seed)
-    chan = sample_channel(topo, cfg, cfg.pathloss, fade_seed)
+    chan = sample_channel(topo, cfg, fade_seed)
     return topo, chan

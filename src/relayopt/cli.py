@@ -16,6 +16,7 @@ RELAYOPT_CONFIG names a default config file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -83,9 +84,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve one channel instance")
     _add_common(p)
-    p.add_argument("--algorithm", choices=("eem", "sem"), default="eem")
     p.add_argument("--sem", action="store_true",
-                   help="shorthand for --algorithm sem")
+                   help="maximize spectral efficiency (SEM) instead of EEM")
     p.add_argument("--exact-snr", action="store_true",
                    help="also report metrics under the exact AF SNR")
     p.add_argument("--strict", action="store_true",
@@ -96,7 +96,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--scenario", required=True,
                    help="built-in scenario name (see `scenarios`)")
     p.add_argument("--out", default=None,
-                   help="CSV output path (default: stdout)")
+                   help="CSV output path (default or '-': stdout)")
     p.add_argument("--json", dest="json_out", default=None,
                    help="also write a JSON mirror here")
     p.add_argument("--samples", type=int, default=None)
@@ -116,7 +116,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("convergence", help="outer-loop trace as JSON lines")
     _add_common(p)
     p.add_argument("--out", default=None,
-                   help="output path (default: stdout)")
+                   help="output path (default or '-': stdout)")
 
     sub.add_parser("scenarios", help="list built-in sweep scenarios")
     return parser
@@ -233,13 +233,22 @@ def _solution_doc(sol: Solution) -> dict:
             "trace": dataclasses.asdict(sol.trace)}
 
 
+@contextlib.contextmanager
+def _output(path):
+    """The stream `--out` names: stdout when it is unset, empty or "-"."""
+    if not path or path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:  # csv writes its own \r\n
+            yield fh
+
+
 def _cmd_solve(args) -> int:
     cfg = _load_cfg(args)
     _, chan = generate_instance(cfg, cfg.master_seed)
-    algorithm = "sem" if args.sem else args.algorithm
-    sol = solve_sem(chan, cfg) if algorithm == "sem" else solve_eem(chan, cfg)
+    sol = solve_sem(chan, cfg) if args.sem else solve_eem(chan, cfg)
     doc = _solution_doc(sol)
-    doc["algorithm"] = algorithm.upper()
+    doc["algorithm"] = "SEM" if args.sem else "EEM"
     doc["seed"] = cfg.master_seed
     if args.exact_snr:
         exact = compute_metrics(sol.allocation, chan, cfg.radio(),
@@ -268,7 +277,8 @@ def _cmd_sweep(args) -> int:
         spec = dataclasses.replace(spec, algorithms=algs)
 
     records = run_sweep(spec)
-    write_csv(records, args.out if args.out and args.out != "-" else sys.stdout)
+    with _output(args.out) as stream:
+        write_csv(records, stream)
     if args.json_out:
         write_json(records, args.json_out)
     return 0
@@ -283,7 +293,6 @@ def _cmd_oracle(args) -> int:
     grid = GridSpec(power_points=args.power_points,
                     beta_points=args.beta_points,
                     refine_rounds=args.refine_rounds)
-    grid.validate()
     results = []
     for i in range(args.seeds):
         seed = cfg.master_seed + i
@@ -327,8 +336,7 @@ def _cmd_convergence(args) -> int:
     _, chan = generate_instance(cfg, cfg.master_seed)
     sol = solve_eem(chan, cfg)
     t = sol.trace
-    stream = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args.out) as stream:
         cumulative = 0
         for i, q in enumerate(t.q_sequence):
             cumulative += t.inner_iterations_per_outer[i]
@@ -341,9 +349,6 @@ def _cmd_convergence(args) -> int:
                    "search_sweeps": t.search_sweeps[i],
                    "stop_reason": t.stop_reasons[i]}
             stream.write(json.dumps(row, default=_json_safe) + "\n")
-    finally:
-        if args.out:
-            stream.close()
     return 0
 
 

@@ -62,17 +62,12 @@ class SystemConfig:
         return dbm_to_watts(self.p_max_dbm)
 
     @property
-    def cell_radius_m(self) -> float:
-        return self.cell_radius_km * 1000.0
-
-    @property
     def noise_gap_watts(self) -> float:
         return self.radio().noise_gap_watts
 
     def radio(self) -> RadioConfig:
         return RadioConfig(
             n_subcarriers=self.n_subcarriers,
-            n_users=self.n_users,
             n_relays=self.n_relays,
             subcarrier_bw_hz=self.subcarrier_bw_hz,
             noise_psd_dbm_hz=self.noise_psd_dbm_hz,

@@ -42,21 +42,12 @@ class PowerModel:
     xi_rn: float = 5.0    # drain-efficiency reciprocal, relay amplifier
     p_max: float = 1e-3   # W, total instantaneous transmit budget
 
-    def validate(self) -> None:
-        if not (self.xi_bs > 1.0 and self.xi_rn > 1.0):
-            raise ValueError("drain-efficiency reciprocals must exceed 1")
-        if self.p_c_bs < 0.0 or self.p_c_rn < 0.0:
-            raise ValueError("fixed consumption terms must be >= 0")
-        if not self.p_max > 0.0:
-            raise ValueError("transmit budget must be positive")
-
 
 @dataclass
 class RadioConfig:
     """OFDMA dimensions and noise description."""
 
     n_subcarriers: int = 32
-    n_users: int = 8
     n_relays: int = 3
     subcarrier_bw_hz: float = 12e3      # Hz per subcarrier
     noise_psd_dbm_hz: float = -174.0    # thermal noise floor
@@ -85,10 +76,6 @@ class Af:
 
     p_bs: float  # W, first hop
     p_rn: float  # W, second hop
-
-    @property
-    def p_total(self) -> float:
-        return self.p_bs + self.p_rn
 
 
 class Allocation:
@@ -211,7 +198,7 @@ def _sum_in_order(terms: np.ndarray, start: float = 0.0) -> float:
     return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
 
 
-def system_rate(alloc: Allocation, chan, cfg: RadioConfig, exact_snr: bool = False) -> float:
+def system_rate(alloc: Allocation, chan, exact_snr: bool = False) -> float:
     """Sum rate over allocated subcarriers, bits/s/Hz.
 
     Un-normalized sum; divide by N for the per-subcarrier average that
@@ -235,6 +222,11 @@ def system_rate(alloc: Allocation, chan, cfg: RadioConfig, exact_snr: bool = Fal
     return _sum_in_order(rate)
 
 
+def circuit_power(pm: PowerModel, n_relays: int) -> float:
+    """Fixed consumption in watts: the BS plus n_relays relays."""
+    return pm.p_c_bs + n_relays * pm.p_c_rn
+
+
 def system_power(alloc: Allocation, pm: PowerModel, n_relays: int) -> float:
     """Total consumed power in watts: fixed circuitry + amplifier drain.
 
@@ -244,7 +236,7 @@ def system_power(alloc: Allocation, pm: PowerModel, n_relays: int) -> float:
     drain = np.where(alloc.af,
                      0.5 * (pm.xi_bs * alloc.p_bs + pm.xi_rn * alloc.p_rn),
                      pm.xi_bs * alloc.p_bs)
-    return _sum_in_order(drain, pm.p_c_bs + n_relays * pm.p_c_rn)
+    return _sum_in_order(drain, circuit_power(pm, n_relays))
 
 
 def tx_power_used(alloc: Allocation) -> float:
@@ -264,13 +256,17 @@ def af_fraction(alloc: Allocation) -> float:
     return len(set(alloc.subcarrier[alloc.af].tolist())) / alloc.n_subcarriers
 
 
-def check_feasibility(alloc: Allocation, cfg: RadioConfig, pm: PowerModel,
-                      tol: float = 1e-9) -> list:
+# relative slack of the budget check: multiplier searches converge inexactly
+_BUDGET_RTOL = 1e-9
+
+
+def check_feasibility(alloc: Allocation, cfg: RadioConfig, pm: PowerModel) -> list:
     """Return a list of violation strings; empty means feasible.
 
     Checks: non-negative powers, at most one active entry per
-    subcarrier, and the radiated-power budget (with relative slack tol,
-    since multiplier searches converge inexactly).
+    subcarrier, and the radiated-power budget (with relative slack
+    _BUDGET_RTOL).  `cfg` is not read; it stays for callers that pass
+    the radio configuration by position.
     """
     neg = (alloc.p_bs < 0.0) | (alloc.p_rn < 0.0)
     violations = [f"negative-power: user {k} subcarrier {n}" for k, n in
@@ -282,7 +278,7 @@ def check_feasibility(alloc: Allocation, cfg: RadioConfig, pm: PowerModel,
             f"subcarrier-exclusivity: subcarrier {n} assigned to users {users}"
         )
     used = tx_power_used(alloc)
-    if used > pm.p_max * (1.0 + tol):
+    if used > pm.p_max * (1.0 + _BUDGET_RTOL):
         violations.append(
             f"power-budget: radiated {used:.6e} W exceeds budget {pm.p_max:.6e} W"
         )
@@ -292,7 +288,7 @@ def check_feasibility(alloc: Allocation, cfg: RadioConfig, pm: PowerModel,
 def compute_metrics(alloc: Allocation, chan, cfg: RadioConfig, pm: PowerModel,
                     exact_snr: bool = False) -> Metrics:
     """Assemble the full metric set for one allocation."""
-    rate = system_rate(alloc, chan, cfg, exact_snr=exact_snr)
+    rate = system_rate(alloc, chan, exact_snr=exact_snr)
     power = system_power(alloc, pm, cfg.n_relays)
     n = cfg.n_subcarriers
     return Metrics(

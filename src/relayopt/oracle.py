@@ -54,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import LN2, Af, Allocation, Direct, compute_metrics
+from .model import LN2, Af, Allocation, Direct, circuit_power, compute_metrics
 from .solver import Solution, SolverTrace
 
 _P_FLOOR_REL = 1e-6     # grid floor relative to the budget
@@ -307,7 +307,7 @@ def _scan_assignment(active, chan, cfg, pm, grid, memo=None):
     that re-grids the brackets of the other does not scan them again.
     """
     memo = {} if memo is None else memo
-    p_fixed = pm.p_c_bs + cfg.n_relays * pm.p_c_rn
+    p_fixed = circuit_power(pm, cfg.n_relays)
     if not active:
         return 0.0, [], 0.0, []
 
@@ -412,7 +412,7 @@ def _brute_force(chan, cfg, grid: Optional[GridSpec] = None):
     grid = grid if grid is not None else GridSpec()
     grid.validate()
     pm = cfg.power_model()
-    p_fixed = pm.p_c_bs + cfg.n_relays * pm.p_c_rn
+    p_fixed = circuit_power(pm, cfg.n_relays)
     assignments = [[(n, slot[0], slot[1]) for n, slot in enumerate(assignment)
                     if slot is not None]
                    for assignment in enumerate_assignments(

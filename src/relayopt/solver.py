@@ -59,6 +59,7 @@ from .model import (
     LN2,
     Allocation,
     Metrics,
+    circuit_power,
     compute_metrics,
 )
 
@@ -201,7 +202,7 @@ class _Problem:
         self.pm = pm
         self.radio = cfg.radio()
         self.p_max = pm.p_max
-        self.p_fixed = pm.p_c_bs + cfg.n_relays * pm.p_c_rn
+        self.p_fixed = circuit_power(pm, cfg.n_relays)
         self.xi_bs = pm.xi_bs
         self.xi_rn = pm.xi_rn
         self.ngap = chan.noise_gap
@@ -672,8 +673,8 @@ def _dinkelbach_steps(prob: _Problem):
         search = _search_lambda(prob, q, hint)
         sweep = search.sweep
         f_val = sweep.f_value(q, prob.p_fixed)
-        p_total = prob.p_fixed + sweep.cons_sum
-        q_new = sweep.rate_sum / p_total if p_total > 0.0 else 0.0
+        power = prob.p_fixed + sweep.cons_sum
+        q_new = sweep.rate_sum / power if power > 0.0 else 0.0
         if steps and f_val < 0.0:
             steps.append(_OuterStep(q, search, f_val, q_new, accepted=False))
             termination = "converged"

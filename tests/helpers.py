@@ -335,7 +335,7 @@ def reference_allocation(prob, sweep):
     return Allocation(prob.n_users, prob.n_subcarriers, entries)
 
 
-def reference_system_rate(alloc, chan, cfg, exact_snr=False):
+def reference_system_rate(alloc, chan, exact_snr=False):
     """Per-entry loop over alloc.entries: the sum model.system_rate must match."""
     if alloc.entries and chan.noise_gap <= 0.0:
         raise ValueError("noise_gap must be positive")
@@ -401,7 +401,7 @@ def reference_check_feasibility(alloc, cfg, pm, tol=1e-9):
 
 def reference_metrics(alloc, chan, cfg, pm, exact_snr=False):
     """model.compute_metrics assembled from the per-entry loops above."""
-    rate = reference_system_rate(alloc, chan, cfg, exact_snr=exact_snr)
+    rate = reference_system_rate(alloc, chan, exact_snr=exact_snr)
     power = reference_system_power(alloc, pm, cfg.n_relays)
     n = cfg.n_subcarriers
     return Metrics(

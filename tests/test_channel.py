@@ -116,54 +116,54 @@ def test_build_topology_deterministic():
     assert np.array_equal(a.sector_of_ue, b.sector_of_ue)
 
 
-def test_sample_channel_deterministic(plm):
+def test_sample_channel_deterministic():
     cfg = SystemConfig(n_users=4, n_subcarriers=8, n_relays=2)
     topo = build_topology(cfg, seed=3)
-    a = sample_channel(topo, cfg, plm, seed=9)
-    b = sample_channel(topo, cfg, plm, seed=9)
+    a = sample_channel(topo, cfg, seed=9)
+    b = sample_channel(topo, cfg, seed=9)
     assert np.array_equal(a.g_bs_ue, b.g_bs_ue)
     assert np.array_equal(a.g_bs_rn, b.g_bs_rn)
     assert np.array_equal(a.g_rn_ue, b.g_rn_ue)
-    c = sample_channel(topo, cfg, plm, seed=10)
+    c = sample_channel(topo, cfg, seed=10)
     assert not np.array_equal(a.g_bs_ue, c.g_bs_ue)
 
 
-def test_sample_channel_no_fading_equals_pathloss(plm):
+def test_sample_channel_no_fading_equals_pathloss():
     cfg = SystemConfig(n_users=4, n_subcarriers=8, n_relays=2)
     topo = build_topology(cfg, seed=3)
-    chan = sample_channel(topo, cfg, plm, seed=9, fading=False)
+    chan = sample_channel(topo, cfg, seed=9, fading=False)
     d = np.maximum(np.hypot(topo.ue_positions[:, 0], topo.ue_positions[:, 1]), 1e-3)
-    expect = 10.0 ** (-path_loss_db(d, "bs_ue_nlos", plm) / 10.0)
+    expect = 10.0 ** (-path_loss_db(d, "bs_ue_nlos", cfg.pathloss) / 10.0)
     assert np.array_equal(chan.g_bs_ue, np.repeat(expect[:, None], 8, axis=1))
     # flat across subcarriers without fading
     assert np.all(chan.g_rn_ue == chan.g_rn_ue[:, :1])
 
 
-def test_sample_channel_fading_statistics(plm):
+def test_sample_channel_fading_statistics():
     cfg = SystemConfig(n_users=200, n_subcarriers=64, n_relays=0)
     topo = build_topology(cfg, seed=21)
-    faded = sample_channel(topo, cfg, plm, seed=22)
-    flat = sample_channel(topo, cfg, plm, seed=22, fading=False)
+    faded = sample_channel(topo, cfg, seed=22)
+    flat = sample_channel(topo, cfg, seed=22, fading=False)
     ratio = faded.g_bs_ue / flat.g_bs_ue  # unit-mean exponential draws
     assert np.all(faded.g_bs_ue > 0.0)
     assert np.mean(ratio) == pytest.approx(1.0, abs=0.05)
     assert np.var(ratio) == pytest.approx(1.0, abs=0.1)
 
 
-def test_sample_channel_shapes_without_relays(plm):
+def test_sample_channel_shapes_without_relays():
     cfg = SystemConfig(n_users=3, n_subcarriers=5, n_relays=0)
     topo = build_topology(cfg, seed=4)
-    chan = sample_channel(topo, cfg, plm, seed=5)
+    chan = sample_channel(topo, cfg, seed=5)
     assert chan.g_bs_ue.shape == (3, 5)
     assert chan.g_bs_rn.shape == (0, 5)
     assert chan.g_rn_ue is None
     assert chan.sector_of_ue is None
 
 
-def test_sample_channel_noise_gap_matches_config(plm):
+def test_sample_channel_noise_gap_matches_config():
     cfg = SystemConfig(n_users=2, n_subcarriers=2, n_relays=0, snr_gap_db=3.0)
     topo = build_topology(cfg, seed=1)
-    chan = sample_channel(topo, cfg, plm, seed=2)
+    chan = sample_channel(topo, cfg, seed=2)
     assert chan.noise_gap == cfg.noise_gap_watts
 
 

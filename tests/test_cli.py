@@ -67,9 +67,9 @@ def test_solve_allocation_refeasibility(capsys):
 def test_solve_sem_flag(capsys):
     doc = _solve_doc(capsys, ["solve", "--sem", "--k", "2", "--n", "4"])
     assert doc["algorithm"] == "SEM"
-    doc = _solve_doc(capsys, ["solve", "--algorithm", "sem",
-                              "--k", "2", "--n", "4"])
-    assert doc["algorithm"] == "SEM"
+    # --sem is the one SEM switch
+    assert main(["solve", "--algorithm", "sem", "--k", "2", "--n", "4"]) == 1
+    assert "--algorithm" in capsys.readouterr().err
 
 
 def test_solve_exact_snr_view(capsys):
@@ -219,6 +219,19 @@ def test_convergence_trace_to_file(tmp_path):
     assert main(argv) == 0
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert rows and rows[0]["iteration"] == 1
+
+
+def test_out_dash_means_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["convergence", "--k", "2", "--n", "4", "--m", "1", "--out", "-"]
+    assert main(argv) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows and rows[0]["iteration"] == 1
+    argv = ["sweep", "--scenario", "convergence", "--samples", "1",
+            "--k", "2", "--n", "4", "--out", "-"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == ",".join(CSV_COLUMNS)
+    assert not (tmp_path / "-").exists()
 
 
 def test_oracle_certification_report(capsys):

@@ -27,7 +27,6 @@ def test_defaults_match_reference_parameters():
 def test_derived_views():
     cfg = SystemConfig(p_max_dbm=0.0)
     assert cfg.p_max_w == pytest.approx(1e-3, rel=1e-12)
-    assert cfg.cell_radius_m == 1500.0
     assert cfg.power_model().p_max == cfg.p_max_w
     assert cfg.radio().n_subcarriers == 32
 

@@ -45,8 +45,8 @@ def test_search_matches_reference_bisection(monkeypatch):
         eem = solver.solve_eem(chan, cfg)
         sem = solver.solve_sem(chan, cfg)
         # SEM returns the highest-rate iterate of the same trajectory
-        ref_se = max(system_rate(solver._to_allocation(prob, r.sweep), chan,
-                                 cfg.radio()) for _, r in calls)
+        ref_se = max(system_rate(solver._to_allocation(prob, r.sweep), chan)
+                     for _, r in calls)
 
         problems = []
         for q, r in calls:
@@ -190,8 +190,8 @@ def test_large_jump_seed_settles_in_few_sweeps():
         mp.setattr(solver, "_search_lambda", reference)
         ref = solver.solve_eem(chan, cfg)
     prob = ref._trajectory.prob
-    ref_se = max(system_rate(solver._to_allocation(prob, r.sweep), chan,
-                             cfg.radio()) for r in calls)
+    ref_se = max(system_rate(solver._to_allocation(prob, r.sweep), chan)
+                 for r in calls)
     eem = solver.solve_eem(chan, cfg)
     sem = solver.solve_sem(chan, cfg, eem=eem)
     assert eem.trace.stop_reasons == ["jump-point"] * 4
@@ -320,7 +320,7 @@ def test_degenerate_configs_solve_or_reject(k, n, m, p_max_dbm,
         g_bs_ue=g[:kn].reshape(k, n), g_bs_rn=g[kn:kn + m * n].reshape(m, n),
         g_rn_ue=g[-kn:].reshape(k, n) if m else None,
         sector_of_ue=np.zeros(k, dtype=int) if m else None,
-        noise_gap=cfg.noise_gap_watts, seed=0)
+        noise_gap=cfg.noise_gap_watts)
     for solve in (solver.solve_eem, solver.solve_sem):
         try:
             sol = solve(chan, cfg)

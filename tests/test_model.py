@@ -85,30 +85,28 @@ def _tiny_channel(k=2, n=2, m=1, noise_gap=1.0):
     sectors = np.zeros(k, dtype=int) if m else None
     return ChannelRealization(g_bs_ue=g_bs_ue, g_bs_rn=g_bs_rn,
                               g_rn_ue=g_rn_ue, sector_of_ue=sectors,
-                              noise_gap=noise_gap, seed=0)
+                              noise_gap=noise_gap)
 
 
 def test_system_rate_idle_and_single_entry():
-    cfg = RadioConfig(n_subcarriers=2, n_users=2, n_relays=1)
     chan = _tiny_channel()
     empty = Allocation(2, 2, {})
-    assert system_rate(empty, chan, cfg) == 0.0
+    assert system_rate(empty, chan) == 0.0
     # direct entry arranged for snr exactly 1: p*g/ngap = 1
     alloc = Allocation(2, 2, {(0, 0): Direct(1.0)})  # g_bs_ue[0,0] = 1
-    assert system_rate(alloc, chan, cfg) == pytest.approx(1.0, rel=1e-15)
+    assert system_rate(alloc, chan) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_system_rate_matches_hand_summation():
-    cfg = RadioConfig(n_subcarriers=2, n_users=2, n_relays=1)
     chan = _tiny_channel()
     alloc = Allocation(2, 2, {(0, 0): Direct(0.7), (1, 1): Af(0.3, 0.2)})
     g1 = chan.g_bs_rn[0, 1] * 0.3 / chan.noise_gap
     g2 = chan.g_rn_ue[1, 1] * 0.2 / chan.noise_gap
     expect = (math.log2(1.0 + 0.7 * chan.g_bs_ue[0, 0] / chan.noise_gap)
               + 0.5 * math.log2(1.0 + g1 * g2 / (g1 + g2)))
-    assert system_rate(alloc, chan, cfg) == pytest.approx(expect, rel=1e-12)
-    exact = system_rate(alloc, chan, cfg, exact_snr=True)
-    assert exact <= system_rate(alloc, chan, cfg)
+    assert system_rate(alloc, chan) == pytest.approx(expect, rel=1e-12)
+    exact = system_rate(alloc, chan, exact_snr=True)
+    assert exact <= system_rate(alloc, chan)
 
 
 def test_system_power_hand_values():
@@ -160,7 +158,7 @@ def test_af_fraction_counting():
 
 
 def test_check_feasibility_cases():
-    cfg = RadioConfig(n_subcarriers=2, n_users=2, n_relays=1)
+    cfg = RadioConfig(n_subcarriers=2, n_relays=1)
     pm = PowerModel(p_max=1.0)
     assert check_feasibility(Allocation(2, 2, {}), cfg, pm) == []
     # double booking one subcarrier
@@ -177,14 +175,6 @@ def test_check_feasibility_cases():
     assert any("negative-power" in v for v in check_feasibility(neg, cfg, pm))
 
 
-def test_power_model_validation():
-    with pytest.raises(ValueError):
-        PowerModel(xi_bs=0.9).validate()
-    with pytest.raises(ValueError):
-        PowerModel(p_max=0.0).validate()
-    PowerModel().validate()
-
-
 def test_radio_config_noise_gap():
     cfg = RadioConfig()
     # -174 dBm/Hz over 12 kHz, no SNR gap
@@ -195,12 +185,12 @@ def test_radio_config_noise_gap():
 
 
 def test_compute_metrics_consistency():
-    cfg = RadioConfig(n_subcarriers=2, n_users=2, n_relays=1)
+    cfg = RadioConfig(n_subcarriers=2, n_relays=1)
     pm = PowerModel(p_max=2.0)
     chan = _tiny_channel()
     alloc = Allocation(2, 2, {(0, 0): Direct(0.7), (1, 1): Af(0.3, 0.2)})
     met = compute_metrics(alloc, chan, cfg, pm)
-    assert met.rate_total == pytest.approx(system_rate(alloc, chan, cfg), rel=1e-15)
+    assert met.rate_total == pytest.approx(system_rate(alloc, chan), rel=1e-15)
     assert met.power_total == pytest.approx(system_power(alloc, pm, 1), rel=1e-15)
     assert met.ee == pytest.approx(met.rate_total / met.power_total, rel=1e-15)
     assert met.rate_per_subcarrier == pytest.approx(met.rate_total / 2, rel=1e-15)

@@ -59,7 +59,7 @@ def _chan(cfg, g_bs_ue, g_bs_rn=None, g_rn_ue=None):
                  else np.empty((0, cfg.n_subcarriers))),
         g_rn_ue=np.asarray(g_rn_ue, dtype=float) if g_rn_ue is not None else None,
         sector_of_ue=np.zeros(cfg.n_users, dtype=int) if m else None,
-        noise_gap=cfg.noise_gap_watts, seed=0)
+        noise_gap=cfg.noise_gap_watts)
 
 
 def test_single_direct_grid_matches_continuous_optimum():

@@ -117,7 +117,7 @@ def test_single_user_constructed_channel(monkeypatch):
     cfg = SystemConfig(n_users=1, n_subcarriers=1, n_relays=0)
     chan = ChannelRealization(
         g_bs_ue=np.array([[1e-10]]), g_bs_rn=np.empty((0, 1)), g_rn_ue=None,
-        sector_of_ue=None, noise_gap=cfg.noise_gap_watts, seed=0)
+        sector_of_ue=None, noise_gap=cfg.noise_gap_watts)
     assert _compare(monkeypatch, chan, cfg) == []
 
 

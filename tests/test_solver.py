@@ -159,7 +159,7 @@ def test_af_candidate_clamps_to_zero():
 def _single_link_channel(gain, cfg):
     return ChannelRealization(
         g_bs_ue=np.array([[gain]]), g_bs_rn=np.empty((0, 1)), g_rn_ue=None,
-        sector_of_ue=None, noise_gap=cfg.noise_gap_watts, seed=0)
+        sector_of_ue=None, noise_gap=cfg.noise_gap_watts)
 
 
 def _af_channel(cfg, g_bs_ue, g_bs_rn, g_rn_ue):
@@ -167,8 +167,7 @@ def _af_channel(cfg, g_bs_ue, g_bs_rn, g_rn_ue):
         g_bs_ue=np.array(g_bs_ue, dtype=float),
         g_bs_rn=np.array(g_bs_rn, dtype=float),
         g_rn_ue=np.array(g_rn_ue, dtype=float),
-        sector_of_ue=np.zeros(1, dtype=int), noise_gap=cfg.noise_gap_watts,
-        seed=0)
+        sector_of_ue=np.zeros(1, dtype=int), noise_gap=cfg.noise_gap_watts)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-10])
@@ -336,7 +335,7 @@ def test_sem_never_loses_rate_to_the_zero_q_solve():
     _, chan = generate_instance(cfg, seed=17)
     sem = solve_sem(chan, cfg)
     alloc0, _, _ = _inner_solve(0.0, chan, cfg)
-    rate0 = system_rate(alloc0, chan, cfg.radio())
+    rate0 = system_rate(alloc0, chan)
     assert sem.metrics.rate_total >= rate0
     assert sem.trace.f_residual == pytest.approx(sem.metrics.rate_total,
                                                  rel=1e-9)
