@@ -98,7 +98,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None,
                    help="CSV output path (default or '-': stdout)")
     p.add_argument("--json", dest="json_out", default=None,
-                   help="also write a JSON mirror here")
+                   help="also write a JSON mirror to this file (not '-')")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--algorithms", default=None,
                    help="comma list, e.g. EEM,SEM")
@@ -263,6 +263,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.json_out == "-":
+        raise ValueError("--json needs a file path: on stdout the JSON "
+                         "mirror would interleave with the CSV")
     scenarios = builtin_scenarios()
     if args.scenario not in scenarios:
         raise ConfigError(f"unknown scenario {args.scenario!r}; "

@@ -5,8 +5,8 @@ configuration.  Every grid point solves the same `samples` channel
 realizations (seed = the base configuration's master_seed + sample
 index), so curves across grid points and across algorithms are paired
 sample-by-sample.  SEM is read off the Dinkelbach trajectory that EEM
-computes, so where EEM runs first a sample solves that trajectory once
-and derives both answers from it.
+computes, so each sample solves that trajectory once and derives both
+answers from it, in whatever order the algorithms are listed.
 
 A grid point's record holds means over its converged samples; the seeds
 of the samples that failed to converge are listed in the JSON mirror.
@@ -112,20 +112,13 @@ def aggregate(values: Sequence[float]) -> Tuple[float, float]:
 
 
 def _solve_sample(cfg: SystemConfig, seed: int, algorithms):
-    """One channel realization solved by every requested algorithm.
-
-    Where EEM runs before SEM, SEM reuses its Dinkelbach trajectory.
-    """
+    """One channel realization solved by every requested algorithm:
+    one EEM solve, from whose Dinkelbach trajectory SEM is read."""
     _, chan = generate_instance(cfg, seed)
+    eem = _ALGORITHMS["EEM"](chan, cfg)
     out = {}
-    eem = None
     for alg in algorithms:
-        if alg == "SEM" and eem is not None:
-            sol = _ALGORITHMS[alg](chan, cfg, eem=eem)
-        else:
-            sol = _ALGORITHMS[alg](chan, cfg)
-        if alg == "EEM":
-            eem = sol
+        sol = eem if alg == "EEM" else _ALGORITHMS["SEM"](chan, cfg, eem=eem)
         t = sol.trace
         out[alg] = (
             sol.metrics.rate_per_subcarrier,

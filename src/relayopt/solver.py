@@ -734,10 +734,10 @@ def solve_eem(chan: "ChannelRealization", cfg: "SystemConfig") -> Solution:
 
 def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig", *,
               eem: Optional[Solution] = None) -> Solution:
-    """Spectral-efficiency maximization.
+    """Spectral-efficiency maximization, read off an EEM solve.
 
-    Runs the same outer trajectory as the energy-efficiency solve and
-    returns the highest-rate feasible iterate.  The q=0 solve alone is
+    Reads the outer trajectory of solve_eem(chan, cfg) and returns the
+    highest-rate feasible iterate.  The q=0 solve alone is
     the textbook answer, but at a budget-crossing assignment switch its
     dual search cannot exhaust the budget, and an iterate solved at
     q > 0 (whose water levels tilt slightly toward the cheap hops) can
@@ -750,31 +750,28 @@ def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig", *,
     trajectory.
 
     eem, a solve_eem(chan, cfg) result for this very `chan` object
-    (unchanged since) and an equal cfg, hands over that solve's
-    trajectory: no search is run again, and the EEM answer's allocation
-    and metrics stand for its own iterate.  The result is the same as
-    without it.  An eem that carries no trajectory, or was solved for
-    another channel or config, raises ValueError.
+    (unchanged since) and an equal cfg, is the solve to read: no search
+    is run again, and the EEM answer's allocation and metrics stand for
+    its own iterate.  Without it, solve_eem(chan, cfg) runs first.  An
+    eem that carries no trajectory, or was solved for another channel or
+    config, raises ValueError.
     """
     if eem is None:
-        prob = _Problem(chan, cfg)
-        steps, _ = _dinkelbach_steps(prob)
-        reused = None
-    else:
-        traj = eem._trajectory
-        if traj is None:
-            raise ValueError("eem carries no Dinkelbach trajectory")
-        if traj.prob.chan is not chan:
-            raise ValueError("eem was solved for another channel")
-        if traj.prob.cfg != cfg:
-            raise ValueError("eem was solved for another config")
-        prob, steps, reused = traj.prob, traj.steps, traj.incumbent
+        eem = solve_eem(chan, cfg)
+    traj = eem._trajectory
+    if traj is None:
+        raise ValueError("eem carries no Dinkelbach trajectory")
+    if traj.prob.chan is not chan:
+        raise ValueError("eem was solved for another channel")
+    if traj.prob.cfg != cfg:
+        raise ValueError("eem was solved for another config")
+    prob, steps = traj.prob, traj.steps
 
     best = None
     best_alloc = None
     best_metrics = None
     for s in steps:
-        if s is reused:
+        if s is traj.incumbent:
             alloc, metrics = eem.allocation, eem.metrics
         else:
             alloc = _to_allocation(prob, s.sweep)

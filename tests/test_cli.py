@@ -234,6 +234,18 @@ def test_out_dash_means_stdout(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "-").exists()
 
 
+def test_sweep_json_dash_is_rejected(tmp_path, monkeypatch, capsys):
+    # the JSON mirror has no stdout form: it would interleave with the CSV
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--scenario", "convergence", "--samples", "1",
+            "--k", "2", "--n", "4", "--json", "-"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --json needs a file path")
+    assert not (tmp_path / "-").exists()
+
+
 def test_oracle_certification_report(capsys):
     argv = ["oracle", "--k", "2", "--n", "2", "--m", "1", "--seeds", "2",
             "--power-points", "60", "--beta-points", "31",

@@ -196,6 +196,8 @@ def test_standard_errors_are_nonnegative():
 
 
 def test_sweep_runs_one_trajectory_per_sample_when_eem_goes_first(monkeypatch):
+    # one Dinkelbach run per sample whatever the algorithms and their
+    # order, and the same records in any order
     runs = []
     real = solver._dinkelbach_steps
 
@@ -206,15 +208,18 @@ def test_sweep_runs_one_trajectory_per_sample_when_eem_goes_first(monkeypatch):
     monkeypatch.setattr(solver, "_dinkelbach_steps", counted)
     base = _small_base()
     axes = {"p_max_dbm": [-30.0, 60.0]}
-    eem_first = run_sweep(SweepSpec(name="pair", base=base, axes=axes,
-                                    samples=3, algorithms=("EEM", "SEM")))
-    assert len(runs) == 2 * 3
-    runs.clear()
-    sem_first = run_sweep(SweepSpec(name="pair", base=base, axes=axes,
-                                    samples=3, algorithms=("SEM", "EEM")))
-    assert len(runs) == 2 * 3 * 2  # SEM cannot reuse a later EEM solve
     key = lambda r: (r.p_max_dbm, r.algorithm)
-    assert sorted(eem_first, key=key) == sorted(sem_first, key=key)
+    records = {}
+    for algorithms in (("EEM", "SEM"), ("SEM", "EEM"), ("SEM",)):
+        runs.clear()
+        records[algorithms] = sorted(run_sweep(SweepSpec(
+            name="pair", base=base, axes=axes, samples=3,
+            algorithms=algorithms)), key=key)
+        assert len(runs) == 2 * 3, algorithms
+        assert len(set(map(id, runs))) == 2 * 3, algorithms
+    assert records[("EEM", "SEM")] == records[("SEM", "EEM")]
+    assert records[("SEM",)] == [r for r in records[("EEM", "SEM")]
+                                 if r.algorithm == "SEM"]
 
 
 def test_failed_seeds_are_listed_in_the_json_only(tmp_path):
