@@ -227,10 +227,16 @@ def _allocation_doc(alloc) -> dict:
             "entries": entries}
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, values as they are: the document is
+    only written out, so nothing needs asdict's deep copies."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _solution_doc(sol: Solution) -> dict:
     return {"allocation": _allocation_doc(sol.allocation),
-            "metrics": dataclasses.asdict(sol.metrics),
-            "trace": dataclasses.asdict(sol.trace)}
+            "metrics": _fields(sol.metrics),
+            "trace": _fields(sol.trace)}
 
 
 @contextlib.contextmanager
@@ -253,7 +259,7 @@ def _cmd_solve(args) -> int:
     if args.exact_snr:
         exact = compute_metrics(sol.allocation, chan, cfg.radio(),
                                 cfg.power_model(), exact_snr=True)
-        doc["metrics_exact"] = dataclasses.asdict(exact)
+        doc["metrics_exact"] = _fields(exact)
     _dump(doc, sys.stdout)
     if args.strict and sol.trace.termination != "converged":
         print(f"solver did not converge ({sol.trace.termination})",

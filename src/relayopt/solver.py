@@ -45,6 +45,14 @@ lie within a few ulps, so that the rounded marginals could order them
 either way, or where every marginal of a subcarrier rounds to zero
 while the shortlisted winner has a positive power (one below about
 1.1e-16/alpha), since the full sweep then picks candidate 0.
+
+A sweep writes the shortlist's powers, alpha*power and splits into
+scratch buffers that the per-instance _Problem holds, and the next
+sweep overwrites them.  The winners are read off at one flat
+index row*N + n per subcarrier, so a result holds only fresh (N,)
+arrays.  A direct candidate counts as split 1 and weight 1 (AF: weight
+1/2, for its two slots), so one expression gives both protocols' rates
+and consumption: the extra *1, +0*xi_rn and *1/2 are exact.
 """
 
 from __future__ import annotations
@@ -111,8 +119,18 @@ def _check_q_lambda(q: float, lam: float) -> None:
 
 
 def _marginal(x):
-    """Objective increase of a winning candidate: log2(1+x) - x/(ln2*(1+x))."""
-    return (np.log1p(x) - x / (1.0 + x)) / LN2
+    """Objective increase of a winning candidate: log2(1+x) - x/(ln2*(1+x)).
+
+    Always numpy's log1p, on arrays and floats alike: numpy's scalar
+    path matches its array loop bit for bit, while math.log1p differs
+    from that loop in the last bit on a few percent of inputs on some
+    CPUs (AVX-512), which would put _candidate's ties where _sweep has
+    none.
+    """
+    m = np.log1p(x)  # no buffer: out= would leave numpy's fast scalar path
+    m -= x / (1.0 + x)
+    m /= LN2
+    return m
 
 
 def _direct_terms(q, lam, xi_bs, inv_alpha, p=None, x=None):
@@ -120,16 +138,16 @@ def _direct_terms(q, lam, xi_bs, inv_alpha, p=None, x=None):
 
     inv_alpha is the water-level floor 1/alpha (inf for a dead link,
     which gets no power).  This, _af_split and _af_terms are the only
-    home of the closed forms: _sweep passes shortlist arrays and its own
-    buffers p and x, _candidate one element's floats, and both run the
-    same floating-point operations.
+    home of the closed forms: _sweep passes shortlist arrays and the
+    problem's scratch buffers p and x, _candidate one element's floats,
+    and both run the same floating-point operations.
     """
     wl = 1.0 / (LN2 * (q * xi_bs + lam))
     p = np.maximum(0.0, wl - inv_alpha, out=p)
     return p, np.divide(p, inv_alpha, out=x)
 
 
-def _af_split(q, lam, xi_bs, xi_rn, sqrt_g1, sqrt_g2):
+def _af_split(q, lam, xi_bs, xi_rn, sqrt_g1, sqrt_g2, beta=None):
     """Optimal first-hop share beta of AF pairs, and their prices a, b.
 
     Algebraically equal to the textbook quotient
@@ -138,25 +156,41 @@ def _af_split(q, lam, xi_bs, xi_rn, sqrt_g1, sqrt_g2):
     collapses to y/(x+y).  x is taken as sqrt(g1)*sqrt(a), so a solve
     takes the gains' roots once.  Kept apart from _af_terms for af_beta,
     which must not form alpha: g1*g2 underflows to 0 for tiny gains.
+    beta, if given, is the buffer that receives the split.
     """
     a = q * xi_bs + 2.0 * lam
     b = q * xi_rn + 2.0 * lam
     sx = sqrt_g1 * math.sqrt(a)
     sy = sqrt_g2 * math.sqrt(b)
-    return sy / (sx + sy), a, b
+    sx += sy
+    beta = sy / sx if beta is None else np.divide(sy, sx, out=beta)
+    return beta, a, b
 
 
 def _af_terms(q, lam, xi_bs, xi_rn, ngap, sqrt_g1, sqrt_g2, g1, g2,
-              p=None, x=None):
+              p=None, x=None, beta=None):
     """Split beta, water-filling total power p and alpha*p of AF pairs.
 
-    Arrays or floats, as _direct_terms.
+    Arrays or floats, as _direct_terms; beta, if given, receives the
+    split.  alpha = beta*(1-beta)*g1*g2 / ((beta*g1 + (1-beta)*g2)*ngap)
+    and the water level 1/(ln2*(beta*a + (1-beta)*b)) are formed in
+    place on the kernel's own temporaries, in that operation order.
     """
-    beta, a, b = _af_split(q, lam, xi_bs, xi_rn, sqrt_g1, sqrt_g2)
-    alpha = beta * (1.0 - beta) * g1 * g2 / (
-        (beta * g1 + (1.0 - beta) * g2) * ngap)
-    wl = 1.0 / (LN2 * (beta * a + (1.0 - beta) * b))
-    p = np.maximum(0.0, wl - 1.0 / alpha, out=p)
+    beta, a, b = _af_split(q, lam, xi_bs, xi_rn, sqrt_g1, sqrt_g2, beta)
+    omb = 1.0 - beta
+    alpha = beta * omb
+    alpha *= g1
+    alpha *= g2
+    den = beta * g1
+    den += omb * g2
+    den *= ngap
+    alpha /= den
+    wl = beta * a
+    wl += omb * b
+    wl *= LN2
+    wl = 1.0 / wl
+    wl -= 1.0 / alpha
+    p = np.maximum(0.0, wl, out=p)
     return beta, p, np.multiply(alpha, p, out=x)
 
 
@@ -174,9 +208,11 @@ def af_beta(q: float, lam: float, g1: float, g2: float,
 
 def _check_gains(name: str, gains) -> None:
     g = np.asarray(gains, dtype=float)
-    if not np.all(np.isfinite(g)):
+    # NaN propagates through both reductions; initial=0.0 passes an empty array
+    lo, hi = g.min(initial=0.0), g.max(initial=0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} holds NaN or infinite gains")
-    if np.any(g < 0.0):
+    if lo < 0.0:
         raise ValueError(f"{name} holds negative gains")
 
 
@@ -244,6 +280,17 @@ class _Problem:
             self.g2 = g2
         else:
             self.flat = k_d[None, :]
+        # user of each shortlisted candidate
+        self.user = self.flat // 2 if self.has_af else self.flat
+        shape = self.flat.shape
+        # _sweep's scratch: candidate power and alpha * power
+        self.p = np.empty(shape)
+        self.x = np.empty(shape)
+        # beta of each candidate, refilled per sweep; a direct link's whole
+        # power is on the first hop.  half: AF occupies two slots
+        self.beta = np.ones(shape)
+        self.half = np.full(shape, 0.5)
+        self.half[0] = 1.0
         self.wf_price = _water_filling_price(self.inv_alpha_d, self.p_max)
 
     def lambda_start(self, q: float) -> float:
@@ -293,60 +340,62 @@ _NO_CANDIDATE = np.iinfo(np.intp).max  # sorts after every candidate index
 
 
 def _sweep(prob: _Problem, q: float, lam: float) -> _SweepResult:
-    """Pick each subcarrier's winner among the shortlisted candidates."""
-    p = np.empty(prob.flat.shape)  # power per shortlisted candidate
-    x = np.empty_like(p)           # alpha * power
+    """Pick each subcarrier's winner among the shortlisted candidates.
+
+    The candidate arrays live in prob's scratch buffers, overwritten by
+    the next sweep; the result holds only fresh arrays.
+    """
+    p, x, beta = prob.p, prob.x, prob.beta
     _direct_terms(q, lam, prob.xi_bs, prob.inv_alpha_d, p[0], x[0])
     if prob.has_af:
-        beta, _, _ = _af_terms(q, lam, prob.xi_bs, prob.xi_rn, prob.ngap,
-                               prob.sqrt_g1, prob.sqrt_g2, prob.g1, prob.g2,
-                               p[1:], x[1:])
+        _af_terms(q, lam, prob.xi_bs, prob.xi_rn, prob.ngap, prob.sqrt_g1,
+                  prob.sqrt_g2, prob.g1, prob.g2, p[1:], x[1:], beta[1:])
         if prob.af_dead is not None:
             p[1:][prob.af_dead] = 0.0
             x[1:][prob.af_dead] = 0.0
-    marg = _marginal(x)
-    marg[1:] *= 0.5  # AF occupies two slots
+        marg = _marginal(x)
+        marg *= prob.half
+        # exact ties go to the lowest candidate index, as in the full order
+        best = marg.max(axis=0)
+        row = np.where(marg == best, prob.flat, _NO_CANDIDATE).argmin(axis=0)
+    else:  # one candidate per subcarrier: it wins
+        row = np.zeros(prob.n_subcarriers, dtype=np.intp)
+    at = row * prob.n_subcarriers  # flat index of each winner
+    at += prob.cols
 
-    # exact ties go to the lowest candidate index, as in the full order
-    best = marg.max(axis=0)
-    row = np.argmin(np.where(marg == best, prob.flat, _NO_CANDIDATE), axis=0)
-    cols = prob.cols
-    flat = prob.flat[row, cols]
-
-    wp = p[row, cols]
-    lg = np.log1p(x[row, cols])
-    if prob.has_af:
-        winner_user = flat // 2
-        winner_af = row > 0
-        wbeta = beta[np.maximum(row - 1, 0), cols]  # read only where AF wins
-        wp_d = np.where(winner_af, 0.0, wp)
-        wp_tot = np.where(winner_af, wp, 0.0)
-        wp_bs = wp_tot * wbeta
-        wp_rn = wp_tot * (1.0 - wbeta)
-        rate = np.where(winner_af, 0.5 * lg / LN2, lg / LN2)
-        cons = np.where(winner_af,
-                        0.5 * wp * (wbeta * prob.xi_bs + (1.0 - wbeta) * prob.xi_rn),
-                        prob.xi_bs * wp)
-    else:
-        winner_user = flat
-        winner_af = np.zeros(prob.n_subcarriers, dtype=bool)
-        wp_d = wp
-        wp_bs = np.zeros(prob.n_subcarriers)
-        wp_rn = np.zeros(prob.n_subcarriers)
-        rate = lg / LN2
-        cons = prob.xi_bs * wp
+    # a direct winner has beta 1 and half 1, so one expression serves
+    # both protocols: *1.0, +0*xi_rn and *0.5 are exact.  One reduction
+    # sums the five per-winner rows, each as it would sum alone.
+    winner_af = row > 0
+    wp = p.take(at)
+    wbeta = beta.take(at)
+    whalf = prob.half.take(at)
+    wp_tot = np.where(winner_af, wp, 0.0)  # AF power; wp - wp_tot: direct
+    omb = 1.0 - wbeta
+    per_winner = np.empty((5, prob.n_subcarriers))
+    rate, cons, wp_d, wp_bs, wp_rn = per_winner
+    np.multiply(whalf, np.log1p(x.take(at)), out=rate)
+    rate /= LN2
+    np.multiply(wbeta, prob.xi_bs, out=cons)
+    cons += omb * prob.xi_rn
+    cons *= whalf * wp
+    np.subtract(wp, wp_tot, out=wp_d)
+    np.multiply(wp_tot, wbeta, out=wp_bs)
+    np.multiply(wp_tot, omb, out=wp_rn)
+    rate_sum, cons_sum, d_sum, bs_sum, rn_sum = (
+        per_winner.sum(axis=1).tolist())
 
     return _SweepResult(
         lam=lam,
-        winner_user=winner_user,
+        winner_user=prob.user.take(at),
         winner_af=winner_af,
         winner_row=row,
         p_d=wp_d,
         p_bs=wp_bs,
         p_rn=wp_rn,
-        rate_sum=float(rate.sum()),
-        cons_sum=float(cons.sum()),
-        p_used=float(wp_d.sum() + wp_bs.sum() + wp_rn.sum()),
+        rate_sum=rate_sum,
+        cons_sum=cons_sum,
+        p_used=d_sum + bs_sum + rn_sum,
     )
 
 

@@ -5,13 +5,17 @@ Each is a plain, unpruned version of a library computation: the full
 and the per-instance constants with the solver, not its closed-form
 kernel or its shortlist), bisection for the multiplier, every combo of
 the oracle's menus, and per-entry loops for the allocation metrics.
+Also the dead-hop instances that several of those checks run on.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
 from relayopt import oracle, solver
+from relayopt.channel import generate_instance
+from relayopt.config import SystemConfig
 from relayopt.model import (LN2, Af, Allocation, Direct, Metrics, energy_efficiency,
                             link_rate_af, link_rate_direct, snr_af_exact)
 
@@ -23,6 +27,34 @@ def beta_quotient(q, lam, g1, g2, xi_bs, xi_rn):
     num = -g2 * b + math.sqrt(g1 * g2 * a * b)
     den = g1 * a - g2 * b
     return num / den
+
+
+def dead_hop_channels():
+    """(seed, cfg, chan) for K=6, N=12, M=3 seeds 1-4 with about 30% of
+    every gain array zeroed and subcarriers 0-2 unable to carry anything:
+    0 has no direct link and only dead feeders, 1 no direct link and only
+    dead access links, 2 strong access links behind dead feeders."""
+    cfg = SystemConfig(n_users=6, n_subcarriers=12, n_relays=3)
+    found = []
+    for seed in (1, 2, 3, 4):
+        _, chan = generate_instance(cfg, seed)
+        rng = np.random.default_rng(seed)
+        g_bs_ue = np.where(rng.random(chan.g_bs_ue.shape) < 0.3, 0.0,
+                           chan.g_bs_ue)
+        g_bs_rn = np.where(rng.random(chan.g_bs_rn.shape) < 0.3, 0.0,
+                           chan.g_bs_rn)
+        g_rn_ue = np.where(rng.random(chan.g_rn_ue.shape) < 0.3, 0.0,
+                           chan.g_rn_ue)
+        g_bs_ue[:, 0] = 0.0
+        g_bs_rn[:, 0] = 0.0
+        g_bs_ue[:, 1] = 0.0
+        g_rn_ue[:, 1] = 0.0
+        g_bs_ue[:, 2] = 0.0
+        g_rn_ue[:, 2] = np.where(np.arange(6) % 2 == 0, 1.0, 0.0)
+        g_bs_rn[:, 2] = 0.0
+        found.append((seed, cfg, dataclasses.replace(
+            chan, g_bs_ue=g_bs_ue, g_bs_rn=g_bs_rn, g_rn_ue=g_rn_ue)))
+    return found
 
 
 def sweep_at(chan, cfg, q, lam):

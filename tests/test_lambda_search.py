@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bisection_search
+from helpers import bisection_search, dead_hop_channels
 from relayopt import solver
 from relayopt.channel import ChannelRealization, generate_instance
 from relayopt.config import SystemConfig
@@ -147,10 +147,15 @@ def _candidate_mismatches(prob, q, lam):
 def test_candidate_agrees_with_the_sweep(desk_jumps, monkeypatch):
     # the tie finder reads switches off _candidate; they must fall where
     # the sweep puts them, on a multiplier grid and at every pinned pair
-    cfg = SystemConfig()
+    # desk seeds, the dead-hop instances (the af_dead rows) and relay-free
+    # ones (no AF row)
+    desk, relay_free = SystemConfig(), SystemConfig(n_relays=0)
+    instances = [(desk, generate_instance(desk, s)[1]) for s in range(1, 11)]
+    instances += [(cfg, chan) for _, cfg, chan in dead_hop_channels()]
+    instances += [(relay_free, generate_instance(relay_free, s)[1])
+                  for s in (1, 2, 3)]
     problems = []
-    for seed in range(1, 11):
-        _, chan = generate_instance(cfg, seed)
+    for cfg, chan in instances:
         sol = solver.solve_eem(chan, cfg)
         prob = sol._trajectory.prob
         for q, lam in zip(sol.trace.q_params, sol.trace.lambda_final):

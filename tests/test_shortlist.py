@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import reference_sweep
+from helpers import dead_hop_channels, reference_sweep
 from relayopt import solver
 from relayopt.channel import ChannelRealization, generate_instance
 from relayopt.config import SystemConfig
@@ -77,29 +77,35 @@ def test_duplicated_users_lowest_index(monkeypatch, seed, m):
 
 
 def test_zero_gains_and_dead_af_hops(monkeypatch):
-    cfg = SystemConfig(n_users=6, n_subcarriers=12, n_relays=3)
-    for seed in (1, 2, 3, 4):
-        _, chan = generate_instance(cfg, seed)
-        rng = np.random.default_rng(seed)
-        g_bs_ue = np.where(rng.random(chan.g_bs_ue.shape) < 0.3, 0.0,
-                           chan.g_bs_ue)
-        g_bs_rn = np.where(rng.random(chan.g_bs_rn.shape) < 0.3, 0.0,
-                           chan.g_bs_rn)
-        g_rn_ue = np.where(rng.random(chan.g_rn_ue.shape) < 0.3, 0.0,
-                           chan.g_rn_ue)
-        g_bs_ue[:, 0] = 0.0   # no direct link at all
-        g_bs_rn[:, 0] = 0.0   # every feeder dead: subcarrier 0 idles
-        g_bs_ue[:, 1] = 0.0
-        g_rn_ue[:, 1] = 0.0   # every access link dead: subcarrier 1 idles
-        # strong access links behind dead feeders: subcarrier 2 idles
-        g_bs_ue[:, 2] = 0.0
-        g_rn_ue[:, 2] = np.where(np.arange(6) % 2 == 0, 1.0, 0.0)
-        g_bs_rn[:, 2] = 0.0
-        chan = dataclasses.replace(chan, g_bs_ue=g_bs_ue, g_bs_rn=g_bs_rn,
-                                   g_rn_ue=g_rn_ue)
+    for seed, cfg, chan in dead_hop_channels():
         assert _compare(monkeypatch, chan, cfg) == [], seed
         for sol in _solve_both(chan, cfg):
             assert {n for _, n in sol.allocation.entries}.isdisjoint({0, 1, 2})
+
+
+def _sweep_arrays(r):
+    return {name: v for name, v in vars(r).items()
+            if isinstance(v, np.ndarray)}
+
+
+@pytest.mark.parametrize("m", [3, 0])
+def test_sweep_results_share_no_scratch(m):
+    # _search_lambda keeps earlier sweeps (best, r_lo, r_hi) while it
+    # sweeps on; _sweep's scratch buffers must never reach a result
+    cfg = SystemConfig(n_relays=m)
+    _, chan = generate_instance(cfg, 4)
+    prob = solver._Problem(chan, cfg)
+    lam = prob.lambda_start(0.0)
+    first = solver._sweep(prob, 0.0, lam)
+    kept = {name: v.copy() for name, v in _sweep_arrays(first).items()}
+    second = solver._sweep(prob, 0.05, 0.1 * lam)
+    assert not np.array_equal(second.p_d + second.p_bs, first.p_d + first.p_bs)
+    if m:
+        assert first.winner_af.any()
+    buffers = [v for v in vars(prob).values() if isinstance(v, np.ndarray)]
+    for name, v in _sweep_arrays(first).items():
+        assert np.array_equal(v, kept[name]), name
+        assert not any(np.shares_memory(v, b) for b in buffers), name
 
 
 @pytest.mark.parametrize("k, n, m", [(1, 1, 0), (1, 1, 1), (1, 1, 3),

@@ -170,17 +170,20 @@ def _af_channel(cfg, g_bs_ue, g_bs_rn, g_rn_ue):
         sector_of_ue=np.zeros(1, dtype=int), noise_gap=cfg.noise_gap_watts)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-10])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-10, -math.inf])
 @pytest.mark.parametrize("link", ["g_bs_ue", "g_bs_rn", "g_rn_ue"])
 def test_bad_gains_are_rejected(bad, link):
     cfg = SystemConfig(n_users=1, n_subcarriers=2, n_relays=1)
-    gains = {"g_bs_ue": [[1e-10, 1e-10]], "g_bs_rn": [[1e-9, 1e-9]],
-             "g_rn_ue": [[1e-9, 1e-9]]}
-    gains[link][0][1] = bad
-    chan = _af_channel(cfg, **gains)
-    for solve in (solve_eem, solve_sem):
-        with pytest.raises(ValueError, match=link):
-            solve(chan, cfg)
+    what = "negative" if -math.inf < bad < 0.0 else "NaN or infinite"
+    # beside a negative gain, a NaN or infinite one is still what is reported
+    for other in (1e-10, -1e-10):
+        gains = {"g_bs_ue": [[1e-10, 1e-10]], "g_bs_rn": [[1e-9, 1e-9]],
+                 "g_rn_ue": [[1e-9, 1e-9]]}
+        gains[link] = [[other, bad]]
+        chan = _af_channel(cfg, **gains)
+        for solve in (solve_eem, solve_sem):
+            with pytest.raises(ValueError, match=f"^{link} holds {what} gains$"):
+                solve(chan, cfg)
 
 
 def test_dead_links_idle_their_subcarrier():
