@@ -33,7 +33,7 @@ from .config import ConfigError, SystemConfig, load_config
 from .experiments import builtin_scenarios, run_sweep, write_csv, write_json
 from .model import compute_metrics
 from .oracle import GridSpec, brute_force_eem
-from .solver import Solution, solve_eem, solve_sem
+from .solver import Solution, SolverTrace, solve_eem, solve_sem
 
 ENV_CONFIG = "RELAYOPT_CONFIG"
 
@@ -233,10 +233,29 @@ def _fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
+def _trace_doc(trace: SolverTrace) -> dict:
+    """The solve document's trace: a view of the search records.
+
+    Five lists follow the iterations, three the searches (a rejected
+    last one included), in the document's historical key order.
+    """
+    its, searches = trace.iterations, trace.searches
+    return {"q_sequence": [s.ratio for s in its],
+            "inner_iterations_per_outer": [s.evals for s in its],
+            "lambda_final": [s.lam for s in its],
+            "termination": trace.termination,
+            "f_residual": trace.f_residual,
+            "f_sequence": [s.f_val for s in its],
+            "q_params": [s.q for s in its],
+            "bracket_sweeps": [s.bracket_sweeps for s in searches],
+            "search_sweeps": [s.search_sweeps for s in searches],
+            "stop_reasons": [s.stop for s in searches]}
+
+
 def _solution_doc(sol: Solution) -> dict:
     return {"allocation": _allocation_doc(sol.allocation),
             "metrics": _fields(sol.metrics),
-            "trace": _fields(sol.trace)}
+            "trace": _trace_doc(sol.trace)}
 
 
 @contextlib.contextmanager
@@ -344,19 +363,18 @@ def _cmd_convergence(args) -> int:
     cfg = _load_cfg(args)
     _, chan = generate_instance(cfg, cfg.master_seed)
     sol = solve_eem(chan, cfg)
-    t = sol.trace
     with _output(args.out) as stream:
         cumulative = 0
-        for i, q in enumerate(t.q_sequence):
-            cumulative += t.inner_iterations_per_outer[i]
-            row = {"iteration": i + 1, "q": q,
-                   "inner_iters": t.inner_iterations_per_outer[i],
+        for i, s in enumerate(sol.trace.iterations):
+            cumulative += s.evals
+            row = {"iteration": i + 1, "q": s.ratio,
+                   "inner_iters": s.evals,
                    "cumulative_inner_iters": cumulative,
-                   "lambda": t.lambda_final[i],
-                   "f_residual": t.f_sequence[i],
-                   "bracket_sweeps": t.bracket_sweeps[i],
-                   "search_sweeps": t.search_sweeps[i],
-                   "stop_reason": t.stop_reasons[i]}
+                   "lambda": s.lam,
+                   "f_residual": s.f_val,
+                   "bracket_sweeps": s.bracket_sweeps,
+                   "search_sweeps": s.search_sweeps,
+                   "stop_reason": s.stop}
             stream.write(json.dumps(row, default=_json_safe) + "\n")
     return 0
 

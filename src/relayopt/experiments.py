@@ -60,9 +60,11 @@ class SweepSpec:
                 raise ValueError(f"unknown sweep axis {name!r}")
             if not self.axes[name]:
                 raise ValueError(f"sweep axis {name!r} is empty")
-        for alg in self.algorithms:
+        for i, alg in enumerate(self.algorithms):
             if alg not in _ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
+            if alg in self.algorithms[:i]:
+                raise ValueError(f"algorithm {alg!r} listed twice")
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
 
@@ -119,15 +121,15 @@ def _solve_sample(cfg: SystemConfig, seed: int, algorithms):
     out = {}
     for alg in algorithms:
         sol = eem if alg == "EEM" else _ALGORITHMS["SEM"](chan, cfg, eem=eem)
-        t = sol.trace
+        its = sol.trace.iterations
         out[alg] = (
             sol.metrics.rate_per_subcarrier,
             sol.metrics.ee_per_subcarrier,
             sol.metrics.rho,
             sol.metrics.tx_power_used,
-            len(t.inner_iterations_per_outer),
-            sum(t.inner_iterations_per_outer),
-            t.termination == "converged",
+            len(its),
+            sum(s.evals for s in its),
+            sol.trace.termination == "converged",
         )
     return out
 

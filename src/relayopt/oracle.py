@@ -388,9 +388,7 @@ def optimize_powers_on_grid(assignment, chan, cfg, grid: Optional[GridSpec] = No
 
 def _solution_from(alloc, chan, cfg, pm) -> Solution:
     metrics = compute_metrics(alloc, chan, cfg.radio(), pm)
-    trace = SolverTrace(q_sequence=[metrics.ee], termination="converged",
-                        f_residual=0.0)
-    return Solution(alloc, metrics, trace)
+    return Solution(alloc, metrics, SolverTrace())
 
 
 def _rate_bound(slot, chan, p_max):

@@ -58,8 +58,8 @@ and consumption: the extra *1, +0*xi_rn and *1/2 are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, TYPE_CHECKING
+from dataclasses import dataclass, field, replace
+from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -80,25 +80,21 @@ _FEAS_SLACK = 1e-12  # relative slack when classifying an iterate as feasible
 
 @dataclass
 class SolverTrace:
-    """Outer-loop record of one solve.
+    """Outer-loop record of one solve: one _Search record per multiplier search.
 
-    The first six lists describe the accepted outer iterations (for SEM,
-    the returned iterate only).  bracket_sweeps, search_sweeps and
-    stop_reasons hold one entry per multiplier search the call ran, in
-    order, including a final one the Dinkelbach safeguard rejected, so
-    their sweep counts add up to every candidate sweep of the call.
+    searches holds every search the call ran, in order, including a
+    final one the Dinkelbach safeguard rejected, so their sweep counts
+    add up to every candidate sweep of the call.  iterations holds the
+    records the answer stands on: for EEM the accepted searches; for SEM
+    the returned iterate alone, with its ratio read as metrics.ee and its
+    F as its rate.  f_residual is F at the last solved q parameter (0.0
+    after a rejection, whose q the incumbent solves with F = 0).
     """
 
-    q_sequence: list = field(default_factory=list)       # q after each outer iteration
-    inner_iterations_per_outer: list = field(default_factory=list)
-    lambda_final: list = field(default_factory=list)     # multiplier per outer iteration
-    termination: str = "converged"                       # converged | outer-limit | inner-limit
-    f_residual: float = 0.0                              # F at the last solved q parameter
-    f_sequence: list = field(default_factory=list)       # F per outer iteration
-    q_params: list = field(default_factory=list)         # q parameter fed to each inner solve
-    bracket_sweeps: list = field(default_factory=list)   # sweeps before the bracket search
-    search_sweeps: list = field(default_factory=list)    # sweeps inside the bracket
-    stop_reasons: list = field(default_factory=list)     # see _Search.stop
+    searches: list = field(default_factory=list)
+    iterations: list = field(default_factory=list)
+    termination: str = "converged"   # converged | outer-limit | inner-limit
+    f_residual: float = 0.0
 
 
 @dataclass
@@ -106,9 +102,9 @@ class Solution:
     allocation: Allocation
     metrics: Metrics
     trace: SolverTrace
-    # solve_eem's Dinkelbach run, for solve_sem(..., eem=) to reuse
-    _trajectory: Optional["_Trajectory"] = field(default=None, repr=False,
-                                                 compare=False)
+    # solve_eem's problem, for solve_sem(..., eem=) to read its searches
+    _prob: Optional["_Problem"] = field(default=None, repr=False,
+                                        compare=False)
 
 
 def _check_q_lambda(q: float, lam: float) -> None:
@@ -527,9 +523,16 @@ def _brent(f, a: float, b: float, fa: float, fb: float):
 
 @dataclass
 class _Search:
-    """One multiplier search (one inner solve)."""
+    """One multiplier search: one secondary problem of Dinkelbach's method.
 
-    sweep: _SweepResult   # best-F(q) feasible iterate
+    Scalars only, and records compare by them; the iterate's sweep rides
+    along outside == and repr.
+    """
+
+    q: float              # ratio parameter: the search maximizes F(q) = R - qP
+    lam: float            # multiplier of the iterate
+    f_val: float          # F(q) of the iterate
+    ratio: float          # rate/power ratio of the iterate
     bracket_sweeps: int   # lambda = 0 check, start point, bracket expansion
     search_sweeps: int    # steps inside the bracket
     # interior: lambda = 0 is feasible; tolerance: budget slack <= 1e-12
@@ -537,6 +540,18 @@ class _Search:
     # jumps across the budget; iteration-cap: i_inner_max sweeps spent;
     # bracket-failure: bracketing alone took more than i_inner_max sweeps
     stop: str
+    # the iterate: the best-F(q) feasible sweep
+    sweep: _SweepResult = field(repr=False, compare=False)
+    accepted: bool = True  # False: the Dinkelbach safeguard rejected it
+
+    @classmethod
+    def of(cls, prob: _Problem, q: float, sweep: _SweepResult,
+           bracket_sweeps: int, search_sweeps: int, stop: str) -> "_Search":
+        """The record of a search at q whose iterate is `sweep`."""
+        power = prob.p_fixed + sweep.cons_sum
+        return cls(q, sweep.lam, sweep.f_value(q, prob.p_fixed),
+                   sweep.rate_sum / power if power > 0.0 else 0.0,
+                   bracket_sweeps, search_sweeps, stop, sweep)
 
     @property
     def evals(self) -> int:
@@ -593,7 +608,7 @@ def _search_lambda(prob: _Problem, q: float,
         return None
 
     if q > 0.0 and ev(0.0).p_used <= over:
-        return _Search(best, 1, 0, "interior")  # budget slack at zero price
+        return _Search.of(prob, q, best, 1, 0, "interior")  # slack at zero price
     # else: p_used(0+) is unbounded at q=0, never evaluate lambda=0
 
     lam = lam_hint or prob.lambda_start(q)
@@ -686,106 +701,60 @@ def _search_lambda(prob: _Problem, q: float,
             widths.append(hi - lo)
     if bracket_sweeps > i_inner_max:
         stop = "bracket-failure"
-    return _Search(best, bracket_sweeps, evals - bracket_sweeps, stop)
-
-
-@dataclass
-class _OuterStep:
-    """One outer (Dinkelbach) iteration's inner solve, before acceptance."""
-
-    q: float                # ratio parameter the sweep was solved at
-    search: _Search
-    f_val: float            # F(q) of the sweep
-    q_new: float            # rate/power ratio of the sweep
-    accepted: bool          # False for the safeguard-rejected final solve
-
-    @property
-    def sweep(self) -> _SweepResult:
-        return self.search.sweep
+    return _Search.of(prob, q, best, bracket_sweeps, evals - bracket_sweeps,
+                      stop)
 
 
 def _dinkelbach_steps(prob: _Problem):
-    """Run the Dinkelbach outer loop, recording every inner solve.
+    """Run the Dinkelbach outer loop, recording every multiplier search.
 
-    Returns (steps, termination).  A step with accepted=False is the
+    Returns (searches, termination).  A search with accepted=False is the
     safeguard case: the inexact inner solve at the updated q came back
     with F < 0, i.e. worse than the incumbent allocation (whose F at
     that q is 0 by construction), so the ratio cannot improve further.
     Each search after the first starts from the previous multiplier,
     shifted so that the direct water level q*xi_bs + lambda is kept.
     """
-    steps = []
+    searches = []
     q = 0.0
     hint = None
     termination = "outer-limit"
     for _ in range(prob.cfg.i_outer_max):
         search = _search_lambda(prob, q, hint)
-        sweep = search.sweep
-        f_val = sweep.f_value(q, prob.p_fixed)
-        power = prob.p_fixed + sweep.cons_sum
-        q_new = sweep.rate_sum / power if power > 0.0 else 0.0
-        if steps and f_val < 0.0:
-            steps.append(_OuterStep(q, search, f_val, q_new, accepted=False))
+        searches.append(search)
+        if len(searches) > 1 and search.f_val < 0.0:
+            search.accepted = False
             termination = "converged"
             break
-        steps.append(_OuterStep(q, search, f_val, q_new, accepted=True))
-        delta = q_new - q
-        hint = sweep.lam - delta * prob.xi_bs
+        delta = search.ratio - q
+        hint = search.lam - delta * prob.xi_bs
         if hint <= 0.0:
-            hint = sweep.lam
-        q = q_new
+            hint = search.lam
+        q = search.ratio
         if delta <= prob.cfg.eps_outer:
             termination = "converged" if search.converged else "inner-limit"
             break
-    return steps, termination
-
-
-def _record_searches(trace: SolverTrace, steps) -> None:
-    for s in steps:
-        trace.bracket_sweeps.append(s.search.bracket_sweeps)
-        trace.search_sweeps.append(s.search.search_sweeps)
-        trace.stop_reasons.append(s.search.stop)
-
-
-class _Trajectory(NamedTuple):
-    """One Dinkelbach run and what it was solved for."""
-
-    prob: _Problem
-    steps: list
-    incumbent: _OuterStep   # last accepted step: the EEM answer
+    return searches, termination
 
 
 def solve_eem(chan: "ChannelRealization", cfg: "SystemConfig") -> Solution:
     """Energy-efficiency maximization via the Dinkelbach outer loop."""
     prob = _Problem(chan, cfg)
-    steps, termination = _dinkelbach_steps(prob)
-
-    trace = SolverTrace()
-    for s in steps:
-        if not s.accepted:
-            trace.f_residual = 0.0
-            break
-        trace.q_params.append(s.q)
-        trace.q_sequence.append(s.q_new)
-        trace.inner_iterations_per_outer.append(s.search.evals)
-        trace.lambda_final.append(s.sweep.lam)
-        trace.f_sequence.append(s.f_val)
-        trace.f_residual = s.f_val
-    trace.termination = termination
-    _record_searches(trace, steps)
-
-    incumbent = [s for s in steps if s.accepted][-1]
+    searches, termination = _dinkelbach_steps(prob)
+    accepted = [s for s in searches if s.accepted]
+    incumbent = accepted[-1]
+    f_residual = incumbent.f_val if incumbent is searches[-1] else 0.0
+    trace = SolverTrace(searches, accepted, termination, f_residual)
     alloc = _to_allocation(prob, incumbent.sweep)
     metrics = compute_metrics(alloc, chan, prob.radio, prob.pm)
-    return Solution(alloc, metrics, trace,
-                    _Trajectory(prob, steps, incumbent))
+    return Solution(alloc, metrics, trace, prob)
 
 
 def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig", *,
               eem: Optional[Solution] = None) -> Solution:
     """Spectral-efficiency maximization, read off an EEM solve.
 
-    Reads the outer trajectory of solve_eem(chan, cfg) and returns the
+    Reads the searches of solve_eem(chan, cfg) and returns the
     highest-rate feasible iterate.  The q=0 solve alone is
     the textbook answer, but at a budget-crossing assignment switch its
     dual search cannot exhaust the budget, and an iterate solved at
@@ -793,34 +762,33 @@ def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig", *,
     land closer to the budget and carry more rate; taking the best
     iterate keeps the returned rate a true upper envelope.  Ties pick
     the earliest iterate, so away from those switch points this is
-    exactly the q=0 solution.  The trace describes the chosen iterate:
-    q_params holds the ratio parameter it was solved at, f_residual its
-    plain rate (F at q=0).  Its search counters cover the whole
-    trajectory.
+    exactly the q=0 solution.  The trace's searches are EEM's; its one
+    iteration is the chosen search's record, with its ratio replaced by
+    metrics.ee and its F by its plain rate (F at q=0), which is also
+    f_residual.
 
     eem, a solve_eem(chan, cfg) result for this very `chan` object
     (unchanged since) and an equal cfg, is the solve to read: no search
     is run again, and the EEM answer's allocation and metrics stand for
     its own iterate.  Without it, solve_eem(chan, cfg) runs first.  An
-    eem that carries no trajectory, or was solved for another channel or
-    config, raises ValueError.
+    eem that solve_eem did not return, or that was solved for another
+    channel or config, raises ValueError.
     """
     if eem is None:
         eem = solve_eem(chan, cfg)
-    traj = eem._trajectory
-    if traj is None:
+    prob = eem._prob
+    if prob is None:
         raise ValueError("eem carries no Dinkelbach trajectory")
-    if traj.prob.chan is not chan:
+    if prob.chan is not chan:
         raise ValueError("eem was solved for another channel")
-    if traj.prob.cfg != cfg:
+    if prob.cfg != cfg:
         raise ValueError("eem was solved for another config")
-    prob, steps = traj.prob, traj.steps
 
     best = None
     best_alloc = None
     best_metrics = None
-    for s in steps:
-        if s is traj.incumbent:
+    for s in eem.trace.searches:
+        if s is eem.trace.iterations[-1]:
             alloc, metrics = eem.allocation, eem.metrics
         else:
             alloc = _to_allocation(prob, s.sweep)
@@ -828,14 +796,9 @@ def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig", *,
         if best is None or metrics.rate_total > best_metrics.rate_total:
             best, best_alloc, best_metrics = s, alloc, metrics
 
-    trace = SolverTrace(
-        q_sequence=[best_metrics.ee],
-        inner_iterations_per_outer=[best.search.evals],
-        lambda_final=[best.sweep.lam],
-        termination="converged" if best.search.converged else "inner-limit",
-        f_residual=best.sweep.f_value(0.0, prob.p_fixed),  # F(0): the rate
-        f_sequence=[best.sweep.f_value(0.0, prob.p_fixed)],
-        q_params=[best.q],
-    )
-    _record_searches(trace, steps)
+    rate = best.sweep.f_value(0.0, prob.p_fixed)  # F(0): the rate
+    trace = SolverTrace(eem.trace.searches,
+                        [replace(best, ratio=best_metrics.ee, f_val=rate)],
+                        "converged" if best.converged else "inner-limit",
+                        rate)
     return Solution(best_alloc, best_metrics, trace)

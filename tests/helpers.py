@@ -76,8 +76,8 @@ def best_feasible_f_on_grid(chan, cfg, q, lams):
 
 def kkt_residuals(sol, chan, cfg):
     """Relative stationarity residuals of every powered subcarrier."""
-    q = sol.trace.q_params[-1]
-    lam = sol.trace.lambda_final[-1]
+    q = sol.trace.iterations[-1].q
+    lam = sol.trace.iterations[-1].lam
     ngap = chan.noise_gap
     out = []
     for (k, n), e in sol.allocation.entries.items():
@@ -104,8 +104,8 @@ def kkt_residuals(sol, chan, cfg):
 def dominance_holds(sol, chan, cfg, rel=1e-9):
     """Winner-take-all optimality of the final allocation, re-derived."""
     prob = solver._Problem(chan, cfg)
-    marg, _ = reference_candidates(prob, sol.trace.q_params[-1],
-                                   sol.trace.lambda_final[-1])
+    last = sol.trace.iterations[-1]
+    marg, _ = reference_candidates(prob, last.q, last.lam)
     top = marg.max(axis=0)
     alloc = sol.allocation
     idle = np.ones(cfg.n_subcarriers, dtype=bool)
@@ -140,7 +140,7 @@ def bisection_search(prob, q, lam_hint=None):
     if q > 0.0:
         r = ev(0.0)
         if r.p_used <= over:
-            return solver._Search(r, 1, 0, "interior")
+            return solver._Search.of(prob, q, r, 1, 0, "interior")
 
     lo = 0.0
     hi = 1.0
@@ -177,7 +177,8 @@ def bisection_search(prob, q, lam_hint=None):
                 best = r
     if bracket_sweeps > prob.cfg.i_inner_max:
         stop = "bracket-failure"
-    return solver._Search(best, bracket_sweeps, evals - bracket_sweeps, stop)
+    return solver._Search.of(prob, q, best, bracket_sweeps,
+                             evals - bracket_sweeps, stop)
 
 
 def reference_candidates(prob, q, lam):

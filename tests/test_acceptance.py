@@ -72,7 +72,7 @@ def test_criterion_2_dinkelbach_invariants(dinkelbach_set):
     _, rows = dinkelbach_set
     monotone = residual_ok = converged = 0
     for _, _, sol in rows:
-        q = sol.trace.q_sequence
+        q = [s.ratio for s in sol.trace.iterations]
         monotone += all(b - a >= -1e-12 for a, b in zip(q, q[1:]))
         residual_ok += (abs(sol.trace.f_residual)
                         <= 1e-6 * sol.metrics.power_total)

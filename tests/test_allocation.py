@@ -137,10 +137,9 @@ def test_solver_answers_match_the_entry_loops(cfg, seeds):
         _, chan = generate_instance(cfg, seed)
         eem = solver.solve_eem(chan, cfg)
         sem = solver.solve_sem(chan, cfg, eem=eem)
-        traj = eem._trajectory
-        for s in traj.steps:
-            alloc = solver._to_allocation(traj.prob, s.sweep)
-            if alloc != reference_allocation(traj.prob, s.sweep):
+        for s in eem.trace.searches:
+            alloc = solver._to_allocation(eem._prob, s.sweep)
+            if alloc != reference_allocation(eem._prob, s.sweep):
                 problems.append(f"seed {seed}: incumbent at q={s.q!r} differs")
         for name, sol in (("EEM", eem), ("SEM", sem)):
             alloc = sol.allocation

@@ -50,6 +50,47 @@ def test_solve_document_shape(capsys):
         == len(trace["stop_reasons"]) >= len(trace["q_sequence"])
 
 
+
+_TRACE_KEYS = ["q_sequence", "inner_iterations_per_outer", "lambda_final",
+               "termination", "f_residual", "f_sequence", "q_params",
+               "bracket_sweeps", "search_sweeps", "stop_reasons"]
+
+
+@pytest.mark.parametrize("argv, rejects", [
+    (["--seed", "4"], False),                      # SEM returns a q > 0 iterate
+    (["--p-max-dbm", "-30", "--seed", "1"], True),  # safeguard rejection
+    (["--m", "0", "--seed", "12"], True),
+], ids=["desk-4", "minus-30dbm-1", "m0-12"])
+def test_solve_trace_document_is_a_view_of_the_searches(capsys, argv, rejects):
+    eem = _solve_doc(capsys, ["solve"] + argv)
+    sem = _solve_doc(capsys, ["solve", "--sem"] + argv)
+    t = eem["trace"]
+    assert list(t) == _TRACE_KEYS
+    n = len(t["q_sequence"])
+    for key in ("inner_iterations_per_outer", "lambda_final", "f_sequence",
+                "q_params"):
+        assert len(t[key]) == n
+    assert t["q_params"][0] == 0.0
+    assert t["q_params"][1:] == t["q_sequence"][:-1]
+    for i in range(n):
+        assert t["inner_iterations_per_outer"][i] \
+            == t["bracket_sweeps"][i] + t["search_sweeps"][i]
+    # a rejected last search is listed, and F at its q is the incumbent's 0
+    assert len(t["stop_reasons"]) == n + rejects
+    if len(t["stop_reasons"]) == n + 1:
+        assert t["f_residual"] == 0.0
+    else:
+        assert t["f_residual"] == t["f_sequence"][-1]
+
+    s = sem["trace"]
+    assert list(s) == _TRACE_KEYS
+    assert s["q_sequence"] == [sem["metrics"]["ee"]]
+    assert s["f_residual"] == s["f_sequence"][0] > 0.0
+    assert len(s["q_params"]) == 1
+    assert (s["q_params"][0] > 0.0) == (argv == ["--seed", "4"])
+    for key in ("bracket_sweeps", "search_sweeps", "stop_reasons"):
+        assert s[key] == t[key]
+
 def test_solve_allocation_refeasibility(capsys):
     doc = _solve_doc(capsys, ["solve", "--k", "3", "--n", "8", "--m", "2",
                               "--seed", "11"])
@@ -107,6 +148,11 @@ def test_exit_status_on_bad_input(capsys):
     capsys.readouterr()
     assert main(["sweep", "--scenario", "nope"]) == 1
     assert "unknown scenario" in capsys.readouterr().err
+    assert main(["sweep", "--scenario", "convergence", "--samples", "2",
+                 "--algorithms", "EEM,EEM,sem"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "algorithm 'EEM' listed twice" in captured.err
     assert main(["frobnicate"]) == 1
     assert main(["sweep"]) == 1  # --scenario is required
     capsys.readouterr()

@@ -48,6 +48,8 @@ def test_sweep_spec_validation():
         SweepSpec(name="x", algorithms=("EEM", "GREEDY")).validate()
     with pytest.raises(ValueError):
         SweepSpec(name="x", algorithms=()).validate()
+    with pytest.raises(ValueError, match="algorithm 'EEM' listed twice"):
+        SweepSpec(name="x", algorithms=("EEM", "EEM", "SEM")).validate()
 
 
 def test_single_point_matches_direct_solves():
@@ -66,7 +68,7 @@ def test_single_point_matches_direct_solves():
     assert rec.ee_mean == pytest.approx(
         sum(s.metrics.ee_per_subcarrier for s in manual) / 2, rel=1e-15)
     assert rec.outer_iters_mean == pytest.approx(
-        sum(len(s.trace.q_sequence) for s in manual) / 2, rel=1e-15)
+        sum(len(s.trace.iterations) for s in manual) / 2, rel=1e-15)
     assert not rec.flagged
 
 

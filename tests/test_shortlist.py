@@ -26,7 +26,8 @@ def _differences(ref, new):
         if r.allocation.entries != s.allocation.entries:
             problems.append(f"{name} allocation entries differ")
         for field in ("bracket_sweeps", "search_sweeps"):
-            a, b = getattr(r.trace, field), getattr(s.trace, field)
+            a, b = ([getattr(x, field) for x in t.searches]
+                    for t in (r.trace, s.trace))
             if a != b:
                 problems.append(f"{name} {field} {b} != {a}")
     return problems

@@ -279,7 +279,7 @@ def medium_instances():
 
 def test_eem_ratio_sequence_monotone(medium_instances):
     for _, _, sol in medium_instances:
-        q = sol.trace.q_sequence
+        q = [s.ratio for s in sol.trace.iterations]
         assert len(q) >= 1
         assert all(b - a >= -1e-12 for a, b in zip(q, q[1:]))
         assert sol.trace.termination == "converged"
@@ -287,7 +287,7 @@ def test_eem_ratio_sequence_monotone(medium_instances):
 
 def test_eem_metrics_match_final_ratio(medium_instances):
     for _, _, sol in medium_instances:
-        assert sol.metrics.ee == pytest.approx(sol.trace.q_sequence[-1],
+        assert sol.metrics.ee == pytest.approx(sol.trace.iterations[-1].ratio,
                                                rel=1e-9)
 
 
@@ -312,14 +312,14 @@ def test_eem_winner_dominance(medium_instances):
 def test_eem_trace_bookkeeping(medium_instances):
     for _, _, sol in medium_instances:
         t = sol.trace
-        n = len(t.q_sequence)
-        assert len(t.q_params) == n
-        assert len(t.lambda_final) == n
-        assert len(t.f_sequence) == n
-        assert len(t.inner_iterations_per_outer) == n
-        assert t.q_params[0] == 0.0
+        n = len(t.iterations)
+        # the accepted searches lead the searches, in order
+        assert t.searches[:n] == t.iterations
+        assert all(s.accepted for s in t.iterations)
+        assert t.iterations[0].q == 0.0
         # each accepted iterate feeds the next q parameter
-        assert t.q_params[1:] == t.q_sequence[:-1]
+        assert [s.q for s in t.iterations[1:]] \
+            == [s.ratio for s in t.iterations[:-1]]
 
 
 def test_sem_dominates_spectral_axis(medium_instances):
@@ -342,9 +342,8 @@ def test_sem_never_loses_rate_to_the_zero_q_solve():
     assert sem.metrics.rate_total >= rate0
     assert sem.trace.f_residual == pytest.approx(sem.metrics.rate_total,
                                                  rel=1e-9)
-    assert len(sem.trace.q_params) == 1
-    assert len(sem.trace.lambda_final) == 1
-    assert sem.trace.q_sequence == [sem.metrics.ee]
+    assert len(sem.trace.iterations) == 1
+    assert [s.ratio for s in sem.trace.iterations] == [sem.metrics.ee]
 
 
 def test_sem_solution_is_stationary_at_its_own_parameters(medium_instances):
@@ -375,7 +374,7 @@ def test_outer_limit_reported():
     _, chan = generate_instance(cfg, seed=2)
     sol = solve_eem(chan, cfg)
     assert sol.trace.termination == "outer-limit"
-    assert len(sol.trace.q_sequence) == 1
+    assert len(sol.trace.iterations) == 1
 
 
 # ------------------------------------------------------- shared trajectory
@@ -404,22 +403,23 @@ def test_sem_from_the_eem_trajectory_equals_a_plain_sem_solve(case):
     for seed in seeds:
         _, chan = generate_instance(cfg, seed)
         eem = solve_eem(chan, cfg)
-        traj = eem._trajectory
-        allocs = [solver._to_allocation(traj.prob, s.sweep) for s in traj.steps]
+        searches = eem.trace.searches
+        allocs = [solver._to_allocation(eem._prob, s.sweep) for s in searches]
         rates = [reference_system_rate(a, chan) for a in allocs]
         best = rates.index(max(rates))
         for sem in (solve_sem(chan, cfg, eem=eem), solve_sem(chan, cfg)):
             assert sem.allocation.entries == allocs[best].entries, seed
             assert sem.metrics.rate_total == pytest.approx(rates[best],
                                                            rel=1e-12), seed
-            assert sem.trace.q_params == [traj.steps[best].q], seed
+            assert [s.q for s in sem.trace.iterations] \
+                == [searches[best].q], seed
 
 
 def test_sem_from_the_eem_trajectory_runs_no_search(monkeypatch):
     cfg = SystemConfig(n_users=4, n_subcarriers=8, n_relays=2)
     _, chan = generate_instance(cfg, seed=3)
     eem = solve_eem(chan, cfg)
-    steps = eem._trajectory.steps
+    steps = eem.trace.searches
     calls = {"sweep": 0, "metrics": 0}
 
     def counting(name, fn):
