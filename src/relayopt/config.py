@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -91,6 +92,10 @@ class SystemConfig:
         def bad(key, why):
             raise ConfigError(f"invalid config: {key}: {why}")
 
+        for key in _INT_FIELDS:
+            v = getattr(self, key)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                bad(key, "must be an integer")
         for key in _REAL_FIELDS:
             if not math.isfinite(getattr(self, key)):
                 bad(key, "must be finite")
@@ -135,10 +140,10 @@ class SystemConfig:
             raise ConfigError(f"invalid config: {exc}") from exc
 
 
-_INT_FIELDS = {"n_users", "n_subcarriers", "n_relays", "i_outer_max",
-               "i_inner_max", "master_seed"}
+_INT_FIELDS = ("n_users", "n_subcarriers", "n_relays", "i_outer_max",
+               "i_inner_max", "master_seed")
 _SCALAR_FIELDS = {f.name for f in fields(SystemConfig)} - {"pathloss"}
-_REAL_FIELDS = tuple(sorted(_SCALAR_FIELDS - _INT_FIELDS))
+_REAL_FIELDS = tuple(sorted(_SCALAR_FIELDS.difference(_INT_FIELDS)))
 _PATHLOSS_KEYS = {f"pathloss.{cls}.{attr}"
                   for cls in LINK_CLASSES
                   for attr in ("intercept_db", "slope_db")}

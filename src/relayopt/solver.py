@@ -8,16 +8,17 @@ water-filling subproblem per (user, protocol) candidate and the best
 marginal wins the subcarrier.  The multiplier is found by a bracketed
 secant search on the water level.
 
-The search starts from the direct-only water-filling multiplier
-(or, after the first Dinkelbach iteration, from the previous iteration's
-multiplier), doubles or halves it until the budget is bracketed, and
-then runs Illinois regula falsi on the water level u = 1/(q*xi_bs +
-lambda).  Between assignment switches the allocated power is
-piecewise-linear in u, so a few steps reach the budget; a midpoint
-(bisection) step is taken whenever the bracket fails to halve over two
-steps.  Where the winning assignment switches the power jumps, and the
-budget may lie inside the jump, where no multiplier meets it.  So
-whenever the bracket's two ends differ on one subcarrier only, the
+The search keeps one bracket on the multiplier and files every sweep as
+its new lo end (budget exceeded) or hi end (budget met).  From the
+direct-only water-filling multiplier, or the previous Dinkelbach
+iteration's, one loop doubles it while only lo exists and halves it
+while only hi does; Illinois regula falsi then runs on the water level
+u = 1/(q*xi_bs + lambda).  Between assignment switches the allocated
+power is piecewise-linear in u, so a few steps reach the budget; a
+midpoint (bisection) step is taken whenever the bracket fails to halve
+over two steps.  Where the winning assignment switches the power jumps,
+and the budget may lie inside the jump, where no multiplier meets it.
+So whenever the bracket's two ends differ on one subcarrier only, the
 multiplier at which that subcarrier's two candidates tie is found on
 their closed forms alone (Brent's method, no sweep), pinned to float
 resolution.  If a piecewise-linear model of p_used puts the budget in
@@ -537,8 +538,9 @@ class _Search:
     search_sweeps: int    # steps inside the bracket
     # interior: lambda = 0 is feasible; tolerance: budget slack <= 1e-12
     # p_max; jump-point: lambda pinned to float resolution where p_used
-    # jumps across the budget; iteration-cap: i_inner_max sweeps spent;
-    # bracket-failure: bracketing alone took more than i_inner_max sweeps
+    # jumps across the budget; iteration-cap: i_inner_max sweeps in all,
+    # bracketing included, spent before either of those; bracket-failure:
+    # bracketing, which the cap never cuts short, took more on its own
     stop: str
     # the iterate: the best-F(q) feasible sweep
     sweep: _SweepResult = field(repr=False, compare=False)
@@ -568,16 +570,15 @@ def _search_lambda(prob: _Problem, q: float,
 
     p_used is non-increasing in lambda (it is the negated subgradient of
     the convex dual), so a bracket [lo, hi] with p_used(lo) > p_max >=
-    p_used(hi) always closes.  Inside it, Illinois regula falsi runs on
-    the water level u = 1/(q*xi_bs + lambda), in which p_used is
-    piecewise-linear, with a midpoint step whenever the bracket fails to
-    halve over two steps.  Where p_used jumps across p_max (an
-    assignment switch) the bracket collapses instead and the best
-    feasible iterate seen wins; when the ends differ on one subcarrier,
-    the switch is located by _tie_bracket and settled in one or two
-    sweeps (see the module docstring).  lam_hint, a positive multiplier,
-    seeds the search; None or 0 starts it from the water-filling
-    multiplier.
+    p_used(hi) always closes.  One bracket holds the last infeasible and
+    the last feasible sweep; one loop closes it and a second steps
+    inside it (see the module docstring).  The iterate is the first
+    best-F(q) feasible sweep.  lam_hint, a positive multiplier, seeds
+    the search; None or 0 starts it from the water-filling multiplier.
+    i_inner_max binds only once the bracket is closed: no step inside it
+    follows i_inner_max sweeps in all.  Bracketing runs to its end, and
+    a search whose bracketing alone took more is labelled
+    bracket-failure.
     """
     p_max = prob.p_max
     i_inner_max = prob.cfg.i_inner_max
@@ -588,117 +589,101 @@ def _search_lambda(prob: _Problem, q: float,
     # iterate is ~lambda * (p_max - p_used)).
     tol_p = 1e-12 * p_max
     price0 = q * prob.xi_bs  # direct price at lambda = 0
+    if q > 0.0:  # slack at zero price?  This sweep is no bracket end
+        r = _sweep(prob, q, 0.0)
+        if r.p_used <= over:
+            return _Search.of(prob, q, r, 1, 0, "interior")
+    # else: p_used(0+) is unbounded at q=0, never evaluate lambda=0
+    evals = int(q > 0.0)  # the lambda = 0 sweep counts as a bracket sweep
     best = None
-    evals = 0
+    # [lo, hi]: the last infeasible and the last feasible sweep, each as
+    # [lambda, sweep, u, g]; g, the budget excess p_used - p_max, is what
+    # the secant reads, and Illinois scales it down at a stale end
+    ends = [None, None]
 
     def ev(lam):
+        """Sweep at lam, file it as an end; return the end: 0 lo, 1 hi."""
         nonlocal best, evals
         evals += 1
         r = _sweep(prob, q, lam)
-        if r.p_used <= over and (best is None or r.f_value(q, prob.p_fixed)
-                                 > best.f_value(q, prob.p_fixed)):
+        end = int(r.p_used <= over)
+        if end and (best is None or r.f_value(q, prob.p_fixed)
+                    > best.f_value(q, prob.p_fixed)):
             best = r
-        return r
+        ends[end] = [lam, r, 1.0 / (price0 + lam), r.p_used - p_max]
+        return end
 
-    def stop_rule(lo, hi, r_hi):
+    def stop_rule(lo):
+        hi, r_hi = ends[1][:2]
         if p_max - r_hi.p_used <= tol_p:
             return "tolerance"
         if hi - lo <= _PIN_REL * max(1.0, hi):
             return "jump-point"  # multiplier pinned to float resolution
         return None
 
-    if q > 0.0 and ev(0.0).p_used <= over:
-        return _Search.of(prob, q, best, 1, 0, "interior")  # slack at zero price
-    # else: p_used(0+) is unbounded at q=0, never evaluate lambda=0
-
     lam = lam_hint or prob.lambda_start(q)
-    r = ev(lam)
     stop = None
-    if r.p_used > over:  # double up to the first feasible multiplier
-        while r.p_used > over:
-            lo, r_lo = lam, r
+    # bracket: sweep the start point, then double or halve once per pass
+    while not (ends[0] and ends[1]):
+        if ends[1]:  # halve down to the first infeasible multiplier
+            stop = stop_rule(0.0)
+            if stop:
+                break
+            lam *= 0.5
+        elif ends[0]:  # double up to the first feasible multiplier
             lam *= 2.0
             if lam > _LAMBDA_CEIL:  # unreachable: p_used -> 0 as lambda grows
                 raise RuntimeError("lambda bracket failed to close")
-            r = ev(lam)
-        hi, r_hi = lam, r
-    else:  # halve down to the first infeasible multiplier
-        hi, r_hi = lam, r
-        while True:
-            stop = stop_rule(0.0, hi, r_hi)
-            if stop:
-                break
-            lam = 0.5 * hi
-            r = ev(lam)
-            if r.p_used > over:
-                lo, r_lo = lam, r
-                break
-            hi, r_hi = lam, r
+        ev(lam)
     bracket_sweeps = evals
 
-    if stop is None:
-        u_lo, g_lo = 1.0 / (price0 + lo), r_lo.p_used - p_max
-        u_hi, g_hi = 1.0 / (price0 + hi), r_hi.p_used - p_max
-        side = 0           # which end moved last: +1 lo, -1 hi
-        widths = [hi - lo]
-        ties = {}
-        while True:
-            stop = stop_rule(lo, hi, r_hi)
-            if stop:
-                break
-            if evals >= i_inner_max:
-                stop = "iteration-cap"
-                break
-            tie = _tie_bracket(prob, q, lo, hi, r_lo, r_hi, ties)
-            if tie is not None:
-                # Model p_used as linear in u on both sides of the
-                # switch, a constant `jump` apart: the lo end's
-                # assignment then exceeds the budget at the switch by
-                # `excess`, and the hi end's by excess - jump.
-                a, b, jump = tie
-                w = (u_lo - 1.0 / (price0 + b)) / (u_lo - u_hi)
-                excess = ((1.0 - w) * (r_lo.p_used - p_max)
-                          + w * (r_hi.p_used - p_max + jump))
-                if 0.0 < excess <= jump:  # the budget lies in the jump
-                    # Sweep just above the switch, then just below it if
-                    # that still splits the bracket.  A pinned bracket
-                    # stops at the jump point; otherwise the budget lies
-                    # on one side's piece, where the secant restarts.
-                    for lam in (b, a):
-                        if lo < lam < hi and evals < i_inner_max:
-                            r = ev(lam)
-                            if r.p_used > over:
-                                lo, r_lo = lam, r
-                            else:
-                                hi, r_hi = lam, r
-                    u_lo, g_lo = 1.0 / (price0 + lo), r_lo.p_used - p_max
-                    u_hi, g_hi = 1.0 / (price0 + hi), r_hi.p_used - p_max
-                    side = 0
-                    widths.append(hi - lo)
-                    continue
-            lam = 0.5 * (lo + hi)
-            if len(widths) < 3 or widths[-1] <= 0.5 * widths[-3]:
-                u = (u_lo * g_hi - u_hi * g_lo) / (g_hi - g_lo)
-                secant = 1.0 / u - price0
-                if lo < secant < hi:
-                    lam = secant
-            if not lo < lam < hi:
-                stop = "jump-point"  # bracket no longer splits in float
-                break
-            r = ev(lam)
-            if r.p_used > over:
-                lo, r_lo = lam, r
-                u_lo, g_lo = 1.0 / (price0 + lam), r.p_used - p_max
-                if side == 1:
-                    g_hi *= 0.5  # Illinois: pull the stale end toward the root
-                side = 1
-            else:
-                hi, r_hi = lam, r
-                u_hi, g_hi = 1.0 / (price0 + lam), r.p_used - p_max
-                if side == -1:
-                    g_lo *= 0.5
-                side = -1
-            widths.append(hi - lo)
+    moved = None  # the end the last secant step filed, for Illinois
+    widths = []  # bracket width before each step
+    ties = {}
+    while stop is None:
+        (lo, r_lo, u_lo, g_lo), (hi, r_hi, u_hi, g_hi) = ends
+        widths.append(hi - lo)
+        stop = stop_rule(lo)
+        if stop:
+            break
+        if evals >= i_inner_max:
+            stop = "iteration-cap"
+            break
+        tie = _tie_bracket(prob, q, lo, hi, r_lo, r_hi, ties)
+        if tie is not None:
+            # Model p_used as linear in u on both sides of the switch, a
+            # constant `jump` apart: the lo end's assignment then exceeds
+            # the budget at the switch by `excess`, and the hi end's by
+            # excess - jump.
+            a, b, jump = tie
+            w = (u_lo - 1.0 / (price0 + b)) / (u_lo - u_hi)
+            excess = ((1.0 - w) * (r_lo.p_used - p_max)
+                      + w * (r_hi.p_used - p_max + jump))
+            if 0.0 < excess <= jump:  # the budget lies in the jump
+                # Sweep just above the switch, then just below it if that
+                # still splits the bracket.  A pinned bracket stops at the
+                # jump point; otherwise the budget lies on one side's
+                # piece, where the secant restarts from raw excesses.
+                for lam in (b, a):
+                    if ends[0][0] < lam < ends[1][0] and evals < i_inner_max:
+                        ev(lam)
+                for e in ends:
+                    e[3] = e[1].p_used - p_max
+                moved = None
+                continue
+        lam = 0.5 * (lo + hi)
+        if len(widths) < 3 or widths[-1] <= 0.5 * widths[-3]:
+            u = (u_lo * g_hi - u_hi * g_lo) / (g_hi - g_lo)
+            secant = 1.0 / u - price0
+            if lo < secant < hi:
+                lam = secant
+        if not lo < lam < hi:
+            stop = "jump-point"  # bracket no longer splits in float
+            break
+        end = ev(lam)
+        if end == moved:  # Illinois: pull the stale end toward the root
+            ends[1 - end][3] *= 0.5
+        moved = end
     if bracket_sweeps > i_inner_max:
         stop = "bracket-failure"
     return _Search.of(prob, q, best, bracket_sweeps, evals - bracket_sweeps,

@@ -1,8 +1,10 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from relayopt.config import ConfigError, SystemConfig, load_config
+from relayopt.experiments import AXIS_NAMES, SweepSpec, run_sweep
 
 
 def test_defaults_match_reference_parameters():
@@ -132,3 +134,21 @@ def test_pathloss_updates_do_not_alias(tmp_path):
     # replace() copies must not share the mutated class either
     other = dataclasses.replace(SystemConfig())
     assert other.pathloss.rn_ue_nlos.intercept_db == 125.0
+
+
+@pytest.mark.parametrize("key", ["n_users", "n_subcarriers", "n_relays",
+                                 "i_outer_max", "i_inner_max", "master_seed"])
+def test_integer_keys_reject_non_integers(key):
+    msg = f"invalid config: {key}: must be an integer"
+    for value in (2.5, 4.0, True):
+        with pytest.raises(ConfigError, match=msg):
+            load_config(overrides={key: value})
+    assert getattr(load_config(overrides={key: np.int64(3)}), key) == 3
+    # a sweep axis, or the sweep's base for a key that is no axis
+    if key in AXIS_NAMES:
+        spec = SweepSpec(name="x", axes={key: [4.0]}, samples=1)
+    else:
+        spec = SweepSpec(name="x", base=SystemConfig(**{key: 4.0}),
+                         samples=1)
+    with pytest.raises(ConfigError, match=msg):
+        run_sweep(spec)

@@ -349,3 +349,71 @@ def test_degenerate_configs_solve_or_reject(k, n, m, p_max_dbm,
         t = sol.trace
         assert _sweeps(t) <= cfg.i_outer_max * cfg.i_inner_max
         assert {s.stop for s in t.searches} <= STOPS
+
+
+def _check_search(prob, q, search, sweeps):
+    """Invariants of one search against the (lambda, sweep) it ran.
+
+    Each sweep files as the bracket's lo end (infeasible) or hi end
+    (feasible); the lambda = 0 check at q > 0 is no end.
+    """
+    over = prob.p_max * (1.0 + solver._FEAS_SLACK)
+    problems = []
+    lo = hi = None
+    for i, (lam, r) in enumerate(sweeps):
+        if q > 0.0 and i == 0 and lam == 0.0:
+            continue
+        if lo is not None and hi is not None and not lo < lam < hi:
+            problems.append(("outside", lam, lo, hi))
+        if r.p_used > over:
+            lo = lam
+        else:
+            hi = lam
+    feasible = [r for _, r in sweeps if r.p_used <= over]
+    f_best = max(r.f_value(q, prob.p_fixed) for r in feasible)
+    first = next(r for r in feasible if r.f_value(q, prob.p_fixed) == f_best)
+    if search.sweep is not first:
+        problems.append(("iterate", search.lam, first.lam))
+    if search.evals != len(sweeps):
+        problems.append(("evals", search.evals, len(sweeps)))
+    if search.evals > max(search.bracket_sweeps, prob.cfg.i_inner_max):
+        problems.append(("cap", search.evals, search.bracket_sweeps))
+    return problems
+
+
+def test_search_keeps_one_bracket(desk_jumps, monkeypatch):
+    # once both ends exist every sweep splits the bracket, the iterate is
+    # the first best-F(q) feasible sweep, and the counts add up
+    orig_sweep, orig_search = solver._sweep, solver._search_lambda
+    sweeps, checked, problems = [], [], []
+
+    def sweep(prob, q, lam):
+        r = orig_sweep(prob, q, lam)
+        sweeps.append((lam, r))
+        return r
+
+    def search(prob, q, lam_hint=None):
+        sweeps.clear()
+        res = orig_search(prob, q, lam_hint)
+        checked.append(res.stop)
+        problems.extend((q, p) for p in _check_search(prob, q, res, sweeps))
+        return res
+
+    monkeypatch.setattr(solver, "_sweep", sweep)
+    monkeypatch.setattr(solver, "_search_lambda", search)
+    desk = SystemConfig()
+    instances = [(desk, s) for s in range(1, 21)]
+    low = dataclasses.replace(desk, p_max_dbm=-30.0)
+    instances += [(low, 1), (low, 3)]
+    # lambda = 0 meets a +40 dBm budget once q > 0: the interior stop
+    instances.append((dataclasses.replace(desk, p_max_dbm=40.0), 1))
+    instances += [(SystemConfig(n_relays=0), s) for s in range(1, 11)]
+    capped = dataclasses.replace(desk, i_inner_max=2)
+    instances += [(capped, s) for s in range(1, 6)]
+    for cfg, seed in instances:
+        solver.solve_eem(generate_instance(cfg, seed)[1], cfg)
+    for _, prob, q, _ in desk_jumps:
+        solver._search_lambda(prob, q)
+    assert not problems, problems
+    assert {"interior", "tolerance", "jump-point", "iteration-cap",
+            "bracket-failure"} <= set(checked)
