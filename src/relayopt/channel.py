@@ -8,6 +8,7 @@ are distance path loss times i.i.d. unit-mean exponential fading
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
@@ -26,7 +27,7 @@ class PathLossClass:
 
     def loss_db(self, d_m, min_loss_db):
         d_m = np.asarray(d_m, dtype=float)
-        if np.any(d_m <= 0.0):
+        if (d_m <= 0.0).any():
             raise ValueError("path loss undefined for non-positive distance")
         return np.maximum(self.intercept_db + self.slope_db * np.log10(d_m / 1000.0),
                           min_loss_db)
@@ -48,12 +49,25 @@ class PathLossModel:
     def validate(self) -> None:
         for name in LINK_CLASSES:
             cls = getattr(self, name)
+            _require_real(f"pathloss.{name}.intercept_db", cls.intercept_db)
+            _require_real(f"pathloss.{name}.slope_db", cls.slope_db)
             if not math.isfinite(cls.intercept_db):
                 raise ValueError(f"pathloss.{name}.intercept_db must be finite")
             if not 0.0 < cls.slope_db < math.inf:
                 raise ValueError(f"pathloss.{name}.slope_db must be positive")
+        _require_real("pathloss.min_coupling_loss_db", self.min_coupling_loss_db)
         if not math.isfinite(self.min_coupling_loss_db):
             raise ValueError("pathloss.min_coupling_loss_db must be finite")
+
+
+def is_real(v) -> bool:
+    """v is a real number; an exact float skips the slow numbers.Real check."""
+    return type(v) is float or isinstance(v, numbers.Real)
+
+
+def _require_real(key: str, v) -> None:
+    if not is_real(v):
+        raise ValueError(f"{key} must be a real number")
 
 
 def path_loss_db(distance_m, link_class: str, plm: PathLossModel):

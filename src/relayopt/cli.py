@@ -119,7 +119,25 @@ def _build_parser() -> _Parser:
                    help="output path (default or '-': stdout)")
 
     sub.add_parser("scenarios", help="list built-in sweep scenarios")
+    parser.commands = sub.choices  # command name -> its parser
     return parser
+
+
+def _parse_args(argv: Optional[list]) -> argparse.Namespace:
+    """parse_args of the whole parser, with a command's own parser run
+    directly: the top level's scan of every argument, which finds only
+    the command, costs as much as the command's parse."""
+    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no command, an unknown one, or -h
+        return parser.parse_args(argv)
+    ns, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    ns.command = argv[0]
+    return ns
 
 
 def _json_safe(obj):
@@ -149,6 +167,11 @@ _SCALAR_TEXT = {str: encode_basestring_ascii, float: _float_text,
                 type(None): lambda _: "null"}
 
 
+class _Json(str):
+    """JSON text rendered ahead as at the top level: _json_text writes it
+    as it is, indented to where it sits (json.dumps would quote it)."""
+
+
 def _json_text(obj, pad: str) -> str:
     """What json.dumps(obj, indent=2, default=_json_safe) writes at the
     nesting level whose line break and indent is `pad`.
@@ -159,6 +182,8 @@ def _json_text(obj, pad: str) -> str:
     scalar = _SCALAR_TEXT.get(type(obj))
     if scalar is not None:
         return scalar(obj)
+    if type(obj) is _Json:
+        return obj.replace("\n", pad)
     inner = pad + "  "
     if type(obj) is dict:
         if not obj:
@@ -214,17 +239,23 @@ def _entry_rows(alloc):
                alloc.p_rn[order].tolist())
 
 
+def _entries_json(alloc) -> _Json:
+    """The entries list of the solve document, one f-string per entry:
+    {user, subcarrier, protocol "af", p_bs, p_rn} or {user, subcarrier,
+    protocol "direct", p}, as json.dumps(indent=2) writes the dicts."""
+    items = [
+        f'{{\n    "user": {k},\n    "subcarrier": {n},\n    "protocol": "af",'
+        f'\n    "p_bs": {_float_text(p_bs)},\n    "p_rn": {_float_text(p_rn)}\n  }}'
+        if af else
+        f'{{\n    "user": {k},\n    "subcarrier": {n},\n    "protocol": "direct",'
+        f'\n    "p": {_float_text(p_bs)}\n  }}'
+        for k, n, af, p_bs, p_rn in _entry_rows(alloc)]
+    return _Json("[\n  " + ",\n  ".join(items) + "\n]" if items else "[]")
+
+
 def _allocation_doc(alloc) -> dict:
-    entries = []
-    for k, n, af, p_bs, p_rn in _entry_rows(alloc):
-        if af:
-            entries.append({"user": k, "subcarrier": n, "protocol": "af",
-                            "p_bs": p_bs, "p_rn": p_rn})
-        else:
-            entries.append({"user": k, "subcarrier": n, "protocol": "direct",
-                            "p": p_bs})
     return {"n_users": alloc.n_users, "n_subcarriers": alloc.n_subcarriers,
-            "entries": entries}
+            "entries": _entries_json(alloc)}
 
 
 def _fields(obj) -> dict:
@@ -398,7 +429,7 @@ _COMMANDS = {
 
 def main(argv: Optional[list] = None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _parse_args(argv)
         return _COMMANDS[ns.command](ns)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -19,7 +19,7 @@ import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .channel import LINK_CLASSES, PathLossModel
+from .channel import LINK_CLASSES, PathLossModel, is_real
 from .model import PowerModel, RadioConfig, dbm_to_watts
 
 
@@ -92,12 +92,18 @@ class SystemConfig:
         def bad(key, why):
             raise ConfigError(f"invalid config: {key}: {why}")
 
+        # exact ints and floats skip the numbers ABC checks, the slowest
+        # step here; validate runs on every load and every solve
         for key in _INT_FIELDS:
             v = getattr(self, key)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            if type(v) is not int and (isinstance(v, bool) or
+                                       not isinstance(v, numbers.Integral)):
                 bad(key, "must be an integer")
         for key in _REAL_FIELDS:
-            if not math.isfinite(getattr(self, key)):
+            v = getattr(self, key)
+            if not is_real(v):
+                bad(key, "must be a real number")
+            if not math.isfinite(v):
                 bad(key, "must be finite")
         if not self.n_users >= 1:
             bad("n_users", "must be >= 1")

@@ -19,12 +19,14 @@ midpoint (bisection) step is taken whenever the bracket fails to halve
 over two steps.  Where the winning assignment switches the power jumps,
 and the budget may lie inside the jump, where no multiplier meets it.
 So whenever the bracket's two ends differ on one subcarrier only, the
-multiplier at which that subcarrier's two candidates tie is found on
-their closed forms alone (Brent's method, no sweep), pinned to float
-resolution.  If a piecewise-linear model of p_used puts the budget in
-that jump, the search sweeps just either side of the tie: the bracket
-is then pinned as plain bisection would pin it, or it is left on the
-one piece that holds the budget, where the secant resumes.
+two candidates' gaps at the ends are read off the marginals the end
+sweeps kept, and where each end's winner leads at its end, the
+multiplier at which they tie is found on their closed forms alone
+(Brent's method, no sweep), pinned to float resolution.  If a
+piecewise-linear model of p_used puts the budget in that jump, the
+search sweeps just either side of the tie: the bracket is then pinned
+as plain bisection would pin it, or it is left on the one piece that
+holds the budget, where the secant resumes.
 
 Each sweep evaluates only a per-instance shortlist of the candidates
 that can win.  All direct users of a subcarrier share the water level
@@ -137,10 +139,16 @@ def _direct_terms(q, lam, xi_bs, inv_alpha, p=None, x=None):
     which gets no power).  This, _af_split and _af_terms are the only
     home of the closed forms: _sweep passes shortlist arrays and the
     problem's scratch buffers p and x, _candidate one element's floats,
-    and both run the same floating-point operations.
+    and both run the same floating-point operations.  On floats, max
+    and / stand in for np.maximum and np.divide: the same IEEE
+    operations, without a ufunc call's cost on a scalar.
     """
     wl = 1.0 / (LN2 * (q * xi_bs + lam))
-    p = np.maximum(0.0, wl - inv_alpha, out=p)
+    fill = wl - inv_alpha  # water above the floor
+    if isinstance(fill, float):
+        p = max(0.0, fill)
+        return p, p / inv_alpha
+    p = np.maximum(0.0, fill, out=p)
     return p, np.divide(p, inv_alpha, out=x)
 
 
@@ -168,8 +176,9 @@ def _af_terms(q, lam, xi_bs, xi_rn, ngap, sqrt_g1, sqrt_g2, g1, g2,
               p=None, x=None, beta=None):
     """Split beta, water-filling total power p and alpha*p of AF pairs.
 
-    Arrays or floats, as _direct_terms; beta, if given, receives the
-    split.  alpha = beta*(1-beta)*g1*g2 / ((beta*g1 + (1-beta)*g2)*ngap)
+    Arrays or floats, as _direct_terms (on floats, max and * stand in
+    for the ufuncs); beta, if given, receives the split.
+    alpha = beta*(1-beta)*g1*g2 / ((beta*g1 + (1-beta)*g2)*ngap)
     and the water level 1/(ln2*(beta*a + (1-beta)*b)) are formed in
     place on the kernel's own temporaries, in that operation order.
     """
@@ -187,6 +196,9 @@ def _af_terms(q, lam, xi_bs, xi_rn, ngap, sqrt_g1, sqrt_g2, g1, g2,
     wl *= LN2
     wl = 1.0 / wl
     wl -= 1.0 / alpha
+    if isinstance(wl, float):
+        p = max(0.0, wl)
+        return beta, p, alpha * p
     p = np.maximum(0.0, wl, out=p)
     return beta, p, np.multiply(alpha, p, out=x)
 
@@ -219,9 +231,9 @@ class _Problem:
     The candidate shortlist (see the module docstring) has one row per
     contest: row 0 holds each subcarrier's strongest direct user, and
     with relays one further row per occupied sector holds its strongest
-    AF user.  flat[r, n] is that candidate's index in the full
-    user-major candidate order (2k direct, 2k+1 AF; k without relays),
-    which fixes the lowest-index tie-break.
+    AF user.  user[r, n] is that candidate's user and flat[r, n] its
+    index in the full user-major candidate order (2k direct, 2k+1 AF; k
+    without relays), which fixes the lowest-index tie-break.
     """
 
     def __init__(self, chan: "ChannelRealization", cfg: "SystemConfig"):
@@ -252,19 +264,34 @@ class _Problem:
         if self.has_af:
             _check_gains("g_bs_rn", chan.g_bs_rn)
             _check_gains("g_rn_ue", chan.g_rn_ue)
-            # sector_row[k]: shortlist row of user k's AF contest
-            sectors, sector_row = np.unique(chan.sector_of_ue,
-                                            return_inverse=True)
-            self.sector_row = 1 + sector_row.reshape(-1)
-            k_a = np.empty((len(sectors), self.n_subcarriers), dtype=np.intp)
-            for r, m in enumerate(sectors):
-                members = np.flatnonzero(chan.sector_of_ue == m)
-                k_a[r] = members[np.argmax(chan.g_rn_ue[members], axis=0)]
-            self.flat = np.vstack([2 * k_d, 2 * k_a + 1])
+            # sector_row[k]: shortlist row of user k's AF contest, one row
+            # per occupied sector in ascending order
+            sector = chan.sector_of_ue
+            counts = np.bincount(sector)
+            sectors = np.flatnonzero(counts)
+            self.sector_row = np.cumsum(counts > 0).take(sector)
+            # an AF row's user is its sector's strongest access link; the
+            # members of each sector are one slice of the users sorted by
+            # sector, in user order
+            self.user = np.empty((1 + len(sectors), self.n_subcarriers),
+                                 dtype=np.intp)
+            self.user[0] = k_d
+            order = np.argsort(sector, kind="stable")
+            ends = np.cumsum(counts).take(sectors).tolist()
+            for r, (start, end) in enumerate(zip([0, *ends], ends), 1):
+                members = order[start:end]
+                best = chan.g_rn_ue.take(members, axis=0).argmax(axis=0)
+                members.take(best, out=self.user[r])
+            self.flat = 2 * self.user
+            self.flat[1:] += 1
+            # full-order candidate index -> shortlist row; the last index,
+            # 2K, stands for no candidate and maps to row 0
+            self.row_of = np.zeros(2 * self.n_users + 1, dtype=np.intp)
+            self.row_of[1::2] = self.sector_row
             g1 = chan.g_bs_rn[sectors]  # (M', N) feeder gain per row
-            g2 = chan.g_rn_ue[k_a, self.cols]
+            g2 = chan.g_rn_ue[self.user[1:], self.cols]
             dead = (g1 == 0.0) | (g2 == 0.0)
-            if np.any(dead):
+            if dead.any():
                 # a pair with a dead hop carries nothing; stand-in unit
                 # gains keep its closed forms finite and _sweep zeroes
                 # its power
@@ -276,9 +303,7 @@ class _Problem:
             self.g1 = g1
             self.g2 = g2
         else:
-            self.flat = k_d[None, :]
-        # user of each shortlisted candidate
-        self.user = self.flat // 2 if self.has_af else self.flat
+            self.user = self.flat = k_d[None, :]
         shape = self.flat.shape
         # _sweep's scratch: candidate power and alpha * power
         self.p = np.empty(shape)
@@ -311,7 +336,9 @@ def _water_filling_price(floors, p_max: float) -> float:
         return 1.0
     levels = (p_max + np.cumsum(floors)) / np.arange(1, floors.size + 1)
     cleared = np.flatnonzero(levels > floors)
-    level = levels[cleared[-1]] if cleared.size else floors[0]
+    # a Python float: the searches then do their scalar arithmetic off
+    # numpy scalars
+    level = levels.item(cleared[-1]) if cleared.size else floors.item(0)
     return 1.0 / (LN2 * level)
 
 
@@ -323,6 +350,9 @@ class _SweepResult:
     winner_user: np.ndarray     # (N,)
     winner_af: np.ndarray       # (N,) bool
     winner_row: np.ndarray      # (N,) shortlist row of the winner
+    # (R, N) every shortlisted candidate's marginal, as the sweep ranked
+    # them; None without relays, where the one row always wins
+    marg: Optional[np.ndarray]
     p_d: np.ndarray             # (N,) direct power of the winner (0 if AF)
     p_bs: np.ndarray            # (N,)
     p_rn: np.ndarray            # (N,)
@@ -331,9 +361,6 @@ class _SweepResult:
     p_used: float               # radiated power against the budget, W
     def f_value(self, q: float, p_fixed: float) -> float:
         return self.rate_sum - q * (p_fixed + self.cons_sum)
-
-
-_NO_CANDIDATE = np.iinfo(np.intp).max  # sorts after every candidate index
 
 
 def _sweep(prob: _Problem, q: float, lam: float) -> _SweepResult:
@@ -352,10 +379,13 @@ def _sweep(prob: _Problem, q: float, lam: float) -> _SweepResult:
             x[1:][prob.af_dead] = 0.0
         marg = _marginal(x)
         marg *= prob.half
-        # exact ties go to the lowest candidate index, as in the full order
+        # exact ties go to the lowest candidate index, as in the full
+        # order; a subcarrier with a NaN marginal matches none: row 0
         best = marg.max(axis=0)
-        row = np.where(marg == best, prob.flat, _NO_CANDIDATE).argmin(axis=0)
+        key = np.where(marg == best, prob.flat, 2 * prob.n_users)
+        row = prob.row_of.take(key.min(axis=0))
     else:  # one candidate per subcarrier: it wins
+        marg = None
         row = np.zeros(prob.n_subcarriers, dtype=np.intp)
     at = row * prob.n_subcarriers  # flat index of each winner
     at += prob.cols
@@ -387,6 +417,7 @@ def _sweep(prob: _Problem, q: float, lam: float) -> _SweepResult:
         winner_user=prob.user.take(at),
         winner_af=winner_af,
         winner_row=row,
+        marg=marg,
         p_d=wp_d,
         p_bs=wp_bs,
         p_rn=wp_rn,
@@ -436,37 +467,43 @@ def _tie_bracket(prob: _Problem, q: float, lo: float, hi: float,
     on exactly one subcarrier n, and there the winner at lo has the
     larger marginal at lo and the winner at hi at hi (strictly, so both
     carry power at the switch and p_used jumps), the switch is where
-    their two marginals tie.  Brent's method finds it on those two
-    candidates' closed forms alone, no sweep, until the bracket is
-    pinned as _search_lambda pins lambda.  Returns (a, b, jump),
-    with the winner at lo still winning at a, the winner at hi at b, and
-    jump the drop in n's radiated power across the switch; or None.
-    memo keeps the switches found in one search.
+    their two marginals tie.  Those end gaps are read off the marginals
+    the two sweeps kept (marg), which equal _candidate's bit for bit.
+    Brent's method then finds the switch on the two candidates' closed
+    forms alone, no sweep, until the bracket is pinned as _search_lambda
+    pins lambda.  Returns (a, b, jump), with the winner at lo still
+    winning at a, the winner at hi at b, and jump the drop in n's
+    radiated power across the switch; or None.  memo keeps the switches
+    found in one search.
     """
-    differ = np.flatnonzero(r_lo.winner_row != r_hi.winner_row)
-    if differ.size != 1:
+    differ = r_lo.winner_row != r_hi.winner_row
+    if np.count_nonzero(differ) != 1:
         return None
-    n = int(differ[0])
+    n = int(differ.argmax())
     row_lo, row_hi = int(r_lo.winner_row[n]), int(r_hi.winner_row[n])
     key = (n, row_lo, row_hi)
     if key in memo and lo <= memo[key][0] and memo[key][1] <= hi:
         return memo[key]
 
-    # exact ties go to the lower candidate index, as in _sweep
-    tie_sign = 1.0 if prob.flat[row_lo, n] < prob.flat[row_hi, n] else -1.0
-
-    def gap(lam, ties=tie_sign):  # > 0 where the winner at lo wins
-        m_lo = _candidate(prob, q, lam, row_lo, n)[0]
-        m_hi = _candidate(prob, q, lam, row_hi, n)[0]
+    def gap(m_lo, m_hi, ties):  # > 0 where the winner at lo wins
         if m_lo != m_hi or m_hi == 0.0:
             return float(m_lo - m_hi)
         return math.copysign(math.ulp(m_hi), ties)
 
-    # the sweeps at lo and hi have settled any tie there
-    g_lo, g_hi = gap(lo, 1.0), gap(hi, -1.0)
+    # the end sweeps hold both marginals at lo and hi, and have settled
+    # any tie there
+    g_lo = gap(r_lo.marg.item(row_lo, n), r_lo.marg.item(row_hi, n), 1.0)
+    g_hi = gap(r_hi.marg.item(row_lo, n), r_hi.marg.item(row_hi, n), -1.0)
     if not g_lo > 0.0 > g_hi:
         return None
-    x, y = _brent(gap, lo, hi, g_lo, g_hi)
+    # exact ties go to the lower candidate index, as in _sweep
+    tie_sign = 1.0 if prob.flat[row_lo, n] < prob.flat[row_hi, n] else -1.0
+
+    def gap_at(lam):
+        return gap(_candidate(prob, q, lam, row_lo, n)[0],
+                   _candidate(prob, q, lam, row_hi, n)[0], tie_sign)
+
+    x, y = _brent(gap_at, lo, hi, g_lo, g_hi)
     a, b = min(x, y), max(x, y)
     jump = (_candidate(prob, q, b, row_lo, n)[1]
             - _candidate(prob, q, b, row_hi, n)[1])

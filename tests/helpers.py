@@ -246,6 +246,7 @@ def reference_sweep(prob, q, lam):
         cons = np.where(winner_af, c["cons_a"][winner_user, cols],
                         c["cons_d"][winner_user, cols])
         winner_row = np.where(winner_af, prob.sector_row[winner_user], 0)
+        marg = marg[prob.flat, cols]  # the shortlisted candidates' rows
     else:
         winner_user = flat
         winner_af = np.zeros(prob.n_subcarriers, dtype=bool)
@@ -255,12 +256,14 @@ def reference_sweep(prob, q, lam):
         rate = c["rate_d"][winner_user, cols]
         cons = c["cons_d"][winner_user, cols]
         winner_row = np.zeros(prob.n_subcarriers, dtype=np.intp)
+        marg = None
 
     return solver._SweepResult(
         lam=lam,
         winner_user=winner_user,
         winner_af=winner_af,
         winner_row=winner_row,
+        marg=marg,
         p_d=wp_d,
         p_bs=wp_bs,
         p_rn=wp_rn,

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relayopt import cli
+from relayopt.channel import generate_instance
 from relayopt.cli import main
 from relayopt.experiments import CSV_COLUMNS
 from relayopt.model import Af, Allocation, Direct, check_feasibility
 from relayopt.config import ConfigError, SystemConfig, load_config
+from relayopt.solver import solve_eem, solve_sem
 
 
 def _solve_doc(capsys, argv):
@@ -349,6 +351,28 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert cli._build_parser.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--k", "8", "--seed", "7", "--sem"], ["solve", "--k=3"],
+    ["solve", "--se", "7"], ["solve", "--bogus"], ["solve", "--k", "x"],
+    ["solve", "--set", "x=1", "extra"], ["solve", "--", "--k"],
+    ["sweep"], ["sweep", "--scenario", "radius", "--samples", "2"],
+    ["oracle", "--seeds", "0"], ["convergence", "--out", "-"],
+    ["scenarios"], ["scenarios", "x"], [], ["nope"], ["-h"],
+    ["solve", "-h"]])
+def test_command_parse_matches_the_whole_parser(capsys, argv):
+    # main runs a command's own parser directly; the namespace, usage
+    # error or help text must be what the whole parser gives
+    def outcome(parse):
+        try:
+            return sorted(vars(parse(argv)).items())
+        except cli._UsageError as exc:
+            return str(exc)
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr().out
+
+    assert outcome(cli._parse_args) == outcome(cli._build_parser().parse_args)
+
+
 def test_sweep_stdout_matches_the_csv_file(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--scenario", "convergence", "--samples", "2",
@@ -378,6 +402,60 @@ def test_dump_edge_document_matches_json_dump():
            "text": "h\u00e9llo \u2603 \"q\" \\ \n\t\x00 \U0001f600",
            "\u00fc-key": [True, False, None, 10**30]}
     assert _fast_dump(doc) == _reference_dump(doc)
+
+
+def _entry_dicts(alloc):
+    """The solve document's entries as dicts, by subcarrier then user."""
+    rows = sorted(zip(*(getattr(alloc, f).tolist() for f in
+                        ("user", "subcarrier", "af", "p_bs", "p_rn"))),
+                  key=lambda r: (r[1], r[0]))
+    return [{"user": k, "subcarrier": n, "protocol": "af",
+             "p_bs": p_bs, "p_rn": p_rn} if af else
+            {"user": k, "subcarrier": n, "protocol": "direct", "p": p_bs}
+            for k, n, af, p_bs, p_rn in rows]
+
+
+_SIZE_FLAGS = {"n_users": "--k", "n_subcarriers": "--n", "n_relays": "--m"}
+_DOC_CASES = ([({}, False, s) for s in range(1, 21)]
+              + [({}, True, s) for s in (1, 4, 26)]
+              + [({"n_relays": 0}, sem, s)
+                 for sem, s in ((False, 1), (False, 2), (True, 3))]
+              + [({"n_users": 1, "n_subcarriers": 1, "n_relays": 1}, sem, s)
+                 for s in (1, 2) for sem in (False, True)])
+
+
+@pytest.mark.parametrize("sizes, sem, seed", _DOC_CASES)
+def test_solve_stdout_is_json_dumps_of_the_dict_document(capsys, sizes, sem,
+                                                          seed):
+    # the entries are rendered straight from the allocation arrays; the
+    # text must be json.dumps(indent=2) of the document with entry dicts
+    argv = ["solve", "--seed", str(seed), *(["--sem"] if sem else [])]
+    for key, value in sizes.items():
+        argv += [_SIZE_FLAGS[key], str(value)]
+    assert main(argv) == 0
+    cfg = SystemConfig(master_seed=seed, **sizes)
+    _, chan = generate_instance(cfg, seed)
+    sol = solve_sem(chan, cfg) if sem else solve_eem(chan, cfg)
+    doc = cli._solution_doc(sol)
+    ref = dict(doc, allocation=dict(doc["allocation"],
+                                    entries=_entry_dicts(sol.allocation)),
+               algorithm="SEM" if sem else "EEM", seed=seed)
+    assert capsys.readouterr().out == _reference_dump(ref)
+
+
+def test_rendered_entries_edge_allocations():
+    for alloc in (Allocation(3, 4),
+                  Allocation.from_arrays(2, 3, [1, 0, 1], [2, 0, 1],
+                                         [False, True, False],
+                                         [math.inf, 5e-324, 1e300],
+                                         [0.0, math.nan, 0.0])):
+        doc = {"allocation": cli._allocation_doc(alloc), "after": [1.5]}
+        ref = {"allocation": dict(doc["allocation"],
+                                  entries=_entry_dicts(alloc)),
+               "after": [1.5]}
+        assert _fast_dump(doc) == _reference_dump(ref)
+        assert _fast_dump(doc["allocation"]) \
+            == _reference_dump(ref["allocation"])
 
 
 def test_dump_rejects_what_it_cannot_encode():

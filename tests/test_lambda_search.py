@@ -117,16 +117,23 @@ def test_jump_searches_settle_at_the_tie(desk_jumps):
 def _candidate_mismatches(prob, q, lam):
     """Where _candidate's verdict differs from _sweep's at (q, lam).
 
-    Per subcarrier, the row with the largest _candidate marginal (ties
-    to the lowest full-order index) must be the sweep's winner row, and
-    its power the sweep's: p_d for a direct winner, beta*p and
+    Per subcarrier, every row's _candidate marginal must be the one the
+    sweep keeps in marg (None without relays), the row with the largest
+    (ties to the lowest full-order index) must be the sweep's winner
+    row, and its power the sweep's: p_d for a direct winner, beta*p and
     (1-beta)*p with the public af_beta for an AF one, bit for bit.
     """
     sweep = solver._sweep(prob, q, lam)
     rows = range(prob.flat.shape[0])
     found = []
+    if not prob.has_af and sweep.marg is not None:
+        found.append((q, lam, "marg kept without relays"))
     for n in range(prob.n_subcarriers):
         cands = [solver._candidate(prob, q, lam, r, n) for r in rows]
+        if prob.has_af:  # the tie check reads the end sweeps' marginals
+            found += [(q, lam, n, "marg", r, m, sweep.marg[r, n])
+                      for r, (m, _) in enumerate(cands)
+                      if m != sweep.marg[r, n]]
         best = max(m for m, _ in cands)
         row = min((r for r in rows if cands[r][0] == best),
                   key=lambda r: prob.flat[r, n])
@@ -146,8 +153,9 @@ def _candidate_mismatches(prob, q, lam):
 
 
 def test_candidate_agrees_with_the_sweep(desk_jumps, monkeypatch):
-    # the tie finder reads switches off _candidate; they must fall where
-    # the sweep puts them, on a multiplier grid and at every pinned pair
+    # the tie finder reads the end gaps off the sweeps' marginals and the
+    # switches off _candidate; the two must agree, and the switches fall
+    # where the sweep puts them, on a multiplier grid and at every pinned pair
     # desk seeds, the dead-hop instances (the af_dead rows) and relay-free
     # ones (no AF row)
     desk, relay_free = SystemConfig(), SystemConfig(n_relays=0)

@@ -142,3 +142,28 @@ def test_shortlist_rows():
         members = np.flatnonzero(chan.sector_of_ue == m)
         assert np.array_equal(chan.g_rn_ue[users, cols],
                               chan.g_rn_ue[members].max(axis=0))
+
+
+def test_nan_marginals_leave_row_zero(monkeypatch):
+    # a subcarrier with a NaN marginal has no maximum to match, so no
+    # candidate wins the tie-break and it keeps row 0
+    cfg = SystemConfig()
+    _, chan = generate_instance(cfg, 4)
+    prob = solver._Problem(chan, cfg)
+    lam = prob.lambda_start(0.0)
+    clean = solver._sweep(prob, 0.0, lam)
+    assert clean.winner_row[[3, 5]].all()  # AF winners, so the test bites
+    marginal = solver._marginal
+
+    def nan_marginals(x):
+        m = marginal(x)
+        m[:, 3] = np.nan  # every marginal of subcarrier 3
+        m[0, 5] = np.nan  # one of subcarrier 5
+        return m
+
+    monkeypatch.setattr(solver, "_marginal", nan_marginals)
+    rows = solver._sweep(prob, 0.0, lam).winner_row
+    assert rows[3] == rows[5] == 0
+    others = np.ones(cfg.n_subcarriers, dtype=bool)
+    others[[3, 5]] = False
+    assert np.array_equal(rows[others], clean.winner_row[others])
