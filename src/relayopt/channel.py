@@ -185,11 +185,12 @@ def sample_channel(topo: Topology, cfg: "SystemConfig", seed,
 def generate_instance(cfg: "SystemConfig", seed):
     """(Topology, ChannelRealization) for one Monte-Carlo sample.
 
-    Spawns independent child streams for geometry and fading so the two
-    draws never alias, while staying bit-reproducible from `seed`.
+    Seeds independent child streams for geometry and fading so the two
+    draws never alias, while staying bit-reproducible from `seed`: the
+    children `SeedSequence(seed).spawn(2)` would give, built directly.
     """
-    ss = np.random.SeedSequence(seed)
-    topo_seed, fade_seed = ss.spawn(2)
+    topo_seed, fade_seed = (np.random.SeedSequence(seed, spawn_key=(i,))
+                            for i in range(2))
     topo = build_topology(cfg, topo_seed)
     chan = sample_channel(topo, cfg, fade_seed)
     return topo, chan

@@ -77,6 +77,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value < math.inf:  # NaN fails both tests
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 @functools.cache  # built on the first main() call, then reused
 def _build_parser() -> _Parser:
     parser = _Parser(prog="relayopt")
@@ -110,7 +120,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--power-points", type=int, default=200)
     p.add_argument("--beta-points", type=int, default=101)
     p.add_argument("--refine-rounds", type=int, default=2)
-    p.add_argument("--tolerance", type=float, default=0.01,
+    p.add_argument("--tolerance", type=_tolerance, default=0.01,
                    help="allowed relative EE shortfall vs the oracle")
 
     p = sub.add_parser("convergence", help="outer-loop trace as JSON lines")

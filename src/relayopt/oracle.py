@@ -4,23 +4,25 @@ Exhaustively enumerates every subcarrier/user/protocol assignment and
 grid-searches the powers on each one, entirely independent of the
 solver's closed forms.  Exists to certify, not to scale: the power
 grids are log-spaced (water-filling optima span decades) with local
-refinement rounds recovering near-continuous precision.
+refinement rounds recovering near-continuous precision.  Each call
+optimizes one objective: the EE (brute_force_eem) or the rate
+(brute_force_sem).
 
 The scan over one assignment's menu product is exhaustive in effect but
 skips whole rows of it (branch and bound, Land & Doig 1960).  A row is
 one point of the product of all menus but the last, summed left to
 right as the full scan sums it, and holds one combo per point of the
 last menu; a one-menu product takes its points as rows, each with one
-zero point.  Each row gets an upper bound on the EE and on the rate of
-any feasible combo in it: the last menu, sorted by tx, is cut to its
-prefix that passes the scan's own budget test with the row, and the
-prefix's best rate and least cons are added to the row's and combined
-as rate / (p_fixed + cons).  Correctly rounded + and / are monotone
-(rates are >= 0, p_fixed + cons > 0), so no combo in a row scores above
-its bound.  The rows with the best bounds are scored exactly first;
-their scores are the incumbents, and only rows whose EE or rate bound
-is >= its incumbent are scanned, in index order.  A skipped row holds
-no combo that reaches the incumbent, let alone the maximum, and a
+zero point.  Each row gets an upper bound on the objective of any
+feasible combo in it: the last menu, sorted by tx, is cut to its prefix
+that passes the scan's own budget test with the row, and the prefix's
+best rate is added to the row's; for the EE its least cons is added
+too, and the two combine as rate / (p_fixed + cons).  Correctly rounded
+addition and division are monotone (rates are >= 0, p_fixed + cons >
+0), so no combo in a row scores above its bound.  The row with the best bound is scored
+exactly first; its score is the incumbent, and only rows whose bound is
+>= the incumbent are scanned, in index order.  A skipped row holds no
+combo that reaches the incumbent, let alone the maximum, and a
 lower-index row that only ties it is kept, so the answer, ties
 included, is the first-index argmax over the full product.
 
@@ -32,16 +34,15 @@ of its slots' bounds with a 1e-9 relative margin for rounding, and its
 EE bound is that over p_fixed, since the amplifier power is >= 0.  With
 the paper's power model p_fixed (80 W at the stock config) dwarfs p_max
 (1 mW at 0 dBm), so EE <= rate / p_fixed is nearly tight and most
-assignments fall below the incumbents.  Assignments are scanned best
-bound first and skipped when both bounds fall strictly below the
-incumbents; ties go to the lowest enumeration index, so the answers are
-those of a scan of every assignment in enumeration order.
+assignments fall below the best EE.  Assignments are scanned best bound
+first and skipped when their bound falls strictly below the best score
+so far; ties go to the lowest enumeration index, so the answer is that
+of a scan of every assignment in enumeration order.
 
 Menus are memoized per brute-force call by (slot, bracket): every
 assignment reuses the same coarse (subcarrier, user, protocol) menus,
-and the EE and rate refinements of one assignment share the local
-menus, and the scan of their product, whenever they start from one
-point.
+and a refinement that re-grids a bracket already built reuses its local
+menu.
 """
 
 from __future__ import annotations
@@ -161,9 +162,9 @@ def _leading(lead, rows):
     return rate, tx, cons
 
 
-def _row_bounds(menus, p_cap, p_fixed):
-    """Upper bounds on the EE and the rate of any feasible combo in each
-    leading row.
+def _row_bounds(menus, p_cap, p_fixed, ee):
+    """Upper bounds on the EE (if `ee`) or the rate of any feasible combo
+    in each leading row.
 
     A feasible combo's point of the last menu lies in that menu's prefix,
     by ascending tx, of the points that pass the scan's budget test with
@@ -175,10 +176,9 @@ def _row_bounds(menus, p_cap, p_fixed):
     *lead, last = menus
     ts, best_rate, least_cons = last.tail
     ts_inf = np.append(ts, np.inf)  # one past the end is never feasible
-    n_rows = math.prod(len(m.rate) for m in lead)
-    ee_bound, rate_bound = np.empty(n_rows), np.empty(n_rows)
-    for start in range(0, n_rows, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, n_rows)
+    bound = np.empty(math.prod(len(m.rate) for m in lead))
+    for start in range(0, len(bound), _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, len(bound))
         rate, tx, cons = _leading(lead, np.arange(start, stop))
         # each row's count of feasible distinct tx values: a guess from the
         # rounded difference, then exact steps under the scan's own test
@@ -191,29 +191,25 @@ def _row_bounds(menus, p_cap, p_fixed):
             size += step
         end = np.maximum(size, 1) - 1
         rate = np.where(size > 0, rate + best_rate[end], -math.inf)
-        rate_bound[start:stop] = rate
-        ee_bound[start:stop] = rate / (p_fixed + (cons + least_cons[end]))
-    return ee_bound, rate_bound
+        bound[start:stop] = (rate / (p_fixed + (cons + least_cons[end]))
+                             if ee else rate)
+    return bound
 
 
-def _score_rows(menus, rows, p_cap, p_fixed, best_ee, best_rate):
-    """Offer the max-EE and max-rate feasible combos of the given leading
-    rows, as (row, index into the last menu)."""
+def _score_rows(menus, rows, p_cap, p_fixed, ee, best):
+    """Offer the max-EE (if `ee`) or max-rate feasible combo of the given
+    leading rows, as (row, index into the last menu)."""
     *lead, last = menus
     rate, tx, cons = _leading(lead, rows)
-    rate = rate[:, None] + last.rate
-    tx = tx[:, None] + last.tx
-    cons = cons[:, None] + last.cons
-    feas = tx <= p_cap
+    feas = tx[:, None] + last.tx <= p_cap
     if not np.any(feas):
         return
-    rate = np.where(feas, rate, -1.0)
-    ee = rate / (p_fixed + cons)
-    for best, score in ((best_ee, ee), (best_rate, rate)):
-        j = int(np.argmax(score))
-        if rate.flat[j] >= 0.0:
-            i, t = divmod(j, len(last.rate))
-            best.offer(float(score.flat[j]), (int(rows[i]), t))
+    rate = np.where(feas, rate[:, None] + last.rate, -1.0)
+    score = rate / (p_fixed + (cons[:, None] + last.cons)) if ee else rate
+    j = int(np.argmax(score))
+    if rate.flat[j] >= 0.0:
+        i, t = divmod(j, len(last.rate))
+        best.offer(float(score.flat[j]), (int(rows[i]), t))
 
 
 def _check_product(sizes):
@@ -225,42 +221,37 @@ def _check_product(sizes):
             "budget coupling is searched exactly only up to 3 active subcarriers")
 
 
-def _scan_product(menus, p_max, p_fixed):
-    """Max-EE and max-rate feasible combos over the menu product.
+def _scan_product(menus, p_max, p_fixed, ee):
+    """Max-EE (if `ee`) or max-rate feasible combo over the menu product.
 
-    Skips the leading rows whose bounds fall below the incumbents scored
-    on the best-bound rows, and returns the winning combos as one index
-    into each menu.
+    Skips the leading rows whose bounds fall below the incumbent scored
+    on the best-bound row, and returns the winner as a _Best whose idx
+    holds one index into each menu.
     """
-    best_ee, best_rate = _Best(), _Best()
+    best = _Best()
     _check_product([len(m.rate) for m in menus])
     p_cap = p_max * (1.0 + 1e-12)
     n_menus = len(menus)
     if n_menus == 1:  # its points are the rows, each with one zero point
         menus = [*menus, _ZERO]
 
-    ee_bound, rate_bound = _row_bounds(menus, p_cap, p_fixed)
-    inc_ee, inc_rate = _Best(), _Best()
-    _score_rows(menus, np.array([np.argmax(ee_bound), np.argmax(rate_bound)]),
-                p_cap, p_fixed, inc_ee, inc_rate)
-    # >= keeps a lower-index row that only ties an incumbent, so ties
+    bound = _row_bounds(menus, p_cap, p_fixed, ee)
+    inc = _Best()
+    _score_rows(menus, np.array([np.argmax(bound)]), p_cap, p_fixed, ee, inc)
+    # >= keeps a lower-index row that only ties the incumbent, so ties
     # resolve to the same combo as over the whole product
-    live = np.flatnonzero((ee_bound >= inc_ee.score)
-                          | (rate_bound >= inc_rate.score))
+    live = np.flatnonzero(bound >= inc.score)
 
     # each block holds whole leading rows, about _CHUNK combos
     step = max(1, _CHUNK // len(menus[-1].rate))
     for start in range(0, len(live), step):
-        _score_rows(menus, live[start:start + step], p_cap, p_fixed,
-                    best_ee, best_rate)
+        _score_rows(menus, live[start:start + step], p_cap, p_fixed, ee, best)
 
-    shape = [len(m.rate) for m in menus[:-1]]
-    for best in (best_ee, best_rate):
-        if best.idx is not None:
-            row, t = best.idx
-            idx = (*(int(i) for i in np.unravel_index(row, shape)), t)
-            best.idx = idx[:n_menus]
-    return best_ee, best_rate
+    if best.idx is not None:
+        row, t = best.idx
+        idx = np.unravel_index(row, [len(m.rate) for m in menus[:-1]])
+        best.idx = (*(int(i) for i in idx), t)[:n_menus]
+    return best
 
 
 def _build_menus(active, chan, pm, brackets, memo):
@@ -297,67 +288,55 @@ def _coarse_beta_points(active, grid):
     return grid.beta_points if n_af < 2 else min(grid.beta_points, _COARSE_BETA_CAP)
 
 
-def _scan_assignment(active, chan, cfg, pm, grid, memo=None):
-    """Grid-optimize one assignment; returns (ee, ee_point, rate, rate_point).
+def _scan_assignment(active, chan, cfg, pm, grid, ee, memo=None):
+    """Grid-optimize one assignment for EE (if `ee`) or rate; returns
+    (score, point).
 
     `memo` caches the menus by (slot, bracket): the coarse menus across
-    the assignments of one instance, the local menus across the EE and
-    rate refinements that start from one point.
-    It also caches each local scan by its menus' keys, so a refinement
-    that re-grids the brackets of the other does not scan them again.
+    the assignments of one instance, the local menus across assignments
+    whose refinements re-grid the same brackets.
     """
     memo = {} if memo is None else memo
-    p_fixed = circuit_power(pm, cfg.n_relays)
     if not active:
-        return 0.0, [], 0.0, []
+        return 0.0, []
 
     p_max = pm.p_max
+    p_fixed = circuit_power(pm, cfg.n_relays)
     b_pts = _coarse_beta_points(active, grid)
     p_lo_g = p_max * _P_FLOOR_REL
 
     coarse = [(p_lo_g, p_max, 0.0, 1.0, grid.power_points, b_pts)] * len(active)
     menus = _build_menus(active, chan, pm, coarse, memo)
-    best_ee, best_rate = _scan_product(menus, p_max, p_fixed)
-
-    results = {}
-    for name, best in (("ee", best_ee), ("rate", best_rate)):
-        if best.idx is None:
-            results[name] = (-math.inf, [])
-            continue
-        point = _combo_point(menus, best.idx)
-        score = best.score
-        # local refinement: re-grid +-1 coarse step around the incumbent,
-        # shrinking the bracket ~10x per round
-        p_ratio = (p_max / p_lo_g) ** (1.0 / (grid.power_points - 1))
-        b_halfw = 1.0 / (b_pts - 1)
-        for _ in range(grid.refine_rounds):
-            brackets = []
-            for (pb, pr, beta) in point:
-                p = max(pb + pr, p_lo_g)
-                lo = max(p / p_ratio, p_lo_g)
-                hi = min(p * p_ratio, p_max)
-                if beta is None:
-                    brackets.append((lo, hi, 0.0, 1.0, _REFINE_POINTS, 2))
-                else:
-                    b_lo = max(beta - b_halfw, 0.0)
-                    b_hi = min(beta + b_halfw, 1.0)
-                    brackets.append((lo, hi, b_lo, b_hi, _REFINE_POINTS,
-                                     _REFINE_POINTS))
-            local = _build_menus(active, chan, pm, brackets, memo)
-            key = ("scan", tuple(zip(active, brackets)))
-            if key not in memo:
-                memo[key] = _scan_product(local, p_max, p_fixed)
-            loc_ee, loc_rate = memo[key]
-            cand = loc_ee if name == "ee" else loc_rate
-            if cand.idx is not None and cand.score > score:
-                score = cand.score
-                point = _combo_point(local, cand.idx)
-            p_ratio = p_ratio ** (2.0 / (_REFINE_POINTS - 1))
-            b_halfw = 2.0 * b_halfw / (_REFINE_POINTS - 1)
-        results[name] = (score, point)
-
-    (ee, ee_point), (rate, rate_point) = results["ee"], results["rate"]
-    return ee, ee_point, rate, rate_point
+    best = _scan_product(menus, p_max, p_fixed, ee)
+    if best.idx is None:
+        return -math.inf, []
+    point = _combo_point(menus, best.idx)
+    score = best.score
+    # local refinement: re-grid +-1 coarse step around the incumbent,
+    # shrinking the bracket ~10x per round
+    p_ratio = (p_max / p_lo_g) ** (1.0 / (grid.power_points - 1))
+    b_halfw = 1.0 / (b_pts - 1)
+    for _ in range(grid.refine_rounds):
+        brackets = []
+        for (pb, pr, beta) in point:
+            p = max(pb + pr, p_lo_g)
+            lo = max(p / p_ratio, p_lo_g)
+            hi = min(p * p_ratio, p_max)
+            if beta is None:
+                brackets.append((lo, hi, 0.0, 1.0, _REFINE_POINTS, 2))
+            else:
+                b_lo = max(beta - b_halfw, 0.0)
+                b_hi = min(beta + b_halfw, 1.0)
+                brackets.append((lo, hi, b_lo, b_hi, _REFINE_POINTS,
+                                 _REFINE_POINTS))
+        local = _build_menus(active, chan, pm, brackets, memo)
+        cand = _scan_product(local, p_max, p_fixed, ee)
+        if cand.idx is not None and cand.score > score:
+            score = cand.score
+            point = _combo_point(local, cand.idx)
+        p_ratio = p_ratio ** (2.0 / (_REFINE_POINTS - 1))
+        b_halfw = 2.0 * b_halfw / (_REFINE_POINTS - 1)
+    return score, point
 
 
 def _point_to_allocation(active, point, cfg) -> Allocation:
@@ -380,7 +359,7 @@ def optimize_powers_on_grid(assignment, chan, cfg, grid: Optional[GridSpec] = No
     seen = [n for n, _, _ in active]
     if len(seen) != len(set(seen)):
         raise ValueError("assignment uses a subcarrier twice")
-    ee, point, _, _ = _scan_assignment(active, chan, cfg, pm, grid)
+    ee, point = _scan_assignment(active, chan, cfg, pm, grid, ee=True)
     if not active:
         return Allocation(cfg.n_users, cfg.n_subcarriers, {}), 0.0
     return _point_to_allocation(active, point, cfg), ee
@@ -406,7 +385,8 @@ def _rate_bound(slot, chan, p_max):
     return float(0.5 * np.log1p(p_max * g / chan.noise_gap) / LN2)
 
 
-def _brute_force(chan, cfg, grid: Optional[GridSpec] = None):
+def _brute_force(chan, cfg, grid: Optional[GridSpec], ee: bool) -> Solution:
+    """The max-EE (if `ee`) or max-rate Solution over every assignment."""
     grid = grid if grid is not None else GridSpec()
     grid.validate()
     pm = cfg.power_model()
@@ -415,7 +395,7 @@ def _brute_force(chan, cfg, grid: Optional[GridSpec] = None):
                     if slot is not None]
                    for assignment in enumerate_assignments(
                        cfg.n_users, cfg.n_subcarriers, cfg.n_relays)]
-    slot_bound, rate_bound = {}, []
+    slot_bound, bound = {}, []
     for active in assignments:
         # the guard covers every assignment, scanned or not, so whether an
         # instance is in reach does not depend on its gains
@@ -426,37 +406,33 @@ def _brute_force(chan, cfg, grid: Optional[GridSpec] = None):
             if slot not in slot_bound:
                 slot_bound[slot] = _rate_bound(slot, chan, pm.p_max)
         # the margin covers rounding and any non-monotone log1p
-        rate_bound.append(sum(slot_bound[slot] for slot in active) * (1.0 + 1e-9))
+        b = sum(slot_bound[slot] for slot in active) * (1.0 + 1e-9)
+        if ee:  # cons >= 0, so EE <= rate / p_fixed
+            b = b / p_fixed if p_fixed > 0.0 else math.inf
+        bound.append(b)
 
     # (score, assignment index, point); among equal scores the lowest index
     # wins, as in a scan in enumeration order with strict >
-    best_ee = best_rate = (-math.inf, len(assignments), None)
+    best = (-math.inf, len(assignments), None)
     memo = {}
     # best bound first, ties in enumeration order
-    for i in sorted(range(len(assignments)), key=lambda i: -rate_bound[i]):
-        # cons >= 0, so EE <= rate / p_fixed
-        ee_bound = rate_bound[i] / p_fixed if p_fixed > 0.0 else math.inf
-        if ee_bound < best_ee[0] and rate_bound[i] < best_rate[0]:
+    for i in sorted(range(len(assignments)), key=lambda i: -bound[i]):
+        if bound[i] < best[0]:
             continue
-        ee, ee_point, rate, rate_point = _scan_assignment(
-            assignments[i], chan, cfg, pm, grid, memo)
-        if ee > best_ee[0] or (ee == best_ee[0] and i < best_ee[1]):
-            best_ee = (ee, i, ee_point)
-        if rate > best_rate[0] or (rate == best_rate[0] and i < best_rate[1]):
-            best_rate = (rate, i, rate_point)
-    eem, sem = (_solution_from(_point_to_allocation(assignments[i], point, cfg),
-                               chan, cfg, pm)
-                for _, i, point in (best_ee, best_rate))
-    return eem, sem
+        score, point = _scan_assignment(assignments[i], chan, cfg, pm, grid,
+                                        ee, memo)
+        if score > best[0] or (score == best[0] and i < best[1]):
+            best = (score, i, point)
+    _, i, point = best
+    return _solution_from(_point_to_allocation(assignments[i], point, cfg),
+                          chan, cfg, pm)
 
 
 def brute_force_eem(chan, cfg, grid: Optional[GridSpec] = None) -> Solution:
     """Exhaustive max-EE Solution (grid-limited lower bound on the optimum)."""
-    eem, _ = _brute_force(chan, cfg, grid)
-    return eem
+    return _brute_force(chan, cfg, grid, ee=True)
 
 
 def brute_force_sem(chan, cfg, grid: Optional[GridSpec] = None) -> Solution:
     """Exhaustive max-rate Solution under the same budget."""
-    _, sem = _brute_force(chan, cfg, grid)
-    return sem
+    return _brute_force(chan, cfg, grid, ee=False)

@@ -277,8 +277,9 @@ def reference_scan_product(menus, p_max, p_fixed):
     """Reference oracle product scan: every combo of the full menus.
 
     The unpruned scan the bound-pruned oracle._scan_product must
-    reproduce, winning indices and tie-breaking included.  It can stand
-    in for oracle._scan_product.
+    reproduce, winning indices and tie-breaking included.  Returns the
+    max-EE and the max-rate _Best; either one can stand in for
+    oracle._scan_product's answer for its objective.
     """
     best_ee, best_rate = oracle._Best(), oracle._Best()
     sizes = [len(m.rate) for m in menus]
@@ -347,8 +348,10 @@ def reference_brute_force(chan, cfg, grid=None):
                                                    cfg.n_relays):
         active = [(n, slot[0], slot[1]) for n, slot in enumerate(assignment)
                   if slot is not None]
-        ee, ee_point, rate, rate_point = oracle._scan_assignment(
-            active, chan, cfg, pm, grid, memo)
+        ee, ee_point = oracle._scan_assignment(active, chan, cfg, pm, grid,
+                                               True, memo)
+        rate, rate_point = oracle._scan_assignment(active, chan, cfg, pm, grid,
+                                                   False, memo)
         if ee > best_ee[0]:
             best_ee = (ee, active, ee_point)
         if rate > best_rate[0]:

@@ -178,6 +178,23 @@ def test_generate_instance_reproducible():
     assert not np.array_equal(chan_a.g_bs_ue, chan_c.g_bs_ue)
 
 
+def test_generate_instance_seeds_the_spawned_children(monkeypatch):
+    # the geometry and fading streams are SeedSequence(seed).spawn(2)
+    cfg = SystemConfig(n_users=2, n_subcarriers=2, n_relays=1)
+    seen = []
+    monkeypatch.setattr(channel, "build_topology", lambda cfg, seed: seen.append(seed))
+    monkeypatch.setattr(channel, "sample_channel",
+                        lambda topo, cfg, seed: seen.append(seed))
+    for seed in range(1, 200):
+        seen.clear()
+        generate_instance(cfg, seed)
+        for new, ref in zip(seen, np.random.SeedSequence(seed).spawn(2),
+                            strict=True):
+            assert new.generate_state(8).tobytes() == ref.generate_state(8).tobytes()
+            assert (np.random.default_rng(new).integers(1 << 62, size=4).tobytes()
+                    == np.random.default_rng(ref).integers(1 << 62, size=4).tobytes())
+
+
 def _scaled_exponential_gains(dist_m, link_class, plm, rng, n_subcarriers, fading):
     mean = 10.0 ** (-path_loss_db(dist_m, link_class, plm) / 10.0)
     return mean[:, None] * rng.exponential(1.0, size=(len(dist_m), n_subcarriers))

@@ -158,6 +158,14 @@ def test_exit_status_on_bad_input(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["sweep"]) == 1  # --scenario is required
     capsys.readouterr()
+    # a tolerance that is not a finite number >= 0 is a usage error, raised
+    # before any seed is solved
+    for bad in ("nan", "inf", "-inf", "-0.01", "abc"):
+        assert main(["oracle", "--k", "2", "--n", "2", "--m", "1", "--seeds",
+                     "1", f"--tolerance={bad}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tolerance" in captured.err, bad
 
 
 def test_env_config_is_honored(tmp_path, monkeypatch, capsys):

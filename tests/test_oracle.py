@@ -166,6 +166,17 @@ def _answers(pair):
             for s in pair]
 
 
+def _brute_force_pair(chan, cfg, grid=None):
+    """(EEM, SEM) from two single-objective oracle calls."""
+    return tuple(oracle._brute_force(chan, cfg, grid, ee) for ee in (True, False))
+
+
+def _reference_scan(menus, p_max, p_fixed, ee):
+    """The full scan's answer for one objective, in _scan_product's form."""
+    best_ee, best_rate = reference_scan_product(menus, p_max, p_fixed)
+    return best_ee if ee else best_rate
+
+
 def test_pruned_scan_matches_reference(monkeypatch):
     cases = [(SystemConfig(n_users=2, n_subcarriers=2, n_relays=1,
                            p_max_dbm=0.0), seed,
@@ -179,10 +190,10 @@ def test_pruned_scan_matches_reference(monkeypatch):
     differ = []
     for cfg, seed, grid in cases:
         _, chan = generate_instance(cfg, seed)
-        monkeypatch.setattr(oracle, "_scan_product", reference_scan_product)
-        ref = oracle._brute_force(chan, cfg, grid)
+        monkeypatch.setattr(oracle, "_scan_product", _reference_scan)
+        ref = _brute_force_pair(chan, cfg, grid)
         monkeypatch.setattr(oracle, "_scan_product", pruned)
-        new = oracle._brute_force(chan, cfg, grid)
+        new = _brute_force_pair(chan, cfg, grid)
         if _answers(new) != _answers(ref):
             differ.append((cfg.n_users, cfg.n_subcarriers, cfg.n_relays, seed))
     assert not differ, f"pruned oracle differs from the full scan on {differ}"
@@ -196,6 +207,14 @@ def _menu(tx, cons, rate):
                         p_bs=zeros, p_rn=zeros, beta=None)
 
 
+def _assert_scan_matches_reference(menus, p_max, p_fixed):
+    """Each objective's pruned scan keeps the full scan's score and index."""
+    for ee, ref in zip((True, False),
+                       reference_scan_product(menus, p_max, p_fixed)):
+        new = oracle._scan_product(menus, p_max, p_fixed, ee)
+        assert (new.score, new.idx) == (ref.score, ref.idx), ee
+
+
 _value = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.0])
 _rate = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.0, 2.0])
 _points = st.lists(st.tuples(_value, _value, _rate), min_size=1, max_size=24)
@@ -207,10 +226,7 @@ _points = st.lists(st.tuples(_value, _value, _rate), min_size=1, max_size=24)
 @settings(max_examples=300, deadline=None)
 def test_pruned_scan_keeps_score_and_index(menus, p_max, p_fixed):
     menus = [_menu(*zip(*points)) for points in menus]
-    full = reference_scan_product(menus, p_max, p_fixed)
-    pruned = oracle._scan_product(menus, p_max, p_fixed)
-    for ref, new in zip(full, pruned):
-        assert (new.score, new.idx) == (ref.score, ref.idx)
+    _assert_scan_matches_reference(menus, p_max, p_fixed)
 
 
 def test_product_cap_counts_unpruned_points():
@@ -220,7 +236,7 @@ def test_product_cap_counts_unpruned_points():
     assert side * side > oracle._PRODUCT_CAP
     menu = _menu(np.ones(side), np.ones(side), np.ones(side))
     with pytest.raises(ValueError, match="grid too large"):
-        oracle._scan_product([menu, menu], 10.0, 1.0)
+        oracle._scan_product([menu, menu], 10.0, 1.0, True)
 
 
 # menus drawn from one small pool of points: rows repeat within and across
@@ -237,10 +253,7 @@ _pooled_menus = st.lists(st.tuples(_value, _value, _rate), min_size=1,
 @settings(max_examples=500, deadline=None)
 def test_row_pruning_keeps_first_argmax(menus, p_max, p_fixed):
     menus = [_menu(*zip(*points)) for points in menus]
-    full = reference_scan_product(menus, p_max, p_fixed)
-    pruned = oracle._scan_product(menus, p_max, p_fixed)
-    for ref, new in zip(full, pruned):
-        assert (new.score, new.idx) == (ref.score, ref.idx)
+    _assert_scan_matches_reference(menus, p_max, p_fixed)
 
 
 _rounding_menus = st.lists(
@@ -269,10 +282,7 @@ def test_row_pruning_keeps_first_argmax_under_rounding(menus, data, ulps,
     p_max = p_cap / (1.0 + 1e-12)
     for _ in range(abs(ulps)):
         p_max = np.nextafter(p_max, math.copysign(math.inf, ulps))
-    full = reference_scan_product(menus, float(p_max), p_fixed)
-    pruned = oracle._scan_product(menus, float(p_max), p_fixed)
-    for ref, new in zip(full, pruned):
-        assert (new.score, new.idx) == (ref.score, ref.idx)
+    _assert_scan_matches_reference(menus, float(p_max), p_fixed)
 
 
 def test_scan_in_row_blocks_matches_reference(monkeypatch):
@@ -286,10 +296,7 @@ def test_scan_in_row_blocks_matches_reference(monkeypatch):
         menus = [_menu(*rng.choice([0.0, 0.5, 1.0, 2.0], size=(3, n)))
                  for n in sizes]
         p_max, p_fixed = rng.choice([0.5, 1.0, 2.0, 4.0]), rng.choice([0.5, 1.0])
-        full = reference_scan_product(menus, p_max, p_fixed)
-        pruned = oracle._scan_product(menus, p_max, p_fixed)
-        for ref, new in zip(full, pruned):
-            assert (new.score, new.idx) == (ref.score, ref.idx)
+        _assert_scan_matches_reference(menus, p_max, p_fixed)
 
 
 def _count_scored_rows(monkeypatch, chan, cfg, n_menus=None):
@@ -307,7 +314,7 @@ def _count_scored_rows(monkeypatch, chan, cfg, n_menus=None):
     def counting_bounds(menus, *args):
         bounds = row_bounds(menus, *args)
         if n_menus in (None, len(menus)):
-            rows.append(len(bounds[0]))
+            rows.append(len(bounds))
         return bounds
 
     monkeypatch.setattr(oracle, "_score_rows", counting_score)
@@ -335,30 +342,36 @@ def test_scan_bounds_each_leading_pair_on_3_subcarriers(monkeypatch):
 
 
 def test_refinement_builds_each_local_menu_once(monkeypatch):
-    # on a 1 mW budget both the EE and the rate optimum sit at p_max, so the
-    # two refinements start from one point and re-grid the same brackets
+    built = []
+    menu_direct, menu_af = oracle._menu_direct, oracle._menu_af
+
+    def counting(make):
+        def build(*args):
+            built.append(args)
+            return make(*args)
+        return build
+
+    monkeypatch.setattr(oracle, "_menu_direct", counting(menu_direct))
+    monkeypatch.setattr(oracle, "_menu_af", counting(menu_af))
+    # one link: a coarse menu, then one local menu per refinement round
     cfg = _one_link_cfg(p_max_dbm=0.0)
     chan = _chan(cfg, [[1e-10]])
-    built = []
-    menu_direct = oracle._menu_direct
-
-    def counting_menu(*args):
-        built.append(args)
-        return menu_direct(*args)
-
-    monkeypatch.setattr(oracle, "_menu_direct", counting_menu)
     grid = GridSpec()
-    _, ee_point, _, rate_point = oracle._scan_assignment(
-        [(0, 0, "direct")], chan, cfg, cfg.power_model(), grid)
-    assert ee_point == rate_point
-    assert len(built) == len(set(built)) == 1 + grid.refine_rounds
+    for ee in (True, False):
+        built.clear()
+        oracle._scan_assignment([(0, 0, "direct")], chan, cfg,
+                                cfg.power_model(), grid, ee)
+        assert len(built) == len(set(built)) == 1 + grid.refine_rounds
+    # over a whole criterion-1 instance the memo serves every repeat: the
+    # coarse menus, and the local menus two assignments' refinements share
+    cfg = _criterion_1_cfg()
+    _, chan = generate_instance(cfg, 1)
+    built.clear()
+    oracle.brute_force_eem(chan, cfg)
+    assert len(built) == len(set(built)) > 0
 
 
 def test_refinement_scans_each_local_product_once(monkeypatch):
-    # the one-link case above: the rate refinement re-grids the EE
-    # refinement's brackets, so its scans are read from the memo
-    cfg = _one_link_cfg(p_max_dbm=0.0)
-    chan = _chan(cfg, [[1e-10]])
     scanned = []
     scan_product = oracle._scan_product
 
@@ -367,17 +380,37 @@ def test_refinement_scans_each_local_product_once(monkeypatch):
         return scan_product(menus, *args)
 
     monkeypatch.setattr(oracle, "_scan_product", counting_scan)
+    # one link: the coarse product, then one local product per round
+    cfg = _one_link_cfg(p_max_dbm=0.0)
+    chan = _chan(cfg, [[1e-10]])
     grid = GridSpec()
-    _, ee_point, _, rate_point = oracle._scan_assignment(
-        [(0, 0, "direct")], chan, cfg, cfg.power_model(), grid)
-    assert ee_point == rate_point
+    oracle._scan_assignment([(0, 0, "direct")], chan, cfg, cfg.power_model(),
+                            grid, True)
     assert len(scanned) == len(set(scanned)) == 1 + grid.refine_rounds
     # over a whole criterion-1 instance no product is scanned twice
-    cfg = SystemConfig(n_users=2, n_subcarriers=2, n_relays=1, p_max_dbm=0.0)
+    cfg = _criterion_1_cfg()
     _, chan = generate_instance(cfg, 1)
     scanned.clear()
     oracle.brute_force_eem(chan, cfg)
     assert len(scanned) == len(set(scanned)) > 0
+
+
+def test_eem_scores_fewer_rows_than_both_objectives(monkeypatch):
+    # one objective, one bound and one incumbent per scan: over criterion-1
+    # seeds 1-20 the scan that also tracked the rate scored 794 rows
+    scored = []
+    score_rows = oracle._score_rows
+
+    def counting(menus, rows, *args):
+        scored.append(len(rows))
+        return score_rows(menus, rows, *args)
+
+    monkeypatch.setattr(oracle, "_score_rows", counting)
+    cfg = _criterion_1_cfg()
+    for seed in range(1, 21):
+        _, chan = generate_instance(cfg, seed)
+        oracle.brute_force_eem(chan, cfg)
+    assert 0 < sum(scored) < 794
 
 
 def _criterion_1_cfg(p_max_dbm=0.0):
@@ -426,7 +459,7 @@ def pruning_runs():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_build_menus", recording)
             ref = reference_brute_force(chan, cfg)
-        runs.append((name, cfg, chan, oracle._brute_force(chan, cfg), ref, built))
+        runs.append((name, cfg, chan, _brute_force_pair(chan, cfg), ref, built))
     return runs
 
 
