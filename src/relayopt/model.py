@@ -102,15 +102,29 @@ class Allocation:
     @classmethod
     def from_arrays(cls, n_users: int, n_subcarriers: int, user, subcarrier,
                     af, p_bs, p_rn) -> "Allocation":
-        """The allocation whose entry i is (user[i], subcarrier[i], ...)."""
+        """The allocation whose entry i is (user[i], subcarrier[i], ...).
+
+        Copies every column, so the caller's arrays stay its own.
+        """
         alloc = cls.__new__(cls)
         alloc._set(n_users, n_subcarriers, user, subcarrier, af, p_bs, p_rn)
         return alloc
 
-    def _set(self, n_users, n_subcarriers, *columns):
+    @classmethod
+    def _adopt(cls, n_users: int, n_subcarriers: int, *columns) -> "Allocation":
+        """from_arrays for fresh arrays that nothing else holds.
+
+        Takes the arrays over, casting only where the dtype differs, and
+        marks them read-only.
+        """
+        alloc = cls.__new__(cls)
+        alloc._set(n_users, n_subcarriers, *columns, convert=np.asarray)
+        return alloc
+
+    def _set(self, n_users, n_subcarriers, *columns, convert=np.array):
         self.n_users = n_users
         self.n_subcarriers = n_subcarriers
-        arrays = [np.array(c, dtype=t) for c, t in
+        arrays = [convert(c, dtype=t) for c, t in
                   zip(columns, (np.intp, np.intp, bool, float, float))]
         if any(a.ndim != 1 or a.shape != arrays[0].shape for a in arrays):
             raise ValueError("allocation arrays must be 1-D and of one length")
@@ -158,8 +172,16 @@ class Metrics:
 
 def snr_direct(power, gain, noise_gap):
     """Receiver SNR of a single hop: p*G / (gap * N0 * W)."""
+    _check_noise_gap(noise_gap)
+    return _snr_direct(power, gain, noise_gap)
+
+
+def _check_noise_gap(noise_gap):
     if (np.asarray(noise_gap) <= 0.0).any():
         raise ValueError("noise_gap must be positive")
+
+
+def _snr_direct(power, gain, noise_gap):  # snr_direct, unchecked
     return power * gain / noise_gap
 
 
@@ -173,10 +195,13 @@ def snr_af_approx(g1, g2):
 
     Undefined when both hop SNRs vanish.
     """
-    s = g1 + g2
-    if (np.asarray(s) <= 0.0).any():
+    if (np.asarray(g1 + g2) <= 0.0).any():
         raise ValueError("snr_af_approx requires g1 + g2 > 0")
-    return g1 * g2 / s
+    return _snr_af_approx(g1, g2)
+
+
+def _snr_af_approx(g1, g2):  # snr_af_approx, unchecked
+    return g1 * g2 / (g1 + g2)
 
 
 def link_rate_direct(snr):
@@ -208,16 +233,18 @@ def system_rate(alloc: Allocation, chan, exact_snr: bool = False) -> float:
     if not alloc.user.size:
         return 0.0
     k, n, af, ngap = alloc.user, alloc.subcarrier, alloc.af, chan.noise_gap
+    _check_noise_gap(ngap)  # once: the SNRs below skip the public checks
     rate = np.zeros(k.shape)
     d = ~af
     rate[d] = link_rate_direct(
-        snr_direct(alloc.p_bs[d], chan.g_bs_ue[k[d], n[d]], ngap))
+        _snr_direct(alloc.p_bs[d], chan.g_bs_ue[k[d], n[d]], ngap))
     if af.any():
         k, n = k[af], n[af]
-        s1 = snr_direct(alloc.p_bs[af], chan.g_bs_rn[chan.sector_of_ue[k], n], ngap)
-        s2 = snr_direct(alloc.p_rn[af], chan.g_rn_ue[k, n], ngap)
+        s1 = _snr_direct(alloc.p_bs[af], chan.g_bs_rn[chan.sector_of_ue[k], n],
+                         ngap)
+        s2 = _snr_direct(alloc.p_rn[af], chan.g_rn_ue[k, n], ngap)
         live = ~(s1 + s2 <= 0.0)  # a pair with no hop SNR carries nothing
-        snr = (snr_af_exact if exact_snr else snr_af_approx)(s1[live], s2[live])
+        snr = (snr_af_exact if exact_snr else _snr_af_approx)(s1[live], s2[live])
         rate[np.flatnonzero(af)[live]] = link_rate_af(snr)
     return _sum_in_order(rate)
 

@@ -5,28 +5,30 @@ maximize F(q) = R - q*P and update q until the ratio stops improving.
 Inner loop: Lagrangian dual decomposition of the budget constraint;
 for a given multiplier every subcarrier solves a closed-form
 water-filling subproblem per (user, protocol) candidate and the best
-marginal wins the subcarrier.  The multiplier is found by a bracketed
-secant search on the water level.
+marginal wins the subcarrier.
 
 The search keeps one bracket on the multiplier and files every sweep as
-its new lo end (budget exceeded) or hi end (budget met).  From the
-direct-only water-filling multiplier, or the previous Dinkelbach
-iteration's, one loop doubles it while only lo exists and halves it
-while only hi does; Illinois regula falsi then runs on the water level
-u = 1/(q*xi_bs + lambda).  Between assignment switches the allocated
-power is piecewise-linear in u, so a few steps reach the budget; a
-midpoint (bisection) step is taken whenever the bracket fails to halve
-over two steps.  Where the winning assignment switches the power jumps,
-and the budget may lie inside the jump, where no multiplier meets it.
-So whenever the bracket's two ends differ on one subcarrier only, the
-two candidates' gaps at the ends are read off the marginals the end
-sweeps kept, and where each end's winner leads at its end, the
-multiplier at which they tie is found on their closed forms alone
-(Brent's method, no sweep), pinned to float resolution.  If a
-piecewise-linear model of p_used puts the budget in that jump, the
-search sweeps just either side of the tie: the bracket is then pinned
-as plain bisection would pin it, or it is left on the one piece that
-holds the budget, where the secant resumes.
+its new lo end (budget exceeded) or hi end (budget met).  On a frozen
+assignment a powered winner's power is its water level minus its floor
+1/alpha, both read off the sweep's p and x, so each step water-fills, by
+sorting, the one factor on all levels that spends the budget; the direct
+level 1/(ln2*(q*xi_bs + lambda)) maps it to the next multiplier.  At
+q = 0 an AF split does not depend on lambda, so the step is exact on the
+frozen assignment; at q > 0 the next sweep corrects it.  While one end
+is missing, lambda doubles (halves) only where the step finds no powered
+winner or does not move; inside the bracket a midpoint step is taken
+whenever the step leaves it or it fails to halve over two steps.  Where
+the winning assignment switches the power jumps, and the budget may lie
+inside the jump, where no multiplier meets it.  So whenever the
+bracket's two ends differ on one subcarrier only, the two candidates'
+gaps at the ends are read off the marginals the end sweeps kept, and
+where each end's winner leads at its end, the multiplier at which they
+tie is found on their closed forms alone (Brent's method, no sweep),
+pinned to float resolution.  If a piecewise-linear model of p_used puts
+the budget in that jump, the search sweeps just either side of the tie:
+the bracket is then pinned as plain bisection would pin it, or it is
+left on the one piece that holds the budget, where the fill steps
+resume.
 
 Each sweep evaluates only a per-instance shortlist of the candidates
 that can win.  All direct users of a subcarrier share the water level
@@ -34,20 +36,20 @@ that can win.  All direct users of a subcarrier share the water level
 x = alpha*level - 1, so only the user with the largest direct gain can
 win the direct contest.  Substituting the optimal split beta gives an AF
 pair alpha*level = g1*g2 / (ngap*ln2*(sqrt(g1*b) + sqrt(g2*a))^2), with
-a = q*xi_bs + 2*lambda and b = q*xi_rn + 2*lambda, which rises with the access gain g2; users of one sector share the feeder gain
-g1, so only each sector's strongest access link can win there.  Neither
-ranking depends on q or lambda, so the shortlist holds 1 + M' rows per
+a = q*xi_bs + 2*lambda and b = q*xi_rn + 2*lambda, which rises with the
+access gain g2; users of one sector share the feeder gain g1, so only
+each sector's strongest access link can win there.  Neither ranking
+depends on q or lambda, so the shortlist holds 1 + M' rows per
 subcarrier (M' occupied sectors) instead of 2K, for every sweep of the
 solve.  A folded candidate whose gain equals its row's exactly has the
 same marginal, and ties keep the lowest candidate index, so the winners
 are those of the full sweep.  The shortlisted rows run the same
 floating-point operations as the full sweep would, so answers match it
-bit for bit.
-Only rounding could tell the two apart: where two gains of one contest
-lie within a few ulps, so that the rounded marginals could order them
-either way, or where every marginal of a subcarrier rounds to zero
-while the shortlisted winner has a positive power (one below about
-1.1e-16/alpha), since the full sweep then picks candidate 0.
+bit for bit.  Only rounding could tell the two apart: where two gains
+of one contest lie within a few ulps, so that the rounded marginals
+could order them either way, or where every marginal of a subcarrier
+rounds to zero while the shortlisted winner has a positive power (one
+below about 1.1e-16/alpha), since the full sweep then picks candidate 0.
 
 A sweep writes the shortlist's powers, alpha*power and splits into
 scratch buffers that the per-instance _Problem holds, and the next
@@ -66,13 +68,7 @@ from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
-from .model import (
-    LN2,
-    Allocation,
-    Metrics,
-    circuit_power,
-    compute_metrics,
-)
+from .model import LN2, Allocation, Metrics, circuit_power, compute_metrics
 
 if TYPE_CHECKING:
     from .channel import ChannelRealization
@@ -313,7 +309,10 @@ class _Problem:
         self.beta = np.ones(shape)
         self.half = np.full(shape, 0.5)
         self.half[0] = 1.0
-        self.wf_price = _water_filling_price(self.inv_alpha_d, self.p_max)
+        # direct-only water level; with no live link any price is a start
+        floors = self.inv_alpha_d[np.isfinite(self.inv_alpha_d)]
+        self.wf_price = 1.0 / (LN2 * _water_fill(
+            -floors, np.ones_like(floors), self.p_max)) if floors.size else 1.0
 
     def lambda_start(self, q: float) -> float:
         """Direct-only water-filling multiplier at q; exact when M = 0 and q = 0."""
@@ -321,25 +320,23 @@ class _Problem:
         return lam if lam > 0.0 else self.wf_price
 
 
-def _water_filling_price(floors, p_max: float) -> float:
-    """Water-filling price 1/(ln2*L) of a budget over floors 1/alpha.
+def _water_fill(base, slopes, budget: float) -> float:
+    """The t with sum(max(0, base + t*slopes)) = budget, slopes > 0.
 
-    Exact water-filling by sorting: with the floors ascending, the level
-    L = (p_max + sum of the m lowest floors) / m for the largest m whose
-    m-th floor lies below it.  A budget below the float resolution of
-    the lowest floor clears no floor; the level is then that floor.  With
-    no live link there is no level; any positive price then serves as a
-    start.
+    Exact water-filling by sorting (Palomar & Fonollosa, IEEE Trans.
+    Signal Process. 53(2), 2005): with the thresholds -base/slopes
+    ascending, t = (budget - sum of the m lowest bases) / (sum of their
+    slopes) for the largest m whose m-th threshold lies below it.  A
+    budget below the float resolution of the lowest threshold fills no
+    term; t is then that threshold.
     """
-    floors = np.sort(floors[np.isfinite(floors)])
-    if floors.size == 0:
-        return 1.0
-    levels = (p_max + np.cumsum(floors)) / np.arange(1, floors.size + 1)
-    cleared = np.flatnonzero(levels > floors)
-    # a Python float: the searches then do their scalar arithmetic off
-    # numpy scalars
-    level = levels.item(cleared[-1]) if cleared.size else floors.item(0)
-    return 1.0 / (LN2 * level)
+    thresholds = -base / slopes
+    # stable: at desk size the default kind adds ~0.3 MB of peak memory
+    order = np.argsort(thresholds, kind="stable")
+    t = (budget - np.cumsum(base.take(order))) / np.cumsum(slopes.take(order))
+    filled = np.flatnonzero(t > thresholds.take(order))
+    # a Python float: the searches do their scalar arithmetic off numpy
+    return t.item(filled[-1]) if filled.size else thresholds.item(order[0])
 
 
 @dataclass
@@ -353,6 +350,8 @@ class _SweepResult:
     # (R, N) every shortlisted candidate's marginal, as the sweep ranked
     # them; None without relays, where the one row always wins
     marg: Optional[np.ndarray]
+    p_win: np.ndarray           # (N,) the winner's power p, both hops
+    x_win: np.ndarray           # (N,) the winner's alpha * p
     p_d: np.ndarray             # (N,) direct power of the winner (0 if AF)
     p_bs: np.ndarray            # (N,)
     p_rn: np.ndarray            # (N,)
@@ -395,13 +394,14 @@ def _sweep(prob: _Problem, q: float, lam: float) -> _SweepResult:
     # sums the five per-winner rows, each as it would sum alone.
     winner_af = row > 0
     wp = p.take(at)
+    wx = x.take(at)
     wbeta = beta.take(at)
     whalf = prob.half.take(at)
     wp_tot = np.where(winner_af, wp, 0.0)  # AF power; wp - wp_tot: direct
     omb = 1.0 - wbeta
     per_winner = np.empty((5, prob.n_subcarriers))
     rate, cons, wp_d, wp_bs, wp_rn = per_winner
-    np.multiply(whalf, np.log1p(x.take(at)), out=rate)
+    np.multiply(whalf, np.log1p(wx), out=rate)
     rate /= LN2
     np.multiply(wbeta, prob.xi_bs, out=cons)
     cons += omb * prob.xi_rn
@@ -418,6 +418,8 @@ def _sweep(prob: _Problem, q: float, lam: float) -> _SweepResult:
         winner_af=winner_af,
         winner_row=row,
         marg=marg,
+        p_win=wp,
+        x_win=wx,
         p_d=wp_d,
         p_bs=wp_bs,
         p_rn=wp_rn,
@@ -433,9 +435,9 @@ def _to_allocation(prob: _Problem, sweep: _SweepResult) -> Allocation:
     p_bs = np.where(af, sweep.p_bs, sweep.p_d)
     p_rn = np.where(af, sweep.p_rn, 0.0)
     on = np.flatnonzero(p_bs + p_rn > 0.0)
-    return Allocation.from_arrays(prob.n_users, prob.n_subcarriers,
-                                  sweep.winner_user[on], on, af[on],
-                                  p_bs[on], p_rn[on])
+    return Allocation._adopt(prob.n_users, prob.n_subcarriers,
+                             sweep.winner_user[on], on, af[on], p_bs[on],
+                             p_rn[on])
 
 
 _PIN_REL = 1e-15      # bracket width, relative to max(1, hi), that pins lambda
@@ -603,7 +605,7 @@ class _Search:
 
 def _search_lambda(prob: _Problem, q: float,
                    lam_hint: Optional[float] = None) -> _Search:
-    """Find the budget multiplier by a bracketed secant search.
+    """Find the budget multiplier by water-filling each sweep's winners.
 
     p_used is non-increasing in lambda (it is the negated subgradient of
     the convex dual), so a bracket [lo, hi] with p_used(lo) > p_max >=
@@ -633,13 +635,9 @@ def _search_lambda(prob: _Problem, q: float,
     # else: p_used(0+) is unbounded at q=0, never evaluate lambda=0
     evals = int(q > 0.0)  # the lambda = 0 sweep counts as a bracket sweep
     best = None
-    # [lo, hi]: the last infeasible and the last feasible sweep, each as
-    # [lambda, sweep, u, g]; g, the budget excess p_used - p_max, is what
-    # the secant reads, and Illinois scales it down at a stale end
-    ends = [None, None]
+    ends = [None, None]  # [lo, hi], each as (lambda, sweep)
 
-    def ev(lam):
-        """Sweep at lam, file it as an end; return the end: 0 lo, 1 hi."""
+    def ev(lam):  # sweep at lam, file it as the lo or hi end, return it
         nonlocal best, evals
         evals += 1
         r = _sweep(prob, q, lam)
@@ -647,38 +645,51 @@ def _search_lambda(prob: _Problem, q: float,
         if end and (best is None or r.f_value(q, prob.p_fixed)
                     > best.f_value(q, prob.p_fixed)):
             best = r
-        ends[end] = [lam, r, 1.0 / (price0 + lam), r.p_used - p_max]
-        return end
+        ends[end] = lam, r
+        return r
 
     def stop_rule(lo):
-        hi, r_hi = ends[1][:2]
+        hi, r_hi = ends[1]
         if p_max - r_hi.p_used <= tol_p:
             return "tolerance"
         if hi - lo <= _PIN_REL * max(1.0, hi):
             return "jump-point"  # multiplier pinned to float resolution
         return None
 
+    def fill(lo, hi):  # the step from the last sweep r, if it splits (lo, hi)
+        on = r.x_win > 0.0
+        if not on.any():
+            return None
+        p = r.p_win[on]
+        floors = p / r.x_win[on]
+        k = _water_fill(-floors, p + floors, p_max)
+        lam = (price0 + r.lam) / k - price0
+        # on an end the budget lies within float resolution: one float in
+        if lam == lo or lam == hi:
+            lam = math.nextafter(lam, lo + hi - lam)
+        return lam if lo < lam < hi else None
+
     lam = lam_hint or prob.lambda_start(q)
     stop = None
-    # bracket: sweep the start point, then double or halve once per pass
+    r = ev(lam)
+    # bracket: step from the one end until the other exists
     while not (ends[0] and ends[1]):
-        if ends[1]:  # halve down to the first infeasible multiplier
+        if ends[1]:  # down to the first infeasible multiplier
             stop = stop_rule(0.0)
             if stop:
                 break
-            lam *= 0.5
-        elif ends[0]:  # double up to the first feasible multiplier
-            lam *= 2.0
+            lam = fill(0.0, lam) or 0.5 * lam
+        else:  # up to the first feasible multiplier
+            lam = fill(lam, math.inf) or 2.0 * lam
             if lam > _LAMBDA_CEIL:  # unreachable: p_used -> 0 as lambda grows
                 raise RuntimeError("lambda bracket failed to close")
-        ev(lam)
+        r = ev(lam)
     bracket_sweeps = evals
 
-    moved = None  # the end the last secant step filed, for Illinois
     widths = []  # bracket width before each step
     ties = {}
     while stop is None:
-        (lo, r_lo, u_lo, g_lo), (hi, r_hi, u_hi, g_hi) = ends
+        (lo, r_lo), (hi, r_hi) = ends
         widths.append(hi - lo)
         stop = stop_rule(lo)
         if stop:
@@ -688,39 +699,31 @@ def _search_lambda(prob: _Problem, q: float,
             break
         tie = _tie_bracket(prob, q, lo, hi, r_lo, r_hi, ties)
         if tie is not None:
-            # Model p_used as linear in u on both sides of the switch, a
-            # constant `jump` apart: the lo end's assignment then exceeds
-            # the budget at the switch by `excess`, and the hi end's by
-            # excess - jump.
+            # Model p_used as linear in u = 1/(q*xi_bs + lambda) on both
+            # sides of the switch, a constant `jump` apart: the lo end's
+            # assignment then exceeds the budget at the switch by `excess`,
+            # and the hi end's by excess - jump.
             a, b, jump = tie
-            w = (u_lo - 1.0 / (price0 + b)) / (u_lo - u_hi)
+            u_lo = 1.0 / (price0 + lo)
+            w = (u_lo - 1.0 / (price0 + b)) / (u_lo - 1.0 / (price0 + hi))
             excess = ((1.0 - w) * (r_lo.p_used - p_max)
                       + w * (r_hi.p_used - p_max + jump))
             if 0.0 < excess <= jump:  # the budget lies in the jump
                 # Sweep just above the switch, then just below it if that
                 # still splits the bracket.  A pinned bracket stops at the
                 # jump point; otherwise the budget lies on one side's
-                # piece, where the secant restarts from raw excesses.
+                # piece, where the fill steps resume.
                 for lam in (b, a):
                     if ends[0][0] < lam < ends[1][0] and evals < i_inner_max:
-                        ev(lam)
-                for e in ends:
-                    e[3] = e[1].p_used - p_max
-                moved = None
+                        r = ev(lam)
                 continue
         lam = 0.5 * (lo + hi)
         if len(widths) < 3 or widths[-1] <= 0.5 * widths[-3]:
-            u = (u_lo * g_hi - u_hi * g_lo) / (g_hi - g_lo)
-            secant = 1.0 / u - price0
-            if lo < secant < hi:
-                lam = secant
+            lam = fill(lo, hi) or lam
         if not lo < lam < hi:
             stop = "jump-point"  # bracket no longer splits in float
             break
-        end = ev(lam)
-        if end == moved:  # Illinois: pull the stale end toward the root
-            ends[1 - end][3] *= 0.5
-        moved = end
+        r = ev(lam)
     if bracket_sweeps > i_inner_max:
         stop = "bracket-failure"
     return _Search.of(prob, q, best, bracket_sweeps, evals - bracket_sweeps,
@@ -777,17 +780,16 @@ def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig", *,
     """Spectral-efficiency maximization, read off an EEM solve.
 
     Reads the searches of solve_eem(chan, cfg) and returns the
-    highest-rate feasible iterate.  The q=0 solve alone is
-    the textbook answer, but at a budget-crossing assignment switch its
-    dual search cannot exhaust the budget, and an iterate solved at
-    q > 0 (whose water levels tilt slightly toward the cheap hops) can
-    land closer to the budget and carry more rate; taking the best
-    iterate keeps the returned rate a true upper envelope.  Ties pick
-    the earliest iterate, so away from those switch points this is
-    exactly the q=0 solution.  The trace's searches are EEM's; its one
-    iteration is the chosen search's record, with its ratio replaced by
-    metrics.ee and its F by its plain rate (F at q=0), which is also
-    f_residual.
+    highest-rate feasible iterate.  The q=0 solve alone is the textbook
+    answer, but at a budget-crossing assignment switch its dual search
+    cannot exhaust the budget, and an iterate solved at q > 0 (whose
+    water levels tilt slightly toward the cheap hops) can land closer to
+    the budget and carry more rate; taking the best iterate keeps the
+    returned rate a true upper envelope.  Ties pick the earliest
+    iterate, so away from those switch points this is exactly the q=0
+    solution.  The trace's searches are EEM's; its one iteration is the
+    chosen search's record, with its ratio replaced by metrics.ee and
+    its F by its plain rate (F at q=0), which is also f_residual.
 
     eem, a solve_eem(chan, cfg) result for this very `chan` object
     (unchanged since) and an equal cfg, is the solve to read: no search
@@ -806,9 +808,7 @@ def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig", *,
     if prob.cfg != cfg:
         raise ValueError("eem was solved for another config")
 
-    best = None
-    best_alloc = None
-    best_metrics = None
+    best = best_alloc = best_metrics = None
     for s in eem.trace.searches:
         if s is eem.trace.iterations[-1]:
             alloc, metrics = eem.allocation, eem.metrics

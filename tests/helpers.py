@@ -195,7 +195,8 @@ def reference_candidates(prob, q, lam):
     p_d = np.maximum(0.0, wl_d - inv_alpha_d)
     x_d = p_d / inv_alpha_d
     marg_d = solver._marginal(x_d)
-    c = {"p_d": p_d, "rate_d": np.log1p(x_d) / LN2, "cons_d": prob.xi_bs * p_d}
+    c = {"p_d": p_d, "x_d": x_d, "rate_d": np.log1p(x_d) / LN2,
+         "cons_d": prob.xi_bs * p_d}
     if not prob.has_af:
         return marg_d, c
 
@@ -216,7 +217,7 @@ def reference_candidates(prob, q, lam):
     p_a[dead] = 0.0
     x_a = alpha_a * p_a
     marg_a = 0.5 * solver._marginal(x_a)
-    c.update(p_a=p_a, beta=beta, rate_a=0.5 * np.log1p(x_a) / LN2,
+    c.update(p_a=p_a, x_a=x_a, beta=beta, rate_a=0.5 * np.log1p(x_a) / LN2,
              cons_a=0.5 * p_a * (beta * prob.xi_bs + (1.0 - beta) * prob.xi_rn))
     marg = np.stack([marg_d, marg_a], axis=1).reshape(2 * prob.n_users, -1)
     return marg, c
@@ -241,6 +242,9 @@ def reference_sweep(prob, q, lam):
         wbeta = c["beta"][winner_user, cols]
         wp_bs = wp_tot * wbeta
         wp_rn = wp_tot * (1.0 - wbeta)
+        p_win = np.where(winner_af, wp_tot, wp_d)
+        x_win = np.where(winner_af, c["x_a"][winner_user, cols],
+                         c["x_d"][winner_user, cols])
         rate = np.where(winner_af, c["rate_a"][winner_user, cols],
                         c["rate_d"][winner_user, cols])
         cons = np.where(winner_af, c["cons_a"][winner_user, cols],
@@ -253,6 +257,8 @@ def reference_sweep(prob, q, lam):
         wp_d = c["p_d"][winner_user, cols]
         wp_bs = np.zeros(prob.n_subcarriers)
         wp_rn = np.zeros(prob.n_subcarriers)
+        p_win = wp_d
+        x_win = c["x_d"][winner_user, cols]
         rate = c["rate_d"][winner_user, cols]
         cons = c["cons_d"][winner_user, cols]
         winner_row = np.zeros(prob.n_subcarriers, dtype=np.intp)
@@ -264,6 +270,8 @@ def reference_sweep(prob, q, lam):
         winner_af=winner_af,
         winner_row=winner_row,
         marg=marg,
+        p_win=p_win,
+        x_win=x_win,
         p_d=wp_d,
         p_bs=wp_bs,
         p_rn=wp_rn,

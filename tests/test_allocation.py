@@ -114,6 +114,26 @@ def test_arrays_follow_the_dict_order_and_stay_read_only():
         Allocation.from_arrays(3, 4, [0, 1], [0], [False], [1.0], [0.0])
 
 
+def test_from_arrays_copies_the_callers_arrays():
+    # the public constructor never aliases or freezes what it is handed,
+    # dtype already right or not; the solver's private _adopt takes over
+    # fresh arrays instead
+    columns = [np.array([0, 2]), np.array([1, 3], dtype=np.intp),
+               np.array([False, True]), np.array([0.5, 0.25]),
+               np.array([0.0, 0.125])]
+    alloc = Allocation.from_arrays(3, 4, *columns)
+    for name, given in zip(("user", "subcarrier", "af", "p_bs", "p_rn"),
+                           columns):
+        held = getattr(alloc, name)
+        assert given.flags.writeable, name
+        assert not np.shares_memory(held, given), name
+        assert not held.flags.writeable, name
+    columns[3][0] = 9.0
+    assert alloc.p_bs.tolist() == [0.5, 0.25]
+    adopted = Allocation._adopt(3, 4, *columns)
+    assert adopted.p_bs is columns[3] and not columns[3].flags.writeable
+
+
 def test_equality_compares_the_arrays():
     a = Allocation(2, 2, {(0, 0): Direct(0.5), (1, 1): Af(0.25, 0.125)})
     assert a == Allocation(2, 2, {(0, 0): Direct(0.5), (1, 1): Af(0.25, 0.125)})

@@ -1,4 +1,4 @@
-"""The secant multiplier search against the reference bisection."""
+"""The water-filling multiplier search against the reference bisection."""
 
 import dataclasses
 import math
@@ -34,7 +34,7 @@ def test_search_matches_reference_bisection(monkeypatch):
         return res
 
     differ = {}
-    totals = {"reference": 0, "secant": 0}
+    totals = {"reference": 0, "fill": 0}
     jump_seeds = 0
     for seed in seeds:
         _, chan = generate_instance(cfg, seed)
@@ -67,12 +67,41 @@ def test_search_matches_reference_bisection(monkeypatch):
         if problems:
             differ[seed] = problems
         totals["reference"] += _sweeps(ref.trace)
-        totals["secant"] += _sweeps(eem.trace)
+        totals["fill"] += _sweeps(eem.trace)
         jump_seeds += any(s.stop == "jump-point" for s in eem.trace.searches)
     print(f"EEM sweeps per solve: reference {totals['reference'] / len(seeds):.1f}, "
-          f"secant {totals['secant'] / len(seeds):.1f}; "
+          f"fill {totals['fill'] / len(seeds):.1f}; "
           f"{jump_seeds} seeds stopped at a jump point")
     assert not differ, f"{len(differ)} seeds differ: {differ}"
+
+
+def test_fill_steps_keep_sweep_counts_low():
+    # desk seeds 1-200 at 0 dBm; at q = 0 the water-filling step is exact
+    # on each sweep's assignment, so that search needs few sweeps
+    cfg = SystemConfig()
+    total = first = 0
+    for seed in range(1, 201):
+        searches = solver.solve_eem(generate_instance(cfg, seed)[1],
+                                    cfg).trace.searches
+        total += sum(s.evals for s in searches)
+        first += searches[0].evals
+    assert total / 200 <= 7.0
+    assert first / 200 <= 2.5
+
+
+@pytest.mark.parametrize("p_max_dbm", [-150.0, -190.0])
+def test_tiny_budgets_converge(p_max_dbm):
+    # far below the floors the budget is finer than the float resolution
+    # of water level minus floor; the search still pins the multiplier
+    # instead of running out of sweeps
+    cfg = SystemConfig(p_max_dbm=p_max_dbm)
+    problems = []
+    for seed in range(1, 21):
+        t = solver.solve_eem(generate_instance(cfg, seed)[1], cfg).trace
+        stops = [s.stop for s in t.searches]
+        if t.termination != "converged" or "iteration-cap" in stops:
+            problems.append((seed, t.termination, stops))
+    assert not problems, problems
 
 
 def _reference_jump_searches(cfg, seeds):

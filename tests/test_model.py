@@ -109,6 +109,18 @@ def test_system_rate_matches_hand_summation():
     assert exact <= system_rate(alloc, chan)
 
 
+@pytest.mark.parametrize("noise_gap", [0.0, -1.0])
+@pytest.mark.parametrize("entries", [{(0, 0): Direct(0.7)},
+                                     {(1, 1): Af(0.3, 0.2)}])
+def test_system_rate_rejects_a_non_positive_noise_gap(noise_gap, entries):
+    # system_rate checks the gap once and skips the public SNR checks
+    alloc = Allocation(2, 2, entries)
+    for exact_snr in (False, True):
+        with pytest.raises(ValueError, match="noise_gap"):
+            system_rate(alloc, _tiny_channel(noise_gap=noise_gap),
+                        exact_snr=exact_snr)
+
+
 def test_system_power_hand_values():
     pm = PowerModel()  # 60 W / 20 W / 2.6 / 5.0
     idle = Allocation(1, 1, {})
