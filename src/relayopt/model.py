@@ -110,21 +110,10 @@ class Allocation:
         alloc._set(n_users, n_subcarriers, user, subcarrier, af, p_bs, p_rn)
         return alloc
 
-    @classmethod
-    def _adopt(cls, n_users: int, n_subcarriers: int, *columns) -> "Allocation":
-        """from_arrays for fresh arrays that nothing else holds.
-
-        Takes the arrays over, casting only where the dtype differs, and
-        marks them read-only.
-        """
-        alloc = cls.__new__(cls)
-        alloc._set(n_users, n_subcarriers, *columns, convert=np.asarray)
-        return alloc
-
-    def _set(self, n_users, n_subcarriers, *columns, convert=np.array):
+    def _set(self, n_users, n_subcarriers, *columns):
         self.n_users = n_users
         self.n_subcarriers = n_subcarriers
-        arrays = [convert(c, dtype=t) for c, t in
+        arrays = [np.array(c, dtype=t) for c, t in
                   zip(columns, (np.intp, np.intp, bool, float, float))]
         if any(a.ndim != 1 or a.shape != arrays[0].shape for a in arrays):
             raise ValueError("allocation arrays must be 1-D and of one length")

@@ -15,20 +15,21 @@ sorting, the one factor on all levels that spends the budget; the direct
 level 1/(ln2*(q*xi_bs + lambda)) maps it to the next multiplier.  At
 q = 0 an AF split does not depend on lambda, so the step is exact on the
 frozen assignment; at q > 0 the next sweep corrects it.  While one end
-is missing, lambda doubles (halves) only where the step finds no powered
-winner or does not move; inside the bracket a midpoint step is taken
-whenever the step leaves it or it fails to halve over two steps.  Where
-the winning assignment switches the power jumps, and the budget may lie
-inside the jump, where no multiplier meets it.  So whenever the
-bracket's two ends differ on one subcarrier only, the two candidates'
-gaps at the ends are read off the marginals the end sweeps kept, and
-where each end's winner leads at its end, the multiplier at which they
-tie is found on their closed forms alone (Brent's method, no sweep),
-pinned to float resolution.  If a piecewise-linear model of p_used puts
-the budget in that jump, the search sweeps just either side of the tie:
-the bracket is then pinned as plain bisection would pin it, or it is
-left on the one piece that holds the budget, where the fill steps
-resume.
+is missing, lambda doubles (halves) where the step finds no powered
+winner or does not move, and where the budget gap fails to halve over
+two steps the next step doubles the last move (halving lambda at most);
+inside the bracket a midpoint step is taken whenever the step leaves it
+or it fails to halve over two steps.  Where the winning assignment
+switches the power jumps, and the budget may lie inside the jump, where
+no multiplier meets it.  So whenever the bracket's two ends differ on
+one subcarrier only, the two candidates' gaps at the ends are read off
+the marginals the end sweeps kept, and where each end's winner leads at
+its end, the multiplier at which they tie is found on their closed forms
+alone (Brent's method, no sweep), pinned to float resolution.  If a
+piecewise-linear model of p_used puts the budget in that jump, the
+search sweeps just either side of the tie: the bracket is then pinned as
+plain bisection would pin it, or it is left on the one piece that holds
+the budget, where the fill steps resume.
 
 Each sweep evaluates only a per-instance shortlist of the candidates
 that can win.  All direct users of a subcarrier share the water level
@@ -36,20 +37,20 @@ that can win.  All direct users of a subcarrier share the water level
 x = alpha*level - 1, so only the user with the largest direct gain can
 win the direct contest.  Substituting the optimal split beta gives an AF
 pair alpha*level = g1*g2 / (ngap*ln2*(sqrt(g1*b) + sqrt(g2*a))^2), with
-a = q*xi_bs + 2*lambda and b = q*xi_rn + 2*lambda, which rises with the
-access gain g2; users of one sector share the feeder gain g1, so only
-each sector's strongest access link can win there.  Neither ranking
-depends on q or lambda, so the shortlist holds 1 + M' rows per
+a = q*xi_bs + 2*lambda and b = q*xi_rn + 2*lambda, which rises with the access gain g2; users of one sector share the feeder gain
+g1, so only each sector's strongest access link can win there.  Neither
+ranking depends on q or lambda, so the shortlist holds 1 + M' rows per
 subcarrier (M' occupied sectors) instead of 2K, for every sweep of the
 solve.  A folded candidate whose gain equals its row's exactly has the
 same marginal, and ties keep the lowest candidate index, so the winners
 are those of the full sweep.  The shortlisted rows run the same
 floating-point operations as the full sweep would, so answers match it
-bit for bit.  Only rounding could tell the two apart: where two gains
-of one contest lie within a few ulps, so that the rounded marginals
-could order them either way, or where every marginal of a subcarrier
-rounds to zero while the shortlisted winner has a positive power (one
-below about 1.1e-16/alpha), since the full sweep then picks candidate 0.
+bit for bit.
+Only rounding could tell the two apart: where two gains of one contest
+lie within a few ulps, so that the rounded marginals could order them
+either way, or where every marginal of a subcarrier rounds to zero
+while the shortlisted winner has a positive power (one below about
+1.1e-16/alpha), since the full sweep then picks candidate 0.
 
 A sweep writes the shortlist's powers, alpha*power and splits into
 scratch buffers that the per-instance _Problem holds, and the next
@@ -68,7 +69,13 @@ from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
-from .model import LN2, Allocation, Metrics, circuit_power, compute_metrics
+from .model import (
+    LN2,
+    Allocation,
+    Metrics,
+    circuit_power,
+    compute_metrics,
+)
 
 if TYPE_CHECKING:
     from .channel import ChannelRealization
@@ -310,9 +317,8 @@ class _Problem:
         self.half = np.full(shape, 0.5)
         self.half[0] = 1.0
         # direct-only water level; with no live link any price is a start
-        floors = self.inv_alpha_d[np.isfinite(self.inv_alpha_d)]
         self.wf_price = 1.0 / (LN2 * _water_fill(
-            -floors, np.ones_like(floors), self.p_max)) if floors.size else 1.0
+            -self.inv_alpha_d, np.ones(self.n_subcarriers), self.p_max)) or 1.0
 
     def lambda_start(self, q: float) -> float:
         """Direct-only water-filling multiplier at q; exact when M = 0 and q = 0."""
@@ -328,7 +334,8 @@ def _water_fill(base, slopes, budget: float) -> float:
     ascending, t = (budget - sum of the m lowest bases) / (sum of their
     slopes) for the largest m whose m-th threshold lies below it.  A
     budget below the float resolution of the lowest threshold fills no
-    term; t is then that threshold.
+    term; t is then that threshold.  A term with base -inf never fills,
+    and without a finite threshold t is inf.
     """
     thresholds = -base / slopes
     # stable: at desk size the default kind adds ~0.3 MB of peak memory
@@ -352,7 +359,6 @@ class _SweepResult:
     marg: Optional[np.ndarray]
     p_win: np.ndarray           # (N,) the winner's power p, both hops
     x_win: np.ndarray           # (N,) the winner's alpha * p
-    p_d: np.ndarray             # (N,) direct power of the winner (0 if AF)
     p_bs: np.ndarray            # (N,)
     p_rn: np.ndarray            # (N,)
     rate_sum: float
@@ -420,7 +426,6 @@ def _sweep(prob: _Problem, q: float, lam: float) -> _SweepResult:
         marg=marg,
         p_win=wp,
         x_win=wx,
-        p_d=wp_d,
         p_bs=wp_bs,
         p_rn=wp_rn,
         rate_sum=rate_sum,
@@ -432,12 +437,12 @@ def _sweep(prob: _Problem, q: float, lam: float) -> _SweepResult:
 def _to_allocation(prob: _Problem, sweep: _SweepResult) -> Allocation:
     """Materialize the winners with positive power; the rest idle."""
     af = sweep.winner_af
-    p_bs = np.where(af, sweep.p_bs, sweep.p_d)
+    p_bs = np.where(af, sweep.p_bs, sweep.p_win)
     p_rn = np.where(af, sweep.p_rn, 0.0)
     on = np.flatnonzero(p_bs + p_rn > 0.0)
-    return Allocation._adopt(prob.n_users, prob.n_subcarriers,
-                             sweep.winner_user[on], on, af[on], p_bs[on],
-                             p_rn[on])
+    return Allocation.from_arrays(prob.n_users, prob.n_subcarriers,
+                                  sweep.winner_user[on], on, af[on],
+                                  p_bs[on], p_rn[on])
 
 
 _PIN_REL = 1e-15      # bracket width, relative to max(1, hi), that pins lambda
@@ -617,7 +622,10 @@ def _search_lambda(prob: _Problem, q: float,
     i_inner_max binds only once the bracket is closed: no step inside it
     follows i_inner_max sweeps in all.  Bracketing runs to its end, and
     a search whose bracketing alone took more is labelled
-    bracket-failure.
+    bracket-failure.  Bracketing is bounded all the same: every step
+    moves lambda toward the budget, so the gap |p_used - p_max| never
+    grows and can halve only so often before it falls below 1e-12 *
+    p_max, and where it fails to, each step doubles the last move.
     """
     p_max = prob.p_max
     i_inner_max = prob.cfg.i_inner_max
@@ -637,7 +645,8 @@ def _search_lambda(prob: _Problem, q: float,
     best = None
     ends = [None, None]  # [lo, hi], each as (lambda, sweep)
 
-    def ev(lam):  # sweep at lam, file it as the lo or hi end, return it
+    def ev(lam):
+        """Sweep at lam, file it as the lo or hi end; return the sweep."""
         nonlocal best, evals
         evals += 1
         r = _sweep(prob, q, lam)
@@ -671,19 +680,26 @@ def _search_lambda(prob: _Problem, q: float,
 
     lam = lam_hint or prob.lambda_start(q)
     stop = None
-    r = ev(lam)
+    trail = []  # (lambda, |p_used - p_max|) of each bracketing sweep
     # bracket: step from the one end until the other exists
-    while not (ends[0] and ends[1]):
+    while True:
+        r = ev(lam)
+        trail.append((lam, abs(r.p_used - p_max)))
+        if ends[0] and ends[1]:
+            break
         if ends[1]:  # down to the first infeasible multiplier
             stop = stop_rule(0.0)
             if stop:
                 break
+        if len(trail) > 2 and trail[-1][1] > 0.5 * trail[-3][1]:
+            # the gap failed to halve over two steps: double the last move
+            lam = max(lam + 2.0 * (lam - trail[-2][0]), 0.5 * lam)
+        elif ends[1]:
             lam = fill(0.0, lam) or 0.5 * lam
         else:  # up to the first feasible multiplier
             lam = fill(lam, math.inf) or 2.0 * lam
-            if lam > _LAMBDA_CEIL:  # unreachable: p_used -> 0 as lambda grows
-                raise RuntimeError("lambda bracket failed to close")
-        r = ev(lam)
+        if lam > _LAMBDA_CEIL:  # unreachable: p_used -> 0 as lambda grows
+            raise RuntimeError("lambda bracket failed to close")
     bracket_sweeps = evals
 
     widths = []  # bracket width before each step
@@ -780,16 +796,17 @@ def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig", *,
     """Spectral-efficiency maximization, read off an EEM solve.
 
     Reads the searches of solve_eem(chan, cfg) and returns the
-    highest-rate feasible iterate.  The q=0 solve alone is the textbook
-    answer, but at a budget-crossing assignment switch its dual search
-    cannot exhaust the budget, and an iterate solved at q > 0 (whose
-    water levels tilt slightly toward the cheap hops) can land closer to
-    the budget and carry more rate; taking the best iterate keeps the
-    returned rate a true upper envelope.  Ties pick the earliest
-    iterate, so away from those switch points this is exactly the q=0
-    solution.  The trace's searches are EEM's; its one iteration is the
-    chosen search's record, with its ratio replaced by metrics.ee and
-    its F by its plain rate (F at q=0), which is also f_residual.
+    highest-rate feasible iterate.  The q=0 solve alone is
+    the textbook answer, but at a budget-crossing assignment switch its
+    dual search cannot exhaust the budget, and an iterate solved at
+    q > 0 (whose water levels tilt slightly toward the cheap hops) can
+    land closer to the budget and carry more rate; taking the best
+    iterate keeps the returned rate a true upper envelope.  Ties pick
+    the earliest iterate, so away from those switch points this is
+    exactly the q=0 solution.  The trace's searches are EEM's; its one
+    iteration is the chosen search's record, with its ratio replaced by
+    metrics.ee and its F by its plain rate (F at q=0), which is also
+    f_residual.
 
     eem, a solve_eem(chan, cfg) result for this very `chan` object
     (unchanged since) and an equal cfg, is the solve to read: no search
@@ -808,7 +825,9 @@ def solve_sem(chan: "ChannelRealization", cfg: "SystemConfig", *,
     if prob.cfg != cfg:
         raise ValueError("eem was solved for another config")
 
-    best = best_alloc = best_metrics = None
+    best = None
+    best_alloc = None
+    best_metrics = None
     for s in eem.trace.searches:
         if s is eem.trace.iterations[-1]:
             alloc, metrics = eem.allocation, eem.metrics

@@ -272,7 +272,6 @@ def reference_sweep(prob, q, lam):
         marg=marg,
         p_win=p_win,
         x_win=x_win,
-        p_d=wp_d,
         p_bs=wp_bs,
         p_rn=wp_rn,
         rate_sum=float(np.sum(rate)),
@@ -377,8 +376,8 @@ def reference_allocation(prob, sweep):
         if sweep.winner_af[n]:
             if sweep.p_bs[n] + sweep.p_rn[n] > 0.0:
                 entries[(k, n)] = Af(float(sweep.p_bs[n]), float(sweep.p_rn[n]))
-        elif sweep.p_d[n] > 0.0:
-            entries[(k, n)] = Direct(float(sweep.p_d[n]))
+        elif sweep.p_win[n] > 0.0:
+            entries[(k, n)] = Direct(float(sweep.p_win[n]))
     return Allocation(prob.n_users, prob.n_subcarriers, entries)
 
 

@@ -115,9 +115,8 @@ def test_arrays_follow_the_dict_order_and_stay_read_only():
 
 
 def test_from_arrays_copies_the_callers_arrays():
-    # the public constructor never aliases or freezes what it is handed,
-    # dtype already right or not; the solver's private _adopt takes over
-    # fresh arrays instead
+    # the constructor never aliases or freezes what it is handed, dtype
+    # already right or not
     columns = [np.array([0, 2]), np.array([1, 3], dtype=np.intp),
                np.array([False, True]), np.array([0.5, 0.25]),
                np.array([0.0, 0.125])]
@@ -130,8 +129,6 @@ def test_from_arrays_copies_the_callers_arrays():
         assert not held.flags.writeable, name
     columns[3][0] = 9.0
     assert alloc.p_bs.tolist() == [0.5, 0.25]
-    adopted = Allocation._adopt(3, 4, *columns)
-    assert adopted.p_bs is columns[3] and not columns[3].flags.writeable
 
 
 def test_equality_compares_the_arrays():

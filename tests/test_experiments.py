@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 
@@ -10,7 +11,7 @@ from relayopt.config import SystemConfig
 from relayopt.experiments import (AXIS_NAMES, CSV_COLUMNS, SweepSpec,
                                   aggregate, builtin_scenarios, run_sweep,
                                   write_csv, write_json)
-from relayopt.solver import solve_eem
+from relayopt.solver import solve_eem, solve_sem
 
 
 def _small_base(**kw):
@@ -224,21 +225,33 @@ def test_sweep_runs_one_trajectory_per_sample_when_eem_goes_first(monkeypatch):
                                  if r.algorithm == "SEM"]
 
 
+def _failed_seeds(cfg, seeds, solve):
+    return [seed for seed in seeds
+            if solve(generate_instance(cfg, seed)[1], cfg).trace.termination
+            != "converged"]
+
+
 def test_failed_seeds_are_listed_in_the_json_only(tmp_path):
-    # a three-sweep cap on each multiplier search leaves EEM short of
-    # convergence on seed 4 alone among seeds 3 and 4
-    base = _small_base(i_inner_max=3, master_seed=3)
-    expected = [seed for seed in (3, 4) if solve_eem(
-        generate_instance(base, seed)[1], base).trace.termination != "converged"]
-    assert expected == [4]
+    # a cap on each multiplier search's sweeps leaves EEM short of
+    # convergence on some seeds; the first cap and seed pair on which EEM
+    # fails one seed alone and SEM neither serves
+    for cap, seed in itertools.product(range(2, 7), range(1, 11)):
+        base = _small_base(i_inner_max=cap, master_seed=seed)
+        seeds = (seed, seed + 1)
+        expected = _failed_seeds(base, seeds, solve_eem)
+        if len(expected) == 1 and not _failed_seeds(base, seeds, solve_sem):
+            break
+    else:
+        pytest.fail("no cap and seed pair fails EEM on one seed alone")
     spec = SweepSpec(name="fail", base=base, axes={}, samples=2)
     eem, sem = run_sweep(spec)
-    assert (eem.algorithm, eem.failures, eem.failed_seeds) == ("EEM", 1, [4])
+    assert (eem.algorithm, eem.failures) == ("EEM", 1)
+    assert eem.failed_seeds == expected
     assert eem.flagged
     assert (sem.failures, sem.failed_seeds) == (0, [])
     write_json([eem, sem], tmp_path / "sweep.json")
     first = json.loads((tmp_path / "sweep.json").read_text())["records"][0]
-    assert first["failed_seeds"] == [4]
+    assert first["failed_seeds"] == expected
     write_csv([eem, sem], tmp_path / "sweep.csv")
     header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)

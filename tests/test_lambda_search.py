@@ -104,6 +104,38 @@ def test_tiny_budgets_converge(p_max_dbm):
     assert not problems, problems
 
 
+def test_water_fill_spends_the_budget():
+    # the one sort-based water-filling: the t it returns spends the budget,
+    # a dead term (base -inf) changes nothing, and with no live term t is inf
+    rng = np.random.default_rng(21)
+    for n in rng.integers(1, 40, size=200):
+        base = -rng.lognormal(0.0, 3.0, size=n)
+        slopes = rng.lognormal(0.0, 1.0, size=n)
+        budget = rng.lognormal(0.0, 3.0)
+        t = solver._water_fill(base, slopes, budget)
+        spent = np.maximum(0.0, base + t * slopes).sum()
+        assert spent == pytest.approx(budget, rel=1e-12)
+        dead = np.append(base, [-np.inf, -np.inf])
+        assert solver._water_fill(dead, np.append(slopes, [1.0, 2.0]),
+                                  budget) == t
+    assert solver._water_fill(np.full(3, -np.inf), np.ones(3), 1.0) == np.inf
+
+
+def test_start_price_fills_the_live_direct_links():
+    # the direct-only water level over the finite floors; dead links (an
+    # infinite floor) take no power, and with none live the price is 1
+    for _, cfg, chan in dead_hop_channels():
+        prob = solver._Problem(chan, cfg)
+        floors = np.sort(prob.inv_alpha_d[np.isfinite(prob.inv_alpha_d)])
+        assert floors.size < cfg.n_subcarriers
+        m = np.arange(1, floors.size + 1)
+        levels = (prob.p_max + np.cumsum(floors)) / m
+        level = levels[np.flatnonzero(levels > floors)[-1]]
+        assert prob.wf_price == 1.0 / (math.log(2.0) * level)
+        silent = dataclasses.replace(chan, g_bs_ue=np.zeros_like(chan.g_bs_ue))
+        assert solver._Problem(silent, cfg).wf_price == 1.0
+
+
 def _reference_jump_searches(cfg, seeds):
     """(seed, prob, q, reference search) of every reference bisection
     search of solve_eem on `seeds` that stops at a jump point."""
@@ -149,7 +181,7 @@ def _candidate_mismatches(prob, q, lam):
     Per subcarrier, every row's _candidate marginal must be the one the
     sweep keeps in marg (None without relays), the row with the largest
     (ties to the lowest full-order index) must be the sweep's winner
-    row, and its power the sweep's: p_d for a direct winner, beta*p and
+    row, and its power the sweep's: p_win for a direct winner, beta*p and
     (1-beta)*p with the public af_beta for an AF one, bit for bit.
     """
     sweep = solver._sweep(prob, q, lam)
@@ -170,8 +202,8 @@ def _candidate_mismatches(prob, q, lam):
         if row != sweep.winner_row[n]:
             found.append((q, lam, n, "row", row, int(sweep.winner_row[n])))
         elif row == 0:
-            if p != sweep.p_d[n]:
-                found.append((q, lam, n, "p_d", p, sweep.p_d[n]))
+            if p != sweep.p_win[n]:
+                found.append((q, lam, n, "p_win", p, sweep.p_win[n]))
         else:
             at = (row - 1, n)
             beta = solver.af_beta(q, lam, prob.g1[at], prob.g2[at],
@@ -322,6 +354,35 @@ def test_trace_counts_every_sweep(monkeypatch, case):
         assert {"iteration-cap", "bracket-failure"} <= stops
     else:
         assert rejected > 0
+
+
+def test_safeguard_rejects_a_search_below_the_incumbent(monkeypatch):
+    # the q > 0 search's iterate is made worse than the incumbent on
+    # purpose (its rate zeroed, so F < 0), not by rounding: EEM lists it
+    # after the accepted search, stops there and keeps the incumbent
+    cfg = SystemConfig(n_users=8, n_subcarriers=32, n_relays=3)
+    _, chan = generate_instance(cfg, 1)
+    search = solver._search_lambda
+
+    def worse(prob, q, lam_hint=None):
+        s = search(prob, q, lam_hint)
+        if q == 0.0:
+            return s
+        return solver._Search.of(prob, q,
+                                 dataclasses.replace(s.sweep, rate_sum=0.0),
+                                 s.bracket_sweeps, s.search_sweeps, s.stop)
+
+    monkeypatch.setattr(solver, "_search_lambda", worse)
+    count = _counting_sweep(monkeypatch)
+    sol = solver.solve_eem(chan, cfg)
+    t = sol.trace
+    assert _sweeps(t) == count[0]
+    assert len(t.searches) == 2 and t.iterations == t.searches[:1]
+    assert not t.searches[1].accepted and t.searches[1].f_val < 0.0
+    assert (t.termination, t.f_residual) == ("converged", 0.0)
+    prob = solver._Problem(chan, cfg)
+    assert sol.allocation == solver._to_allocation(prob, t.searches[0].sweep)
+    assert sol.metrics.ee == pytest.approx(t.searches[0].ratio, rel=1e-12)
 
 
 def test_accepted_searches_match_inner_iterations():
