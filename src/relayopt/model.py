@@ -276,17 +276,32 @@ def af_fraction(alloc: Allocation) -> float:
 _BUDGET_RTOL = 1e-9
 
 
+def _out_of_range(alloc: Allocation) -> np.ndarray:
+    """Mask of the entries whose user or subcarrier lies outside the
+    allocation's n_users x n_subcarriers."""
+    return ((alloc.user < 0) | (alloc.user >= alloc.n_users)
+            | (alloc.subcarrier < 0) | (alloc.subcarrier >= alloc.n_subcarriers))
+
+
+def _entries_at(alloc: Allocation, mask: np.ndarray) -> list:
+    return [f"user {k} subcarrier {n}" for k, n in
+            zip(alloc.user[mask].tolist(), alloc.subcarrier[mask].tolist())]
+
+
 def check_feasibility(alloc: Allocation, cfg: RadioConfig, pm: PowerModel) -> list:
     """Return a list of violation strings; empty means feasible.
 
-    Checks: non-negative powers, at most one active entry per
+    Checks: user and subcarrier indices within the allocation's
+    dimensions, non-negative powers, at most one active entry per
     subcarrier, and the radiated-power budget (with relative slack
     _BUDGET_RTOL).  `cfg` is not read; it stays for callers that pass
     the radio configuration by position.
     """
+    violations = [f"index-range: {e} outside {alloc.n_users} users x "
+                  f"{alloc.n_subcarriers} subcarriers"
+                  for e in _entries_at(alloc, _out_of_range(alloc))]
     neg = (alloc.p_bs < 0.0) | (alloc.p_rn < 0.0)
-    violations = [f"negative-power: user {k} subcarrier {n}" for k, n in
-                  zip(alloc.user[neg].tolist(), alloc.subcarrier[neg].tolist())]
+    violations += [f"negative-power: {e}" for e in _entries_at(alloc, neg)]
     carriers = np.sort(alloc.subcarrier)
     for n in sorted(set(carriers[1:][carriers[1:] == carriers[:-1]].tolist())):
         users = sorted(alloc.user[alloc.subcarrier == n].tolist())
@@ -303,7 +318,17 @@ def check_feasibility(alloc: Allocation, cfg: RadioConfig, pm: PowerModel) -> li
 
 def compute_metrics(alloc: Allocation, chan, cfg: RadioConfig, pm: PowerModel,
                     exact_snr: bool = False) -> Metrics:
-    """Assemble the full metric set for one allocation."""
+    """Assemble the full metric set for one allocation.
+
+    An entry whose user or subcarrier lies outside the allocation's
+    dimensions raises ValueError: it would index the channel arrays
+    out of range, or wrap around from their end.
+    """
+    bad = _entries_at(alloc, _out_of_range(alloc))
+    if bad:
+        raise ValueError(f"allocation entry {bad[0]} outside "
+                         f"{alloc.n_users} users x {alloc.n_subcarriers} "
+                         "subcarriers")
     rate = system_rate(alloc, chan, exact_snr=exact_snr)
     power = system_power(alloc, pm, cfg.n_relays)
     n = cfg.n_subcarriers

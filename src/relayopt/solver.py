@@ -22,10 +22,11 @@ inside the bracket a midpoint step is taken whenever the step leaves it
 or it fails to halve over two steps.  Where the winning assignment
 switches the power jumps, and the budget may lie inside the jump, where
 no multiplier meets it.  So whenever the bracket's two ends differ on
-one subcarrier only, the two candidates' gaps at the ends are read off
-the marginals the end sweeps kept, and where each end's winner leads at
-its end, the multiplier at which they tie is found on their closed forms
-alone (Brent's method, no sweep), pinned to float resolution.  If a
+one subcarrier only, and each end's winner leads there at its end, the
+multiplier at which the two candidates tie is found on their closed
+forms alone (no sweep), pinned to float resolution by the same stepping
+rule: secant steps on the gap between their marginals, and a midpoint
+step wherever the bracket fails to halve over two steps.  If a
 piecewise-linear model of p_used puts the budget in that jump, the
 search sweeps just either side of the tie: the bracket is then pinned as
 plain bisection would pin it, or it is left on the one piece that holds
@@ -354,9 +355,6 @@ class _SweepResult:
     winner_user: np.ndarray     # (N,)
     winner_af: np.ndarray       # (N,) bool
     winner_row: np.ndarray      # (N,) shortlist row of the winner
-    # (R, N) every shortlisted candidate's marginal, as the sweep ranked
-    # them; None without relays, where the one row always wins
-    marg: Optional[np.ndarray]
     p_win: np.ndarray           # (N,) the winner's power p, both hops
     x_win: np.ndarray           # (N,) the winner's alpha * p
     p_bs: np.ndarray            # (N,)
@@ -390,7 +388,6 @@ def _sweep(prob: _Problem, q: float, lam: float) -> _SweepResult:
         key = np.where(marg == best, prob.flat, 2 * prob.n_users)
         row = prob.row_of.take(key.min(axis=0))
     else:  # one candidate per subcarrier: it wins
-        marg = None
         row = np.zeros(prob.n_subcarriers, dtype=np.intp)
     at = row * prob.n_subcarriers  # flat index of each winner
     at += prob.cols
@@ -423,7 +420,6 @@ def _sweep(prob: _Problem, q: float, lam: float) -> _SweepResult:
         winner_user=prob.user.take(at),
         winner_af=winner_af,
         winner_row=row,
-        marg=marg,
         p_win=wp,
         x_win=wx,
         p_bs=wp_bs,
@@ -467,103 +463,61 @@ def _candidate(prob: _Problem, q: float, lam: float, row: int, n: int):
 
 
 def _tie_bracket(prob: _Problem, q: float, lo: float, hi: float,
-                 r_lo: _SweepResult, r_hi: _SweepResult, memo: dict):
+                 r_lo: _SweepResult, r_hi: _SweepResult):
     """Pinned multipliers lo <= a < b <= hi across one subcarrier's switch.
 
     Where the winners of the sweeps at lo and hi differ in shortlist row
     on exactly one subcarrier n, and there the winner at lo has the
     larger marginal at lo and the winner at hi at hi (strictly, so both
     carry power at the switch and p_used jumps), the switch is where
-    their two marginals tie.  Those end gaps are read off the marginals
-    the two sweeps kept (marg), which equal _candidate's bit for bit.
-    Brent's method then finds the switch on the two candidates' closed
-    forms alone, no sweep, until the bracket is pinned as _search_lambda
-    pins lambda.  Returns (a, b, jump), with the winner at lo still
-    winning at a, the winner at hi at b, and jump the drop in n's
-    radiated power across the switch; or None.  memo keeps the switches
-    found in one search.
+    their two marginals tie.  The gap between them is read off the two
+    candidates' closed forms alone (_candidate, no sweep), exact ties
+    signed as _sweep breaks them, and its sign change is narrowed by the
+    stepping rule of _search_lambda: a secant step on the two end gaps,
+    a midpoint step wherever the bracket failed to halve over two steps,
+    and no step within a quarter pin width of an end, until b - a is at
+    most half the pin width _PIN_REL * max(1, b).  The width then halves
+    at least once every three steps.  Returns (a, b, jump), with the
+    winner at lo still winning at a, the winner at hi at b, and jump the
+    drop in n's radiated power across the switch; or None.
     """
     differ = r_lo.winner_row != r_hi.winner_row
     if np.count_nonzero(differ) != 1:
         return None
     n = int(differ.argmax())
     row_lo, row_hi = int(r_lo.winner_row[n]), int(r_hi.winner_row[n])
-    key = (n, row_lo, row_hi)
-    if key in memo and lo <= memo[key][0] and memo[key][1] <= hi:
-        return memo[key]
-
-    def gap(m_lo, m_hi, ties):  # > 0 where the winner at lo wins
-        if m_lo != m_hi or m_hi == 0.0:
-            return float(m_lo - m_hi)
-        return math.copysign(math.ulp(m_hi), ties)
-
-    # the end sweeps hold both marginals at lo and hi, and have settled
-    # any tie there
-    g_lo = gap(r_lo.marg.item(row_lo, n), r_lo.marg.item(row_hi, n), 1.0)
-    g_hi = gap(r_hi.marg.item(row_lo, n), r_hi.marg.item(row_hi, n), -1.0)
-    if not g_lo > 0.0 > g_hi:
-        return None
     # exact ties go to the lower candidate index, as in _sweep
     tie_sign = 1.0 if prob.flat[row_lo, n] < prob.flat[row_hi, n] else -1.0
 
-    def gap_at(lam):
-        return gap(_candidate(prob, q, lam, row_lo, n)[0],
-                   _candidate(prob, q, lam, row_hi, n)[0], tie_sign)
+    def gap(lam):  # > 0 where the winner at lo wins
+        m_lo = _candidate(prob, q, lam, row_lo, n)[0]
+        m_hi = _candidate(prob, q, lam, row_hi, n)[0]
+        if m_lo != m_hi or m_hi == 0.0:
+            return float(m_lo - m_hi)
+        return math.copysign(math.ulp(m_hi), tie_sign)
 
-    x, y = _brent(gap_at, lo, hi, g_lo, g_hi)
-    a, b = min(x, y), max(x, y)
+    a, b = lo, hi
+    g_a, g_b = gap(a), gap(b)
+    if not g_a > 0.0 > g_b:
+        return None
+    widths = []  # bracket width before each step
+    while b - a > 0.5 * _PIN_REL * max(1.0, b):
+        widths.append(b - a)
+        if len(widths) < 3 or widths[-1] <= 0.5 * widths[-3]:
+            lam = a + g_a / (g_a - g_b) * (b - a)  # secant
+        else:
+            lam = 0.5 * (a + b)
+        # at least a quarter pin width inside; a NaN step lands next to a
+        tol = 0.25 * _PIN_REL * max(1.0, b)
+        lam = min(b - tol, max(a + tol, lam))
+        g = gap(lam)
+        if g > 0.0:
+            a, g_a = lam, g
+        else:
+            b, g_b = lam, g
     jump = (_candidate(prob, q, b, row_lo, n)[1]
             - _candidate(prob, q, b, row_hi, n)[1])
-    memo[key] = a, b, jump
-    return memo[key]
-
-
-def _brent(f, a: float, b: float, fa: float, fb: float):
-    """Brent's (1973) method: narrow a sign change of f to a pinned pair.
-
-    f is never 0, and fa and fb have opposite signs.  Inverse quadratic
-    interpolation or a secant step is taken where it stays well inside
-    the bracket and shrinks it fast enough, a midpoint step otherwise,
-    and no step is shorter than a quarter of the pin width, so the
-    bracket closes once the interpolation lands on the root.  Returns
-    the last two points, which straddle the sign change at most half a
-    pin width _PIN_REL * max(1, |x|) apart.
-    """
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 0.25 * _PIN_REL * max(1.0, abs(b))
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol:
-            return b, c
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:       # inverse quadratic interpolation
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
-        else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, xm)
-        fb = f(b)
+    return a, b, jump
 
 
 @dataclass
@@ -703,7 +657,6 @@ def _search_lambda(prob: _Problem, q: float,
     bracket_sweeps = evals
 
     widths = []  # bracket width before each step
-    ties = {}
     while stop is None:
         (lo, r_lo), (hi, r_hi) = ends
         widths.append(hi - lo)
@@ -713,7 +666,7 @@ def _search_lambda(prob: _Problem, q: float,
         if evals >= i_inner_max:
             stop = "iteration-cap"
             break
-        tie = _tie_bracket(prob, q, lo, hi, r_lo, r_hi, ties)
+        tie = _tie_bracket(prob, q, lo, hi, r_lo, r_hi)
         if tie is not None:
             # Model p_used as linear in u = 1/(q*xi_bs + lambda) on both
             # sides of the switch, a constant `jump` apart: the lo end's

@@ -250,7 +250,6 @@ def reference_sweep(prob, q, lam):
         cons = np.where(winner_af, c["cons_a"][winner_user, cols],
                         c["cons_d"][winner_user, cols])
         winner_row = np.where(winner_af, prob.sector_row[winner_user], 0)
-        marg = marg[prob.flat, cols]  # the shortlisted candidates' rows
     else:
         winner_user = flat
         winner_af = np.zeros(prob.n_subcarriers, dtype=bool)
@@ -262,14 +261,12 @@ def reference_sweep(prob, q, lam):
         rate = c["rate_d"][winner_user, cols]
         cons = c["cons_d"][winner_user, cols]
         winner_row = np.zeros(prob.n_subcarriers, dtype=np.intp)
-        marg = None
 
     return solver._SweepResult(
         lam=lam,
         winner_user=winner_user,
         winner_af=winner_af,
         winner_row=winner_row,
-        marg=marg,
         p_win=p_win,
         x_win=x_win,
         p_bs=wp_bs,
@@ -427,6 +424,11 @@ def reference_check_feasibility(alloc, cfg, pm, tol=1e-9):
     """Per-entry loop: the violation list model.check_feasibility must match."""
     violations = []
     per_subcarrier = {}
+    for k, n in alloc.entries:
+        if not (0 <= k < alloc.n_users and 0 <= n < alloc.n_subcarriers):
+            violations.append(
+                f"index-range: user {k} subcarrier {n} outside "
+                f"{alloc.n_users} users x {alloc.n_subcarriers} subcarriers")
     for (k, n), e in alloc.entries.items():
         powers = (e.p_d,) if isinstance(e, Direct) else (e.p_bs, e.p_rn)
         if any(p < 0.0 for p in powers):

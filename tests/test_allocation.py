@@ -74,7 +74,8 @@ def test_metrics_and_violations_match_the_entry_loops(inst, exact_snr):
     alloc = Allocation(len(chan.g_bs_ue), radio.n_subcarriers, entries)
     assert alloc.entries == entries
     # the loops read the hand-built dict, not the view derived from arrays
-    raw = SimpleNamespace(entries=entries, n_subcarriers=radio.n_subcarriers)
+    raw = SimpleNamespace(entries=entries, n_users=len(chan.g_bs_ue),
+                          n_subcarriers=radio.n_subcarriers)
     with np.errstate(invalid="ignore", divide="ignore"):
         got = compute_metrics(alloc, chan, radio, pm, exact_snr=exact_snr)
         want = reference_metrics(raw, chan, radio, pm, exact_snr=exact_snr)
@@ -96,6 +97,23 @@ def test_empty_allocation():
             compute_metrics(alloc, chan, radio, pm, exact_snr=exact_snr),
             reference_metrics(alloc, chan, radio, pm, exact_snr=exact_snr))
     assert check_feasibility(alloc, radio, pm) == []
+
+
+@pytest.mark.parametrize("key", [(0, -1), (5, 0), (-1, 0), (0, 2)])
+def test_out_of_range_indices_are_violations(key):
+    # the constructor takes any index; the check names the entry outside
+    # 2 users x 2 subcarriers, and compute_metrics refuses it instead of
+    # wrapping a negative index or raising a bare IndexError
+    cfg = SystemConfig(n_users=2, n_subcarriers=2, n_relays=1)
+    _, chan = generate_instance(cfg, 1)
+    radio, pm = cfg.radio(), cfg.power_model()
+    alloc = Allocation(2, 2, {(1, 1): Af(1e-4, 1e-4), key: Direct(1e-4)})
+    want = [f"index-range: user {key[0]} subcarrier {key[1]} outside "
+            "2 users x 2 subcarriers"]
+    assert check_feasibility(alloc, radio, pm) == want
+    assert reference_check_feasibility(alloc, radio, pm) == want
+    with pytest.raises(ValueError, match=f"user {key[0]} subcarrier {key[1]}"):
+        compute_metrics(alloc, chan, radio, pm)
 
 
 def test_arrays_follow_the_dict_order_and_stay_read_only():

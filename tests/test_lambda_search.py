@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -179,22 +180,20 @@ def _candidate_mismatches(prob, q, lam):
     """Where _candidate's verdict differs from _sweep's at (q, lam).
 
     Per subcarrier, every row's _candidate marginal must be the one the
-    sweep keeps in marg (None without relays), the row with the largest
-    (ties to the lowest full-order index) must be the sweep's winner
-    row, and its power the sweep's: p_win for a direct winner, beta*p and
-    (1-beta)*p with the public af_beta for an AF one, bit for bit.
+    sweep's kernel gives (its alpha*p scratch through _marginal, halved
+    for AF), the row with the largest (ties to the lowest full-order
+    index) must be the sweep's winner row, and its power the sweep's:
+    p_win for a direct winner, beta*p and (1-beta)*p with the public
+    af_beta for an AF one, bit for bit.
     """
     sweep = solver._sweep(prob, q, lam)
+    marg = solver._marginal(prob.x.copy()) * prob.half
     rows = range(prob.flat.shape[0])
     found = []
-    if not prob.has_af and sweep.marg is not None:
-        found.append((q, lam, "marg kept without relays"))
     for n in range(prob.n_subcarriers):
         cands = [solver._candidate(prob, q, lam, r, n) for r in rows]
-        if prob.has_af:  # the tie check reads the end sweeps' marginals
-            found += [(q, lam, n, "marg", r, m, sweep.marg[r, n])
-                      for r, (m, _) in enumerate(cands)
-                      if m != sweep.marg[r, n]]
+        found += [(q, lam, n, "marg", r, m, marg[r, n])
+                  for r, (m, _) in enumerate(cands) if m != marg[r, n]]
         best = max(m for m, _ in cands)
         row = min((r for r in rows if cands[r][0] == best),
                   key=lambda r: prob.flat[r, n])
@@ -214,9 +213,10 @@ def _candidate_mismatches(prob, q, lam):
 
 
 def test_candidate_agrees_with_the_sweep(desk_jumps, monkeypatch):
-    # the tie finder reads the end gaps off the sweeps' marginals and the
-    # switches off _candidate; the two must agree, and the switches fall
-    # where the sweep puts them, on a multiplier grid and at every pinned pair
+    # the tie finder reads the gaps and the switches off _candidate, and
+    # the sweep ranks the kernel's marginals; the two must agree, and the
+    # switches fall where the sweep puts them, on a multiplier grid and at
+    # every pinned pair
     # desk seeds, the dead-hop instances (the af_dead rows) and relay-free
     # ones (no AF row)
     desk, relay_free = SystemConfig(), SystemConfig(n_relays=0)
@@ -248,6 +248,29 @@ def test_candidate_agrees_with_the_sweep(desk_jumps, monkeypatch):
         problems += _candidate_mismatches(prob, q, a)
         problems += _candidate_mismatches(prob, q, b)
     assert not problems, problems
+
+
+def test_tie_search_is_bounded(monkeypatch):
+    # a gap (3 - lambda)^9 is flat at its root, so secant steps crawl; the
+    # midpoint steps still halve the bracket once every three steps, and
+    # the pair is pinned within 3*ceil(log2(width / half pin)) + 2 gap
+    # evaluations, the two end gaps included
+    lo, hi = 1.0, 1e4
+    lams = []
+
+    def candidate(prob, q, lam, row, n):
+        lams.append(lam)
+        return (3.0 - lam) ** 9 if row == 0 else 0.0, 0.0
+
+    monkeypatch.setattr(solver, "_candidate", candidate)
+    prob = SimpleNamespace(flat=np.array([[0], [1]]))
+    r_lo, r_hi = (SimpleNamespace(winner_row=np.array([r])) for r in (0, 1))
+    a, b, _ = solver._tie_bracket(prob, 0.0, lo, hi, r_lo, r_hi)
+    evals = len(lams) // 2 - 1  # two candidates per gap, then the jump at b
+    bound = 3 * math.ceil(math.log2((hi - lo) / (0.5 * solver._PIN_REL))) + 2
+    assert bound == 197
+    assert a < 3.0 <= b and b - a <= 0.5 * solver._PIN_REL * max(1.0, b)
+    assert evals <= bound
 
 
 def test_large_jump_seed_settles_in_few_sweeps():
