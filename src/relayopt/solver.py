@@ -19,18 +19,17 @@ is missing, lambda doubles (halves) where the step finds no powered
 winner or does not move, and where the budget gap fails to halve over
 two steps the next step doubles the last move (halving lambda at most);
 inside the bracket a midpoint step is taken whenever the step leaves it
-or it fails to halve over two steps.  Where the winning assignment
-switches the power jumps, and the budget may lie inside the jump, where
-no multiplier meets it.  So whenever the bracket's two ends differ on
-one subcarrier only, and each end's winner leads there at its end, the
-multiplier at which the two candidates tie is found on their closed
-forms alone (no sweep), pinned to float resolution by the same stepping
-rule: secant steps on the gap between their marginals, and a midpoint
-step wherever the bracket fails to halve over two steps.  If a
-piecewise-linear model of p_used puts the budget in that jump, the
-search sweeps just either side of the tie: the bracket is then pinned as
-plain bisection would pin it, or it is left on the one piece that holds
-the budget, where the fill steps resume.
+or it fails to halve over two steps, until no float lies strictly
+between the ends.  Where the winning assignment switches the power
+jumps, and the budget may lie inside the jump, where no multiplier meets
+it.  So whenever the bracket's two ends differ on one subcarrier only,
+and each end's winner leads there at its end, the adjacent floats across
+which the two candidates tie are found on their closed forms alone, by
+the same rule and pin: secant steps on the gap between their marginals,
+midpoint steps where the secant leaves the bracket or it fails to halve
+over two steps.  If a piecewise-linear model of p_used puts the budget
+in that jump, the search sweeps just either side of the tie: then the
+bracket is pinned, or the fill steps resume on the budget's piece.
 
 Each sweep evaluates only a per-instance shortlist of the candidates
 that can win.  All direct users of a subcarrier share the water level
@@ -219,7 +218,7 @@ def af_beta(q: float, lam: float, g1: float, g2: float,
     return _af_split(q, lam, xi_bs, xi_rn, math.sqrt(g1), math.sqrt(g2))[0]
 
 
-def _check_gains(name: str, gains) -> None:
+def _check_gains(name: str, gains, ngap: float) -> None:
     g = np.asarray(gains, dtype=float)
     # NaN propagates through both reductions; initial=0.0 passes an empty array
     lo, hi = g.min(initial=0.0), g.max(initial=0.0)
@@ -227,6 +226,8 @@ def _check_gains(name: str, gains) -> None:
         raise ValueError(f"{name} holds NaN or infinite gains")
     if lo < 0.0:
         raise ValueError(f"{name} holds negative gains")
+    if not math.isfinite(hi.item() / ngap):
+        raise ValueError(f"{name} over noise_gap {ngap:g} overflows")
 
 
 class _Problem:
@@ -244,7 +245,7 @@ class _Problem:
         cfg.validate()
         if not (math.isfinite(chan.noise_gap) and chan.noise_gap > 0.0):
             raise ValueError("noise_gap must be positive and finite")
-        _check_gains("g_bs_ue", chan.g_bs_ue)
+        _check_gains("g_bs_ue", chan.g_bs_ue, chan.noise_gap)
         self.chan = chan
         self.cfg = cfg
         pm = cfg.power_model()
@@ -266,8 +267,8 @@ class _Problem:
             self.inv_alpha_d = 1.0 / (chan.g_bs_ue[k_d, self.cols] / self.ngap)
         self.af_dead = None
         if self.has_af:
-            _check_gains("g_bs_rn", chan.g_bs_rn)
-            _check_gains("g_rn_ue", chan.g_rn_ue)
+            _check_gains("g_bs_rn", chan.g_bs_rn, chan.noise_gap)
+            _check_gains("g_rn_ue", chan.g_rn_ue, chan.noise_gap)
             # sector_row[k]: shortlist row of user k's AF contest, one row
             # per occupied sector in ascending order
             sector = chan.sector_of_ue
@@ -441,8 +442,8 @@ def _to_allocation(prob: _Problem, sweep: _SweepResult) -> Allocation:
                                   p_bs[on], p_rn[on])
 
 
-_PIN_REL = 1e-15      # bracket width, relative to max(1, hi), that pins lambda
-_LAMBDA_CEIL = 1e300  # multiplier past which a bracket counts as failed
+_LAMBDA_FLOOR = 1e-15  # feasible multiplier at which a descent stops
+_LAMBDA_CEIL = 1e300   # multiplier past which a bracket counts as failed
 
 
 def _candidate(prob: _Problem, q: float, lam: float, row: int, n: int):
@@ -474,12 +475,13 @@ def _tie_bracket(prob: _Problem, q: float, lo: float, hi: float,
     candidates' closed forms alone (_candidate, no sweep), exact ties
     signed as _sweep breaks them, and its sign change is narrowed by the
     stepping rule of _search_lambda: a secant step on the two end gaps,
-    a midpoint step wherever the bracket failed to halve over two steps,
-    and no step within a quarter pin width of an end, until b - a is at
-    most half the pin width _PIN_REL * max(1, b).  The width then halves
-    at least once every three steps.  Returns (a, b, jump), with the
-    winner at lo still winning at a, the winner at hi at b, and jump the
-    drop in n's radiated power across the switch; or None.
+    and a midpoint step wherever that step does not lie strictly inside
+    (a, b), a NaN step included, or the bracket failed to halve over two
+    steps.  So the width halves at least once every three steps, and the
+    search stops at the pin of _search_lambda: no float lies strictly
+    between a and b.  Returns (a, b, jump), with the winner at lo still
+    winning at a, the winner at hi at b, and jump the drop in n's
+    radiated power across the switch; or None.
     """
     differ = r_lo.winner_row != r_hi.winner_row
     if np.count_nonzero(differ) != 1:
@@ -501,15 +503,11 @@ def _tie_bracket(prob: _Problem, q: float, lo: float, hi: float,
     if not g_a > 0.0 > g_b:
         return None
     widths = []  # bracket width before each step
-    while b - a > 0.5 * _PIN_REL * max(1.0, b):
+    while math.nextafter(a, b) != b:
         widths.append(b - a)
-        if len(widths) < 3 or widths[-1] <= 0.5 * widths[-3]:
-            lam = a + g_a / (g_a - g_b) * (b - a)  # secant
-        else:
+        lam = a + g_a / (g_a - g_b) * (b - a)  # secant
+        if not a < lam < b or len(widths) > 2 and widths[-1] > 0.5 * widths[-3]:
             lam = 0.5 * (a + b)
-        # at least a quarter pin width inside; a NaN step lands next to a
-        tol = 0.25 * _PIN_REL * max(1.0, b)
-        lam = min(b - tol, max(a + tol, lam))
         g = gap(lam)
         if g > 0.0:
             a, g_a = lam, g
@@ -535,9 +533,10 @@ class _Search:
     bracket_sweeps: int   # lambda = 0 check, start point, bracket expansion
     search_sweeps: int    # steps inside the bracket
     # interior: lambda = 0 is feasible; tolerance: budget slack <= 1e-12
-    # p_max; jump-point: lambda pinned to float resolution where p_used
-    # jumps across the budget; iteration-cap: i_inner_max sweeps in all,
-    # bracketing included, spent before either of those; bracket-failure:
+    # p_max; jump-point: no float lies between the last infeasible and
+    # the last feasible multiplier, or none down to _LAMBDA_FLOOR is
+    # infeasible; iteration-cap: i_inner_max sweeps in all, bracketing
+    # included, spent before either of those; bracket-failure:
     # bracketing, which the cap never cuts short, took more on its own
     stop: str
     # the iterate: the best-F(q) feasible sweep
@@ -615,8 +614,8 @@ def _search_lambda(prob: _Problem, q: float,
         hi, r_hi = ends[1]
         if p_max - r_hi.p_used <= tol_p:
             return "tolerance"
-        if hi - lo <= _PIN_REL * max(1.0, hi):
-            return "jump-point"  # multiplier pinned to float resolution
+        if hi <= _LAMBDA_FLOOR or math.nextafter(lo, hi) == hi:
+            return "jump-point"  # no float lies between the ends
         return None
 
     def fill(lo, hi):  # the step from the last sweep r, if it splits (lo, hi)
@@ -652,7 +651,7 @@ def _search_lambda(prob: _Problem, q: float,
             lam = fill(0.0, lam) or 0.5 * lam
         else:  # up to the first feasible multiplier
             lam = fill(lam, math.inf) or 2.0 * lam
-        if lam > _LAMBDA_CEIL:  # unreachable: p_used -> 0 as lambda grows
+        if not lam <= _LAMBDA_CEIL:  # NaN, or p_used never fell to the budget
             raise RuntimeError("lambda bracket failed to close")
     bracket_sweeps = evals
 
@@ -686,12 +685,9 @@ def _search_lambda(prob: _Problem, q: float,
                     if ends[0][0] < lam < ends[1][0] and evals < i_inner_max:
                         r = ev(lam)
                 continue
-        lam = 0.5 * (lo + hi)
+        lam = 0.5 * (lo + hi)  # strictly inside: the ends are not adjacent
         if len(widths) < 3 or widths[-1] <= 0.5 * widths[-3]:
             lam = fill(lo, hi) or lam
-        if not lo < lam < hi:
-            stop = "jump-point"  # bracket no longer splits in float
-            break
         r = ev(lam)
     if bracket_sweeps > i_inner_max:
         stop = "bracket-failure"

@@ -168,6 +168,16 @@ def test_exit_status_on_bad_input(capsys):
         assert "--tolerance" in captured.err, bad
 
 
+def test_overflowing_gain_over_noise_gap_is_an_error(capsys):
+    # a 1e-300 Hz subcarrier makes noise_gap subnormal, and gain over
+    # noise_gap overflows: an error, not a search that never returns
+    assert main(["solve", "--set", "subcarrier_bw_hz=1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_env_config_is_honored(tmp_path, monkeypatch, capsys):
     path = tmp_path / "env.ini"
     path.write_text("n_users = 3\nn_subcarriers = 4\nn_relays = 0\n")

@@ -253,8 +253,9 @@ def test_candidate_agrees_with_the_sweep(desk_jumps, monkeypatch):
 def test_tie_search_is_bounded(monkeypatch):
     # a gap (3 - lambda)^9 is flat at its root, so secant steps crawl; the
     # midpoint steps still halve the bracket once every three steps, and
-    # the pair is pinned within 3*ceil(log2(width / half pin)) + 2 gap
-    # evaluations, the two end gaps included
+    # the pair is pinned to adjacent floats within
+    # 3*ceil(log2(width / ulp(3))) + 2 gap evaluations, the two end gaps
+    # included
     lo, hi = 1.0, 1e4
     lams = []
 
@@ -267,9 +268,9 @@ def test_tie_search_is_bounded(monkeypatch):
     r_lo, r_hi = (SimpleNamespace(winner_row=np.array([r])) for r in (0, 1))
     a, b, _ = solver._tie_bracket(prob, 0.0, lo, hi, r_lo, r_hi)
     evals = len(lams) // 2 - 1  # two candidates per gap, then the jump at b
-    bound = 3 * math.ceil(math.log2((hi - lo) / (0.5 * solver._PIN_REL))) + 2
+    bound = 3 * math.ceil(math.log2((hi - lo) / math.ulp(3.0))) + 2
     assert bound == 197
-    assert a < 3.0 <= b and b - a <= 0.5 * solver._PIN_REL * max(1.0, b)
+    assert a < 3.0 <= b and math.nextafter(a, b) == b
     assert evals <= bound
 
 
@@ -418,21 +419,42 @@ def test_accepted_searches_match_inner_iterations():
     assert t.searches[0].stop in ("tolerance", "jump-point")
 
 
-def test_unclosable_bracket_raises(monkeypatch):
-    cfg = SystemConfig(n_users=2, n_subcarriers=4, n_relays=1, i_inner_max=5)
-    _, chan = generate_instance(cfg, 1)
+def _counted_sweeps(monkeypatch, p_used_factor=None):
+    """Count _sweep calls; with a factor, p_used reads factor * p_max."""
     orig = solver._sweep
     count = [0]
 
-    def never_feasible(prob, q, lam):
+    def sweep(prob, q, lam):
         count[0] += 1
         r = orig(prob, q, lam)
-        r.p_used = 10.0 * prob.p_max
+        if p_used_factor is not None:
+            r.p_used = p_used_factor * prob.p_max
         return r
 
-    monkeypatch.setattr(solver, "_sweep", never_feasible)
+    monkeypatch.setattr(solver, "_sweep", sweep)
+    return count
+
+
+def _small_problem():
+    cfg = SystemConfig(n_users=2, n_subcarriers=4, n_relays=1, i_inner_max=5)
+    return solver._Problem(generate_instance(cfg, 1)[1], cfg)
+
+
+def test_unclosable_bracket_raises(monkeypatch):
+    prob = _small_problem()
+    count = _counted_sweeps(monkeypatch, p_used_factor=10.0)  # never feasible
     with pytest.raises(RuntimeError, match="bracket failed"):
-        solver._search_lambda(solver._Problem(chan, cfg), 0.0)
+        solver._search_lambda(prob, 0.0)
+    assert count[0] < 2000
+
+
+def test_nan_hint_fails_the_bracket(monkeypatch):
+    # NaN passes no ceiling test of the form lam > ceiling; the bracket
+    # must fail at once, not step NaN to NaN
+    prob = _small_problem()
+    count = _counted_sweeps(monkeypatch)
+    with pytest.raises(RuntimeError, match="bracket failed"):
+        solver._search_lambda(prob, 0.0, math.nan)
     assert count[0] < 2000
 
 
@@ -499,6 +521,11 @@ def _check_search(prob, q, search, sweeps):
         problems.append(("evals", search.evals, len(sweeps)))
     if search.evals > max(search.bracket_sweeps, prob.cfg.i_inner_max):
         problems.append(("cap", search.evals, search.bracket_sweeps))
+    # a pinned bracket has no float between its ends, unless a descent
+    # stopped at the floor with no infeasible end
+    if search.stop == "jump-point" and hi > solver._LAMBDA_FLOOR and (
+            lo is None or math.nextafter(lo, hi) != hi):
+        problems.append(("pin", lo, hi))
     return problems
 
 
@@ -529,6 +556,9 @@ def test_search_keeps_one_bracket(desk_jumps, monkeypatch):
     # lambda = 0 meets a +40 dBm budget once q > 0: the interior stop
     instances.append((dataclasses.replace(desk, p_max_dbm=40.0), 1))
     instances += [(SystemConfig(n_relays=0), s) for s in range(1, 11)]
+    # far below the floors the budget falls between adjacent floats
+    tiny = dataclasses.replace(desk, p_max_dbm=-130.0)
+    instances += [(tiny, s) for s in range(1, 21)]
     capped = dataclasses.replace(desk, i_inner_max=2)
     instances += [(capped, s) for s in range(1, 6)]
     for cfg, seed in instances:

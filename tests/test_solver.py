@@ -186,6 +186,16 @@ def test_bad_gains_are_rejected(bad, link):
                 solve(chan, cfg)
 
 
+def test_gains_that_overflow_over_noise_gap_are_rejected():
+    # 1e-3 / 1e-320 is inf: every rate and the Dinkelbach ratio with it
+    cfg = SystemConfig(n_users=1, n_subcarriers=1, n_relays=0)
+    chan = dataclasses.replace(_single_link_channel(1e-3, cfg),
+                               noise_gap=1e-320)
+    for solve in (solve_eem, solve_sem):
+        with pytest.raises(ValueError, match="^g_bs_ue over noise_gap"):
+            solve(chan, cfg)
+
+
 def test_dead_links_idle_their_subcarrier():
     # subcarrier 0: no direct link and a dead second hop (beta would be
     # 0/0); subcarrier 1: a dead first hop beside a live direct link
