@@ -42,13 +42,19 @@ of a scan of every assignment in enumeration order.
 Menus are memoized per brute-force call by (slot, bracket): every
 assignment reuses the same coarse (subcarrier, user, protocol) menus,
 and a refinement that re-grids a bracket already built reuses its local
-menu.
+menu.  The power and split grids are memoized too, so every slot shares
+one coarse power grid.  A menu holds its rate, tx and cons arrays and its
+two grids.  The arrays are computed in place, with the operations of the
+broadcast expressions in their order, and a winning point's powers are
+formed from the grids as the same products.  Every menu's tx comes out
+ascending, so its tail (the bound's view of the last menu) needs no sort.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -73,8 +79,13 @@ class GridSpec:
     refine_rounds: int = 2   # each round shrinks the bracket ~10x
 
     def validate(self) -> None:
-        if min(self.power_points, self.beta_points) < 2 or self.refine_rounds < 0:
-            raise ValueError("grid counts must be >= 2 and refine_rounds >= 0")
+        for name, least in (("power_points", 2), ("beta_points", 2),
+                            ("refine_rounds", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"grid {name} must be an integer, not {v!r}")
+            if v < least:
+                raise ValueError(f"grid {name} must be >= {least}, not {v!r}")
 
 
 def enumerate_assignments(n_users: int, n_subcarriers: int, n_relays: int):
@@ -93,52 +104,71 @@ def enumerate_assignments(n_users: int, n_subcarriers: int, n_relays: int):
 
 @dataclass
 class _Menu:
-    """Per-subcarrier candidate points: parallel arrays over the grid."""
+    """Per-subcarrier candidate points: parallel rate, tx and cons arrays
+    over the grid.  A direct menu's point j sends power p[j]; an AF menu's
+    point j = i * len(beta) + t sends power p[i] split at beta[t]."""
 
     rate: np.ndarray
     tx: np.ndarray
     cons: np.ndarray
-    p_bs: np.ndarray   # == p for direct entries
-    p_rn: np.ndarray   # zeros for direct entries
-    beta: Optional[np.ndarray]
+    p: np.ndarray                # the power grid
+    beta: Optional[np.ndarray]   # the AF split grid; None for direct
 
     @cached_property
     def tail(self):
         """The menu as the last of a product: its distinct tx values,
         ascending, and the best rate and least cons over the points with
         tx up to each."""
-        order = np.argsort(self.tx, kind="stable")
-        tx = self.tx[order]
-        ends = np.flatnonzero(np.append(tx[1:] != tx[:-1], True))
-        return (tx[ends], np.maximum.accumulate(self.rate[order])[ends],
-                np.minimum.accumulate(self.cons[order])[ends])
+        tx, rate, cons = self.tx, self.rate, self.cons
+        if not np.all(tx[1:] >= tx[:-1]):  # never on a menu the oracle builds
+            order = np.argsort(tx, kind="stable")
+            tx, rate, cons = tx[order], rate[order], cons[order]
+        # max and min round nothing, so each run of equal tx reduces first
+        starts = np.flatnonzero(np.append(True, tx[1:] != tx[:-1]))
+        return (tx[np.append(starts[1:], len(tx)) - 1],
+                np.maximum.accumulate(np.maximum.reduceat(rate, starts)),
+                np.minimum.accumulate(np.minimum.reduceat(cons, starts)))
 
 
-_ZERO = _Menu(*[np.zeros(1)] * 5, beta=None)
+_ZERO = _Menu(*[np.zeros(1)] * 4, beta=None)
 
 
-def _menu_direct(gain, ngap, xi_bs, p_lo, p_hi, points) -> _Menu:
-    p = np.geomspace(p_lo, p_hi, points)
-    rate = np.log1p(p * gain / ngap) / LN2
-    return _Menu(rate=rate, tx=p, cons=xi_bs * p, p_bs=p, p_rn=np.zeros_like(p),
-                 beta=None)
+def _menu_direct(gain, ngap, xi_bs, p) -> _Menu:
+    rate = p * gain
+    rate /= ngap
+    np.log1p(rate, out=rate)
+    rate /= LN2
+    return _Menu(rate=rate, tx=p, cons=xi_bs * p, p=p, beta=None)
 
 
-def _menu_af(g1, g2, ngap, xi_bs, xi_rn, p_lo, p_hi, p_points,
-             b_lo, b_hi, b_points) -> _Menu:
-    p = np.geomspace(p_lo, p_hi, p_points)[:, None]
-    b = np.linspace(b_lo, b_hi, b_points)[None, :]
-    s1 = b * p * g1 / ngap
-    s2 = (1.0 - b) * p * g2 / ngap
+def _menu_af(g1, g2, ngap, xi_bs, xi_rn, p, beta) -> _Menu:
+    """The (power, split) grid's points, power-major: each array holds the
+    broadcast expression's values, computed in place in its operation
+    order, and the second SNR term's and the sum's buffers go on to hold
+    cons and tx."""
+    pc, b = p[:, None], beta[None, :]
+    nb = 1.0 - b
+    s1 = b * pc
+    s1 *= g1
+    s1 /= ngap
+    s2 = nb * pc
+    s2 *= g2
+    s2 /= ngap
     tot = s1 + s2
-    snr = np.where(tot > 0.0, s1 * s2 / np.where(tot > 0.0, tot, 1.0), 0.0)
-    rate = 0.5 * np.log1p(snr) / LN2
-    cons = 0.5 * (xi_bs * b + xi_rn * (1.0 - b)) * p
-    tx = np.broadcast_to(p, rate.shape)
-    bb = np.broadcast_to(b, rate.shape)
-    return _Menu(rate=rate.ravel(), tx=tx.ravel(), cons=cons.ravel(),
-                 p_bs=(bb * tx).ravel(), p_rn=((1.0 - bb) * tx).ravel(),
-                 beta=bb.ravel())
+    dead = ~(tot > 0.0)    # a dead or underflowed pair has SNR 0
+    tot[dead] = 1.0
+    rate = s1
+    rate *= s2
+    rate /= tot
+    rate[dead] = 0.0
+    np.log1p(rate, out=rate)
+    rate *= 0.5
+    rate /= LN2
+    cons = np.multiply(0.5 * (xi_bs * b + xi_rn * nb), pc, out=s2)
+    tx = tot
+    tx[:] = pc
+    return _Menu(rate=rate.ravel(), tx=tx.ravel(), cons=cons.ravel(), p=p,
+                 beta=beta)
 
 
 @dataclass
@@ -155,6 +185,9 @@ class _Best:
 def _leading(lead, rows):
     """Rate, tx and cons of the given rows of the product of the `lead`
     menus, row-major, each summed left to right as the full scan sums it."""
+    if len(lead) == 1:  # rows index the one menu: a slice reads views
+        m, = lead
+        return m.rate[rows], m.tx[rows], m.cons[rows]
     (m, i), *rest = zip(lead, np.unravel_index(rows, [len(m.rate) for m in lead]))
     rate, tx, cons = m.rate[i], m.tx[i], m.cons[i]
     for m, i in rest:
@@ -179,7 +212,8 @@ def _row_bounds(menus, p_cap, p_fixed, ee):
     bound = np.empty(math.prod(len(m.rate) for m in lead))
     for start in range(0, len(bound), _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, len(bound))
-        rate, tx, cons = _leading(lead, np.arange(start, stop))
+        rows = slice(start, stop) if len(lead) == 1 else np.arange(start, stop)
+        rate, tx, cons = _leading(lead, rows)
         # each row's count of feasible distinct tx values: a guess from the
         # rounded difference, then exact steps under the scan's own test
         size = np.searchsorted(ts, p_cap - tx, "right")
@@ -254,6 +288,17 @@ def _scan_product(menus, p_max, p_fixed, ee):
     return best
 
 
+def _grid(memo, space, lo, hi, points):
+    """`space(lo, hi, points)` read-only, built once per `memo`: the coarse
+    power grid is every slot's, the coarse split grid every AF slot's."""
+    key = (space, lo, hi, points)
+    if key not in memo:
+        grid = space(lo, hi, points)
+        grid.flags.writeable = False
+        memo[key] = grid
+    return memo[key]
+
+
 def _build_menus(active, chan, pm, brackets, memo):
     """One menu per active slot; `memo` caches them by (slot, bracket)."""
     menus = []
@@ -261,25 +306,31 @@ def _build_menus(active, chan, pm, brackets, memo):
         if (slot, bracket) not in memo:
             n, k, proto = slot
             p_lo, p_hi, b_lo, b_hi, p_pts, b_pts = bracket
+            p = _grid(memo, np.geomspace, p_lo, p_hi, p_pts)
             if proto == "direct":
                 menu = _menu_direct(chan.g_bs_ue[k, n], chan.noise_gap,
-                                    pm.xi_bs, p_lo, p_hi, p_pts)
+                                    pm.xi_bs, p)
             else:
                 m = chan.sector_of_ue[k]
                 menu = _menu_af(chan.g_bs_rn[m, n], chan.g_rn_ue[k, n],
-                                chan.noise_gap, pm.xi_bs, pm.xi_rn,
-                                p_lo, p_hi, p_pts, b_lo, b_hi, b_pts)
+                                chan.noise_gap, pm.xi_bs, pm.xi_rn, p,
+                                _grid(memo, np.linspace, b_lo, b_hi, b_pts))
             memo[slot, bracket] = menu
         menus.append(memo[slot, bracket])
     return menus
 
 
 def _combo_point(menus, idx):
-    """Extract (p_bs, p_rn, beta) per active subcarrier from a combo index."""
+    """(p_bs, p_rn, beta) per active subcarrier from a combo index, as the
+    same products of the grids' floats the menus' points stand for."""
     out = []
     for m, j in zip(menus, idx):
-        beta = None if m.beta is None else float(m.beta[j])
-        out.append((float(m.p_bs[j]), float(m.p_rn[j]), beta))
+        if m.beta is None:
+            out.append((float(m.p[j]), 0.0, None))
+        else:
+            i, t = divmod(j, len(m.beta))
+            p, b = float(m.p[i]), float(m.beta[t])
+            out.append((b * p, (1.0 - b) * p, b))
     return out
 
 

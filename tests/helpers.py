@@ -3,8 +3,9 @@
 Each is a plain, unpruned version of a library computation: the full
 2KN candidate sweep written out afresh (it shares the marginal formula
 and the per-instance constants with the solver, not its closed-form
-kernel or its shortlist), bisection for the multiplier, every combo of
-the oracle's menus, and per-entry loops for the allocation metrics.
+kernel or its shortlist), bisection for the multiplier, the oracle's
+menus in their broadcast form and every combo of them, and per-entry
+loops for the allocation metrics.
 Also the dead-hop instances that several of those checks run on.
 """
 
@@ -275,6 +276,43 @@ def reference_sweep(prob, q, lam):
         cons_sum=float(np.sum(cons)),
         p_used=float(np.sum(wp_d) + np.sum(wp_bs) + np.sum(wp_rn)),
     )
+
+
+def reference_menu_direct(gain, ngap, xi_bs, p_lo, p_hi, points):
+    """Reference direct menu: rate, tx, cons and per-point (p_bs, p_rn,
+    beta) arrays, as the oracle built them before it built menus in place."""
+    p = np.geomspace(p_lo, p_hi, points)
+    rate = np.log1p(p * gain / ngap) / LN2
+    return dict(rate=rate, tx=p, cons=xi_bs * p, p_bs=p, p_rn=np.zeros_like(p),
+                beta=None)
+
+
+def reference_menu_af(g1, g2, ngap, xi_bs, xi_rn, p_lo, p_hi, p_points,
+                      b_lo, b_hi, b_points):
+    """Reference AF menu over the broadcast (power, split) grid, power-major."""
+    p = np.geomspace(p_lo, p_hi, p_points)[:, None]
+    b = np.linspace(b_lo, b_hi, b_points)[None, :]
+    s1 = b * p * g1 / ngap
+    s2 = (1.0 - b) * p * g2 / ngap
+    tot = s1 + s2
+    snr = np.where(tot > 0.0, s1 * s2 / np.where(tot > 0.0, tot, 1.0), 0.0)
+    rate = 0.5 * np.log1p(snr) / LN2
+    cons = 0.5 * (xi_bs * b + xi_rn * (1.0 - b)) * p
+    tx = np.broadcast_to(p, rate.shape)
+    bb = np.broadcast_to(b, rate.shape)
+    return dict(rate=rate.ravel(), tx=tx.ravel(), cons=cons.ravel(),
+                p_bs=(bb * tx).ravel(), p_rn=((1.0 - bb) * tx).ravel(),
+                beta=bb.ravel())
+
+
+def reference_tail(menu):
+    """Reference menu tail: the points sorted by tx, then the distinct tx
+    values with the prefix best rate and least cons at each."""
+    order = np.argsort(menu["tx"], kind="stable")
+    tx = menu["tx"][order]
+    ends = np.flatnonzero(np.append(tx[1:] != tx[:-1], True))
+    return (tx[ends], np.maximum.accumulate(menu["rate"][order])[ends],
+            np.minimum.accumulate(menu["cons"][order])[ends])
 
 
 def reference_scan_product(menus, p_max, p_fixed):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from helpers import reference_brute_force, reference_scan_product
+from helpers import (reference_brute_force, reference_menu_af,
+                     reference_menu_direct, reference_scan_product,
+                     reference_tail)
 from relayopt import oracle
 from relayopt.channel import ChannelRealization, generate_instance
 from relayopt.config import SystemConfig
@@ -45,6 +47,22 @@ def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(refine_rounds=-1).validate()
     GridSpec().validate()
+    GridSpec(power_points=np.int64(50), refine_rounds=np.int64(0)).validate()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("power_points", 50.5), ("power_points", math.inf), ("power_points", 200.0),
+    ("beta_points", math.nan), ("beta_points", "101"), ("refine_rounds", 1.5),
+    ("refine_rounds", True)])
+def test_grid_spec_rejects_non_integer_counts(field, value):
+    # each would fail deep in the scan, in numpy or range, or as a grid
+    # too large; the oracle rejects it up front, naming the field
+    grid = GridSpec(**{field: value})
+    with pytest.raises(ValueError, match=f"grid {field} must be an integer"):
+        grid.validate()
+    cfg = _one_link_cfg()
+    with pytest.raises(ValueError, match=field):
+        brute_force_eem(_chan(cfg, [[1e-10]]), cfg, grid)
 
 
 def _one_link_cfg(**kw):
@@ -199,12 +217,67 @@ def test_pruned_scan_matches_reference(monkeypatch):
     assert not differ, f"pruned oracle differs from the full scan on {differ}"
 
 
+def _bits(x):
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+def _menu_cases():
+    """(name, gains or None for direct, bracket) of the menu shapes the
+    oracle builds: coarse AF grids of 101 and 21 splits, local 21x21 AF
+    and 21-point direct grids, on live, dead, NaN and underflowing links."""
+    cfg = _criterion_1_cfg()
+    _, chan = generate_instance(cfg, 1)
+    p_max = cfg.power_model().p_max
+    g1, g2, gd = chan.g_bs_rn[0, 0], chan.g_rn_ue[0, 0], chan.g_bs_ue[0, 0]
+    coarse = (p_max * 1e-6, p_max)
+    local = (p_max * 0.31, p_max * 0.45)
+    tiny = (1e-320, 1e-310)  # b * p * g underflows to 0
+    for name, (p_lo, p_hi) in (("coarse", coarse), ("local", local),
+                               ("tiny", tiny)):
+        shapes = ([(200, 0.0, 1.0, 101), (200, 0.0, 1.0, 21)]
+                  if name != "local" else [(21, 0.3, 0.32, 21)])
+        for gains in ((g1, g2), (0.0, g2), (g1, 0.0), (0.0, 0.0),
+                      (math.nan, g2)):
+            for p_pts, b_lo, b_hi, b_pts in shapes:
+                yield (f"{name} af {p_pts}x{b_pts} {gains}", gains,
+                       (p_lo, p_hi, p_pts, b_lo, b_hi, b_pts))
+        for g in (gd, 0.0):
+            for p_pts in (200, 21):
+                yield (f"{name} direct {p_pts} {g}", g, (p_lo, p_hi, p_pts))
+
+
+def test_menus_match_the_broadcast_form_bit_for_bit():
+    cfg = _criterion_1_cfg()
+    pm, ngap = cfg.power_model(), cfg.noise_gap_watts
+    underflowed = 0
+    for name, gains, bracket in _menu_cases():
+        p = np.geomspace(*bracket[:3])
+        if isinstance(gains, tuple):
+            ref = reference_menu_af(*gains, ngap, pm.xi_bs, pm.xi_rn, *bracket)
+            new = oracle._menu_af(*gains, ngap, pm.xi_bs, pm.xi_rn, p,
+                                  np.linspace(*bracket[3:]))
+            # b <= 1, so where p * g underflows both hops' SNR terms do
+            if min(gains) > 0.0:  # False for a NaN gain
+                underflowed += np.count_nonzero(p * max(gains) == 0.0)
+        else:
+            ref = reference_menu_direct(gains, ngap, pm.xi_bs, *bracket)
+            new = oracle._menu_direct(gains, ngap, pm.xi_bs, p)
+        for field in ("rate", "tx", "cons"):
+            assert _bits(getattr(new, field)) == _bits(ref[field]), (name, field)
+        assert (list(map(_bits, new.tail))
+                == list(map(_bits, reference_tail(ref)))), name
+        beta = ref["beta"] if ref["beta"] is not None else [None] * len(p)
+        points = [tuple(map(_bits, oracle._combo_point([new], (j,))[0]))
+                  for j in range(len(new.rate))]
+        assert points == [tuple(map(_bits, pt)) for pt in
+                          zip(ref["p_bs"].tolist(), ref["p_rn"].tolist(), beta)], name
+    assert underflowed > 0  # live links whose SNR terms sum to 0
+
+
 def _menu(tx, cons, rate):
-    zeros = np.zeros(len(rate))
-    return oracle._Menu(rate=np.asarray(rate, dtype=float),
-                        tx=np.asarray(tx, dtype=float),
-                        cons=np.asarray(cons, dtype=float),
-                        p_bs=zeros, p_rn=zeros, beta=None)
+    tx = np.asarray(tx, dtype=float)
+    return oracle._Menu(rate=np.asarray(rate, dtype=float), tx=tx,
+                        cons=np.asarray(cons, dtype=float), p=tx, beta=None)
 
 
 def _assert_scan_matches_reference(menus, p_max, p_fixed):
@@ -347,7 +420,9 @@ def test_refinement_builds_each_local_menu_once(monkeypatch):
 
     def counting(make):
         def build(*args):
-            built.append(args)
+            # a grid is keyed by its floats
+            built.append(tuple(a.tobytes() if isinstance(a, np.ndarray) else a
+                               for a in args))
             return make(*args)
         return build
 

@@ -1,0 +1,118 @@
+"""The oracle's answers, pinned.
+
+`tests/data/oracle_golden.json` holds, per case, the EE, rate and
+allocation entries of brute_force_eem and brute_force_sem at the stock
+grid, written with json.dumps, so every float is its repr and reads back
+exactly.  Any change to the oracle that is meant to keep its answers must
+keep them bit for bit.
+
+numpy computes float64 log1p, log10 and power with vectorized kernels
+(SVML) on AVX-512 machines and with the C library elsewhere, and the two
+differ in the last bit on some inputs, which moves grid points and can
+move a winner.  So the file keeps one set of answers per kernel set, keyed
+by `kernel_set()`.  To record the answers of this machine's kernels, run
+on a tree whose oracle gives the pinned answers:
+
+    PYTHONPATH=src python tests/test_oracle_golden.py
+
+and, on an AVX-512 machine, again with
+NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" for the C-library
+kernels.  Regenerate the whole file only on a change that moves the
+answers on purpose.
+"""
+
+import hashlib
+import json
+import math
+import pathlib
+
+import numpy as np
+import pytest
+
+from relayopt.channel import generate_instance
+from relayopt.config import SystemConfig
+from relayopt.model import Af
+from relayopt.oracle import brute_force_eem, brute_force_sem
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "oracle_golden.json"
+
+# (name, config, seeds): criterion 1's instances, relay-free 3-menu
+# products, and one user with a relay at a 100x larger budget
+CASES = [
+    ("2x2x1 0 dBm", SystemConfig(n_users=2, n_subcarriers=2, n_relays=1,
+                                 p_max_dbm=0.0), range(1, 21)),
+    ("2x3x0 0 dBm", SystemConfig(n_users=2, n_subcarriers=3, n_relays=0,
+                                 p_max_dbm=0.0), range(1, 4)),
+    ("1x2x1 20 dBm", SystemConfig(n_users=1, n_subcarriers=2, n_relays=1,
+                                  p_max_dbm=20.0), range(1, 6)),
+]
+
+
+def kernel_set():
+    """(key, description) of the float64 kernels numpy runs here, keyed by
+    the bits they return on a fixed probe."""
+    x = np.linspace(1e-3, 1e3, 4001)
+    out = [np.log1p(x), np.log10(x), np.power(10.0, np.log10(x))]
+    key = hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest()[:16]
+    libm = all(np.array_equal(a, [f(v) for v in x.tolist()])
+               for a, f in zip(out[:2], (math.log1p, math.log10)))
+    return key, (f"numpy {np.__version__}, log1p and log10 "
+                 + ("as" if libm else "unlike") + " the C library")
+
+
+def golden():
+    """This machine's pinned answers: case name -> per-seed records."""
+    key, _ = kernel_set()
+    sets = json.loads(GOLDEN.read_text())
+    if key not in sets:
+        raise LookupError(f"no pinned oracle answers for kernel set {key}")
+    return sets[key]["answers"]
+
+
+def _answer(sol):
+    return {"ee": sol.metrics.ee, "rate": sol.metrics.rate_total,
+            "entries": [[k, n, "af", e.p_bs, e.p_rn] if isinstance(e, Af)
+                        else [k, n, "direct", e.p_d]
+                        for (k, n), e in sol.allocation.entries.items()]}
+
+
+def _record(cfg, seed):
+    _, chan = generate_instance(cfg, seed)
+    return {"seed": seed, "eem": _answer(brute_force_eem(chan, cfg)),
+            "sem": _answer(brute_force_sem(chan, cfg))}
+
+
+@pytest.mark.parametrize("name,cfg,seeds", CASES, ids=[c[0] for c in CASES])
+def test_oracle_answers_match_golden(name, cfg, seeds):
+    try:
+        pinned = golden()[name]
+    except LookupError as e:
+        pytest.skip(str(e))
+    assert [r["seed"] for r in pinned] == list(seeds)
+    differ = [r["seed"] for r in pinned
+              if json.loads(json.dumps(_record(cfg, r["seed"]))) != r]
+    assert not differ, f"{name}: oracle answers moved on seeds {differ}"
+
+
+def _write():
+    """Add (or replace) this machine's kernel set in the golden file, one
+    record per line."""
+    sets = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    key, about = kernel_set()
+    sets[key] = {"kernels": about, "answers": {
+        name: [_record(cfg, seed) for seed in seeds]
+        for name, cfg, seeds in CASES}}
+    lines = []
+    for key, entry in sets.items():
+        cases = [f'   {json.dumps(name)}: [\n'
+                 + ",\n".join(f"    {json.dumps(r)}" for r in records) + "\n   ]"
+                 for name, records in entry["answers"].items()]
+        lines.append(f' {json.dumps(key)}: {{\n'
+                     f'  "kernels": {json.dumps(entry["kernels"])},\n'
+                     '  "answers": {\n' + ",\n".join(cases) + "\n  }\n }")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+if __name__ == "__main__":
+    _write()
