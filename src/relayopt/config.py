@@ -111,6 +111,8 @@ class SystemConfig:
             bad("n_subcarriers", "must be >= 1")
         if not self.n_relays >= 0:
             bad("n_relays", "must be >= 0")
+        if not self.master_seed >= 0:
+            bad("master_seed", "must be >= 0")
         if not self.cell_radius_km > 0.0:
             bad("cell_radius_km", "must be positive")
         if self.n_relays > 0 and not (0.0 < self.d_r < 1.0):

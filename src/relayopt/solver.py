@@ -15,21 +15,23 @@ sorting, the one factor on all levels that spends the budget; the direct
 level 1/(ln2*(q*xi_bs + lambda)) maps it to the next multiplier.  At
 q = 0 an AF split does not depend on lambda, so the step is exact on the
 frozen assignment; at q > 0 the next sweep corrects it.  While one end
-is missing, lambda doubles (halves) where the step finds no powered
-winner or does not move, and where the budget gap fails to halve over
-two steps the next step doubles the last move (halving lambda at most);
-inside the bracket a midpoint step is taken whenever the step leaves it
-or it fails to halve over two steps, until no float lies strictly
-between the ends.  Where the winning assignment switches the power
-jumps, and the budget may lie inside the jump, where no multiplier meets
-it.  So whenever the bracket's two ends differ on one subcarrier only,
-and each end's winner leads there at its end, the adjacent floats across
-which the two candidates tie are found on their closed forms alone, by
-the same rule and pin: secant steps on the gap between their marginals,
-midpoint steps where the secant leaves the bracket or it fails to halve
-over two steps.  If a piecewise-linear model of p_used puts the budget
-in that jump, the search sweeps just either side of the tie: then the
-bracket is pinned, or the fill steps resume on the budget's piece.
+is missing, lambda doubles going up, and going down halves at q = 0 and
+drops to 0 at q > 0 (a feasible 0 stops the search: interior), where
+the step finds no powered winner or does not move; where the budget gap
+fails to halve over two steps the next step doubles the last move
+(halving lambda at most); inside the bracket a midpoint step is taken
+whenever the step leaves it or it fails to halve over two steps, until
+no float lies strictly between the ends.  Where the winning assignment
+switches the power jumps, and the budget may lie inside the jump, where
+no multiplier meets it.  So whenever the bracket's two ends differ on
+one subcarrier only, and each end's winner leads there at its end, the
+adjacent floats across which the two candidates tie are found on their
+closed forms alone, by the same rule and pin: secant steps on the gap
+between their marginals, midpoint steps where the secant leaves the
+bracket or it fails to halve over two steps.  If a piecewise-linear
+model of p_used puts the budget in that jump, the search sweeps just
+either side of the tie: then the bracket is pinned, or the fill steps
+resume on the budget's piece.
 
 Each sweep evaluates only a per-instance shortlist of the candidates
 that can win.  All direct users of a subcarrier share the water level
@@ -322,11 +324,6 @@ class _Problem:
         self.wf_price = 1.0 / (LN2 * _water_fill(
             -self.inv_alpha_d, np.ones(self.n_subcarriers), self.p_max)) or 1.0
 
-    def lambda_start(self, q: float) -> float:
-        """Direct-only water-filling multiplier at q; exact when M = 0 and q = 0."""
-        lam = self.wf_price - q * self.xi_bs
-        return lam if lam > 0.0 else self.wf_price
-
 
 def _water_fill(base, slopes, budget: float) -> float:
     """The t with sum(max(0, base + t*slopes)) = budget, slopes > 0.
@@ -530,14 +527,15 @@ class _Search:
     lam: float            # multiplier of the iterate
     f_val: float          # F(q) of the iterate
     ratio: float          # rate/power ratio of the iterate
-    bracket_sweeps: int   # lambda = 0 check, start point, bracket expansion
+    bracket_sweeps: int   # start point, bracket expansion
     search_sweeps: int    # steps inside the bracket
-    # interior: lambda = 0 is feasible; tolerance: budget slack <= 1e-12
-    # p_max; jump-point: no float lies between the last infeasible and
-    # the last feasible multiplier, or none down to _LAMBDA_FLOOR is
-    # infeasible; iteration-cap: i_inner_max sweeps in all, bracketing
-    # included, spent before either of those; bracket-failure:
-    # bracketing, which the cap never cuts short, took more on its own
+    # interior: the feasible end is lambda = 0 (q > 0 only); tolerance:
+    # budget slack <= 1e-12 p_max; jump-point: no float lies between the
+    # last infeasible and the last feasible multiplier, or none down to
+    # _LAMBDA_FLOOR is infeasible; iteration-cap: i_inner_max sweeps in
+    # all, bracketing included, spent before either of those;
+    # bracket-failure: bracketing, which the cap never cuts short, took
+    # more on its own
     stop: str
     # the iterate: the best-F(q) feasible sweep
     sweep: _SweepResult = field(repr=False, compare=False)
@@ -570,8 +568,8 @@ def _search_lambda(prob: _Problem, q: float,
     p_used(hi) always closes.  One bracket holds the last infeasible and
     the last feasible sweep; one loop closes it and a second steps
     inside it (see the module docstring).  The iterate is the first
-    best-F(q) feasible sweep.  lam_hint, a positive multiplier, seeds
-    the search; None or 0 starts it from the water-filling multiplier.
+    best-F(q) feasible sweep.  lam_hint, >= 0 (> 0 at q = 0), seeds the
+    search; None starts it at wf_price - q*xi_bs, clipped at 0.
     i_inner_max binds only once the bracket is closed: no step inside it
     follows i_inner_max sweeps in all.  Bracketing runs to its end, and
     a search whose bracketing alone took more is labelled
@@ -589,12 +587,7 @@ def _search_lambda(prob: _Problem, q: float,
     # iterate is ~lambda * (p_max - p_used)).
     tol_p = 1e-12 * p_max
     price0 = q * prob.xi_bs  # direct price at lambda = 0
-    if q > 0.0:  # slack at zero price?  This sweep is no bracket end
-        r = _sweep(prob, q, 0.0)
-        if r.p_used <= over:
-            return _Search.of(prob, q, r, 1, 0, "interior")
-    # else: p_used(0+) is unbounded at q=0, never evaluate lambda=0
-    evals = int(q > 0.0)  # the lambda = 0 sweep counts as a bracket sweep
+    evals = 0
     best = None
     ends = [None, None]  # [lo, hi], each as (lambda, sweep)
 
@@ -612,6 +605,8 @@ def _search_lambda(prob: _Problem, q: float,
 
     def stop_rule(lo):
         hi, r_hi = ends[1]
+        if hi == 0.0:  # q > 0 only: p_used(0+) is unbounded at q = 0
+            return "interior"
         if p_max - r_hi.p_used <= tol_p:
             return "tolerance"
         if hi <= _LAMBDA_FLOOR or math.nextafter(lo, hi) == hi:
@@ -631,7 +626,7 @@ def _search_lambda(prob: _Problem, q: float,
             lam = math.nextafter(lam, lo + hi - lam)
         return lam if lo < lam < hi else None
 
-    lam = lam_hint or prob.lambda_start(q)
+    lam = max(prob.wf_price - price0, 0.0) if lam_hint is None else lam_hint
     stop = None
     trail = []  # (lambda, |p_used - p_max|) of each bracketing sweep
     # bracket: step from the one end until the other exists
@@ -648,9 +643,9 @@ def _search_lambda(prob: _Problem, q: float,
             # the gap failed to halve over two steps: double the last move
             lam = max(lam + 2.0 * (lam - trail[-2][0]), 0.5 * lam)
         elif ends[1]:
-            lam = fill(0.0, lam) or 0.5 * lam
-        else:  # up to the first feasible multiplier
-            lam = fill(lam, math.inf) or 2.0 * lam
+            lam = fill(0.0, lam) or (0.0 if q > 0.0 else 0.5 * lam)
+        else:  # up to the first feasible multiplier; 0 steps to price0
+            lam = fill(lam, math.inf) or 2.0 * lam or price0
         if not lam <= _LAMBDA_CEIL:  # NaN, or p_used never fell to the budget
             raise RuntimeError("lambda bracket failed to close")
     bracket_sweeps = evals
@@ -703,28 +698,28 @@ def _dinkelbach_steps(prob: _Problem):
     with F < 0, i.e. worse than the incumbent allocation (whose F at
     that q is 0 by construction), so the ratio cannot improve further.
     Each search after the first starts from the previous multiplier,
-    shifted so that the direct water level q*xi_bs + lambda is kept.
+    shifted so that the direct price q*xi_bs + lambda is kept (clipped at
+    0).  The termination reads the stop of the search whose iterate is
+    returned.
     """
     searches = []
     q = 0.0
     hint = None
-    termination = "outer-limit"
     for _ in range(prob.cfg.i_outer_max):
         search = _search_lambda(prob, q, hint)
         searches.append(search)
         if len(searches) > 1 and search.f_val < 0.0:
             search.accepted = False
-            termination = "converged"
+            search = searches[-2]  # the incumbent stands
             break
         delta = search.ratio - q
-        hint = search.lam - delta * prob.xi_bs
-        if hint <= 0.0:
-            hint = search.lam
+        hint = max(search.lam - delta * prob.xi_bs, 0.0)
         q = search.ratio
         if delta <= prob.cfg.eps_outer:
-            termination = "converged" if search.converged else "inner-limit"
             break
-    return searches, termination
+    else:
+        return searches, "outer-limit"
+    return searches, "converged" if search.converged else "inner-limit"
 
 
 def solve_eem(chan: "ChannelRealization", cfg: "SystemConfig") -> Solution:

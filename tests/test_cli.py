@@ -330,6 +330,20 @@ def test_oracle_certification_report(capsys):
                             "assignment_match"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--seed", "-1"],
+    ["sweep", "--scenario", "convergence", "--samples", "1", "--seed", "-1"],
+    ["oracle", "--seeds", "1", "--seed", "-1"],
+])
+def test_negative_master_seed_is_a_config_error(argv, capsys):
+    with pytest.raises(ConfigError, match="master_seed: must be >= 0"):
+        SystemConfig(master_seed=-1).validate()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid config: master_seed: must be >= 0\n"
+
+
 def test_oracle_rejects_nonpositive_seeds(capsys):
     for seeds in ("0", "-3"):
         assert main(["oracle", "--seeds", seeds]) == 1

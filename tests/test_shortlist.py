@@ -96,7 +96,7 @@ def test_sweep_results_share_no_scratch(m):
     cfg = SystemConfig(n_relays=m)
     _, chan = generate_instance(cfg, 4)
     prob = solver._Problem(chan, cfg)
-    lam = prob.lambda_start(0.0)
+    lam = prob.wf_price
     first = solver._sweep(prob, 0.0, lam)
     kept = {name: v.copy() for name, v in _sweep_arrays(first).items()}
     second = solver._sweep(prob, 0.05, 0.1 * lam)
@@ -150,7 +150,7 @@ def test_nan_marginals_leave_row_zero(monkeypatch):
     cfg = SystemConfig()
     _, chan = generate_instance(cfg, 4)
     prob = solver._Problem(chan, cfg)
-    lam = prob.lambda_start(0.0)
+    lam = prob.wf_price
     clean = solver._sweep(prob, 0.0, lam)
     assert clean.winner_row[[3, 5]].all()  # AF winners, so the test bites
     marginal = solver._marginal

@@ -397,7 +397,7 @@ _SHARED_CASES = {
                        range(1, 6)) for m in (0, 1, 3)},
     "minus-40dbm": (dataclasses.replace(_DESK, p_max_dbm=-40.0), range(1, 5)),
     "plus-40dbm": (dataclasses.replace(_DESK, p_max_dbm=40.0), range(1, 5)),
-    # searches stopped at the iteration cap or on bracket failure
+    # searches stopped at the iteration cap
     "inner-cap-2": (dataclasses.replace(_DESK, i_inner_max=2), range(1, 4)),
     # one outer step: SEM's answer is EEM's own iterate
     "one-outer-step": (dataclasses.replace(_DESK, i_outer_max=1), range(1, 4)),
