@@ -11,6 +11,9 @@ Every subcommand but `scenarios` takes the config flags; `--strict` is a
 `solve` flag.  Exit status: 0 success, 1 bad input/validation (unknown
 flags included), 2 non-convergence under `solve --strict`.
 RELAYOPT_CONFIG names a default config file.
+
+The sweep drivers and the oracle are imported by the commands that run
+them, so that a cold `solve` does not load them.
 """
 
 from __future__ import annotations
@@ -30,9 +33,7 @@ import numpy as np
 
 from .channel import generate_instance
 from .config import ConfigError, SystemConfig, load_config
-from .experiments import builtin_scenarios, run_sweep, write_csv, write_json
 from .model import compute_metrics
-from .oracle import GridSpec, brute_force_eem
 from .solver import Solution, SolverTrace, solve_eem, solve_sem
 
 ENV_CONFIG = "RELAYOPT_CONFIG"
@@ -329,6 +330,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .experiments import builtin_scenarios, run_sweep, write_csv, write_json
+
     if args.json_out == "-":
         raise ValueError("--json needs a file path: on stdout the JSON "
                          "mirror would interleave with the CSV")
@@ -358,6 +361,8 @@ def _assignment_key(alloc):
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import GridSpec, brute_force_eem
+
     cfg = _load_cfg(args)
     grid = GridSpec(power_points=args.power_points,
                     beta_points=args.beta_points,
@@ -421,6 +426,8 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_scenarios(_args) -> int:
+    from .experiments import builtin_scenarios
+
     for name, spec in builtin_scenarios().items():
         axes = "; ".join(f"{k}={v}" for k, v in spec.axes.items()) or "single point"
         print(f"{name}: {axes} | samples={spec.samples} "

@@ -12,7 +12,6 @@ sections are allowed and are flattened into dotted keys, e.g.::
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import math
 import numbers
@@ -142,6 +141,16 @@ class SystemConfig:
                 w = math.inf
             if not 0.0 < w < math.inf:
                 bad(key, "power in watts must be positive and finite")
+        # the most any allocation can draw; past the float range the
+        # solve would report an infinite power and a NaN residual
+        try:
+            most = (self.p_c_bs_w + self.n_relays * self.p_c_rn_w
+                    + max(self.xi_bs, self.xi_rn) * self.p_max_w)
+        except OverflowError:  # an int n_relays past the float range
+            most = math.inf
+        if not most < math.inf:
+            bad("p_c_bs_w, n_relays, p_c_rn_w, xi_bs, xi_rn, p_max_dbm",
+                "the largest consumed power must be finite")
         try:
             self.pathloss.validate()
         except ValueError as exc:
@@ -171,6 +180,8 @@ def _coerce(key: str, raw) -> object:
 
 
 def _parse_file(path: str) -> dict:
+    import configparser  # here, so that loading the defaults does not import it
+
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep keys as written
     try:

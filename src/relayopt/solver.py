@@ -578,6 +578,9 @@ def _search_lambda(prob: _Problem, q: float,
     grows and can halve only so often before it falls below 1e-12 *
     p_max, and where it fails to, each step doubles the last move.
     """
+    if q == 0.0 and lam_hint is not None and lam_hint <= 0.0:
+        raise ValueError("lam_hint must be > 0 at q = 0: q = lambda = 0 "
+                         "gives an unbounded water level")
     p_max = prob.p_max
     i_inner_max = prob.cfg.i_inner_max
     over = p_max * (1.0 + _FEAS_SLACK)  # p_used above this is infeasible

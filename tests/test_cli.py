@@ -225,6 +225,21 @@ def test_non_finite_settings_are_config_errors(key, value, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("extra", [[], ["--sem"]])
+def test_unbounded_consumed_power_is_a_config_error(extra, capsys):
+    # a 1e27 W budget drawn at xi_bs = 1e300 overflows: the document would
+    # hold "power_total": Infinity and "f_residual": NaN, which are not JSON
+    with pytest.raises(ConfigError, match="xi_bs.*p_max_dbm"):
+        load_config(None, {"p_max_dbm": "300", "xi_bs": "1e300"})
+    assert main(["solve", "--set", "p_max_dbm=300", "--set", "xi_bs=1e300",
+                 *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid config: ")
+    assert "xi_bs" in captured.err and "p_max_dbm" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_sweep_writes_csv_and_json(tmp_path, capsys):
     out = tmp_path / "radius.csv"
     mirror = tmp_path / "radius.json"

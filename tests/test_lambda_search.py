@@ -479,6 +479,14 @@ def test_nan_hint_fails_the_bracket(monkeypatch):
     assert count[0] < 2000
 
 
+def test_nonpositive_hint_at_q_zero_is_rejected():
+    # q = lambda = 0 is an unbounded water level, as for af_beta
+    prob = _small_problem()
+    for hint in (0.0, -1.0):
+        with pytest.raises(ValueError, match="lam_hint"):
+            solver._search_lambda(prob, 0.0, hint)
+
+
 def test_zero_hint_climbs_from_an_overflowing_sweep(monkeypatch):
     # at a subnormal q the water level at lambda = 0 overflows, so that
     # sweep yields no fill step and doubling 0 would not move; the climb
