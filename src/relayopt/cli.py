@@ -451,10 +451,7 @@ def main(argv: Optional[list] = None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

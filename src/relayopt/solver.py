@@ -125,11 +125,10 @@ def _check_q_lambda(q: float, lam: float) -> None:
 def _marginal(x):
     """Objective increase of a winning candidate: log2(1+x) - x/(ln2*(1+x)).
 
-    Always numpy's log1p, on arrays and floats alike: numpy's scalar
-    path matches its array loop bit for bit, while math.log1p differs
-    from that loop in the last bit on a few percent of inputs on some
-    CPUs (AVX-512), which would put _candidate's ties where _sweep has
-    none.
+    Always numpy's log1p: on one element it matches numpy's array loop
+    bit for bit, while math.log1p differs from that loop in the last bit
+    on a few percent of inputs on some CPUs (AVX-512), which would put
+    _candidate's ties where _sweep has none.
     """
     m = np.log1p(x)  # no buffer: out= would leave numpy's fast scalar path
     m -= x / (1.0 + x)
@@ -143,16 +142,11 @@ def _direct_terms(q, lam, xi_bs, inv_alpha, p=None, x=None):
     inv_alpha is the water-level floor 1/alpha (inf for a dead link,
     which gets no power).  This, _af_split and _af_terms are the only
     home of the closed forms: _sweep passes shortlist arrays and the
-    problem's scratch buffers p and x, _candidate one element's floats,
-    and both run the same floating-point operations.  On floats, max
-    and / stand in for np.maximum and np.divide: the same IEEE
-    operations, without a ufunc call's cost on a scalar.
+    problem's scratch buffers p and x, _candidate one element's floats
+    (and no buffers), and both run the same numpy operations.
     """
     wl = 1.0 / (LN2 * (q * xi_bs + lam))
     fill = wl - inv_alpha  # water above the floor
-    if isinstance(fill, float):
-        p = max(0.0, fill)
-        return p, p / inv_alpha
     p = np.maximum(0.0, fill, out=p)
     return p, np.divide(p, inv_alpha, out=x)
 
@@ -173,7 +167,7 @@ def _af_split(q, lam, xi_bs, xi_rn, sqrt_g1, sqrt_g2, beta=None):
     sx = sqrt_g1 * math.sqrt(a)
     sy = sqrt_g2 * math.sqrt(b)
     sx += sy
-    beta = sy / sx if beta is None else np.divide(sy, sx, out=beta)
+    beta = np.divide(sy, sx, out=beta)
     return beta, a, b
 
 
@@ -181,8 +175,8 @@ def _af_terms(q, lam, xi_bs, xi_rn, ngap, sqrt_g1, sqrt_g2, g1, g2,
               p=None, x=None, beta=None):
     """Split beta, water-filling total power p and alpha*p of AF pairs.
 
-    Arrays or floats, as _direct_terms (on floats, max and * stand in
-    for the ufuncs); beta, if given, receives the split.
+    Arrays or floats, as _direct_terms; beta, if given, receives the
+    split.
     alpha = beta*(1-beta)*g1*g2 / ((beta*g1 + (1-beta)*g2)*ngap)
     and the water level 1/(ln2*(beta*a + (1-beta)*b)) are formed in
     place on the kernel's own temporaries, in that operation order.
@@ -201,9 +195,6 @@ def _af_terms(q, lam, xi_bs, xi_rn, ngap, sqrt_g1, sqrt_g2, g1, g2,
     wl *= LN2
     wl = 1.0 / wl
     wl -= 1.0 / alpha
-    if isinstance(wl, float):
-        p = max(0.0, wl)
-        return beta, p, alpha * p
     p = np.maximum(0.0, wl, out=p)
     return beta, p, np.multiply(alpha, p, out=x)
 
@@ -217,10 +208,11 @@ def af_beta(q: float, lam: float, g1: float, g2: float,
     _check_q_lambda(q, lam)
     if g1 <= 0.0 or g2 <= 0.0:
         raise ValueError("hop gains must be positive")
-    return _af_split(q, lam, xi_bs, xi_rn, math.sqrt(g1), math.sqrt(g2))[0]
+    return _af_split(q, lam, xi_bs, xi_rn, math.sqrt(g1),
+                     math.sqrt(g2))[0].item()
 
 
-def _check_gains(name: str, gains, ngap: float) -> None:
+def _check_gains(name: str, gains, ngap: float, p_max: float) -> None:
     g = np.asarray(gains, dtype=float)
     # NaN propagates through both reductions; initial=0.0 passes an empty array
     lo, hi = g.min(initial=0.0), g.max(initial=0.0)
@@ -228,8 +220,12 @@ def _check_gains(name: str, gains, ngap: float) -> None:
         raise ValueError(f"{name} holds NaN or infinite gains")
     if lo < 0.0:
         raise ValueError(f"{name} holds negative gains")
-    if not math.isfinite(hi.item() / ngap):
+    snr = hi.item() / ngap  # the largest SNR per watt of these links
+    if not math.isfinite(snr):
         raise ValueError(f"{name} over noise_gap {ngap:g} overflows")
+    if not math.isfinite(snr * p_max):
+        raise ValueError(f"{name} times p_max over noise_gap overflows: "
+                         "p_max_dbm is too large")
 
 
 class _Problem:
@@ -247,10 +243,10 @@ class _Problem:
         cfg.validate()
         if not (math.isfinite(chan.noise_gap) and chan.noise_gap > 0.0):
             raise ValueError("noise_gap must be positive and finite")
-        _check_gains("g_bs_ue", chan.g_bs_ue, chan.noise_gap)
+        pm = cfg.power_model()
+        _check_gains("g_bs_ue", chan.g_bs_ue, chan.noise_gap, pm.p_max)
         self.chan = chan
         self.cfg = cfg
-        pm = cfg.power_model()
         self.pm = pm
         self.radio = cfg.radio()
         self.p_max = pm.p_max
@@ -269,8 +265,8 @@ class _Problem:
             self.inv_alpha_d = 1.0 / (chan.g_bs_ue[k_d, self.cols] / self.ngap)
         self.af_dead = None
         if self.has_af:
-            _check_gains("g_bs_rn", chan.g_bs_rn, chan.noise_gap)
-            _check_gains("g_rn_ue", chan.g_rn_ue, chan.noise_gap)
+            _check_gains("g_bs_rn", chan.g_bs_rn, chan.noise_gap, pm.p_max)
+            _check_gains("g_rn_ue", chan.g_rn_ue, chan.noise_gap, pm.p_max)
             # sector_row[k]: shortlist row of user k's AF contest, one row
             # per occupied sector in ascending order
             sector = chan.sector_of_ue
@@ -446,8 +442,8 @@ _LAMBDA_CEIL = 1e300   # multiplier past which a bracket counts as failed
 def _candidate(prob: _Problem, q: float, lam: float, row: int, n: int):
     """Marginal and radiated power of shortlist row `row` on subcarrier n.
 
-    Runs the floating-point operations of that element of _sweep, so the
-    two agree bit for bit and a tie falls where the sweep puts it.
+    Runs _sweep's kernel on that element's floats, so the two agree bit
+    for bit and a tie falls where the sweep puts it.
     """
     if row == 0:
         p, x = _direct_terms(q, lam, prob.xi_bs, prob.inv_alpha_d.item(n))

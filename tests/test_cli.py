@@ -166,6 +166,8 @@ def test_exit_status_on_bad_input(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--tolerance" in captured.err, bad
+    # a finite one >= 0 is read as a float
+    assert cli._parse_args(["oracle", "--tolerance", "0.05"]).tolerance == 0.05
 
 
 def test_overflowing_gain_over_noise_gap_is_an_error(capsys):
@@ -175,6 +177,21 @@ def test_overflowing_gain_over_noise_gap_is_an_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("extra", [[], ["--sem"]])
+def test_overflowing_snr_at_the_budget_is_an_error(extra, capsys):
+    # 3080 dBm is 1e305 W: gain * p_max over noise_gap overflows, and the
+    # document would hold "rate_total": Infinity, which is not JSON
+    cfg = load_config(None, {"p_max_dbm": "3080"})
+    with pytest.raises(ValueError, match="p_max_dbm"):
+        solve_eem(generate_instance(cfg, 1)[1], cfg)
+    assert main(["solve", "--set", "p_max_dbm=3080", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "p_max_dbm" in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -212,16 +229,22 @@ def test_sweep_seed_is_read_from_every_config_layer(tmp_path, monkeypatch,
     ("p_max_dbm", "-4000"), ("xi_bs", "inf"), ("p_c_bs_w", "nan"),
     ("p_c_rn_w", "inf"), ("eps_outer", "nan"), ("cell_radius_km", "inf"),
     ("noise_psd_dbm_hz", "4000"), ("pathloss.bs_ue_nlos.slope_db", "nan"),
+    # values out of range, and the path-loss model's non-finite ones
+    ("n_users", "0"), ("n_relays", "-1"), ("cell_radius_km", "0"),
+    ("subcarrier_bw_hz", "0"), ("xi_rn", "1"), ("p_c_bs_w", "-1"),
+    ("p_c_rn_w", "-1"), ("pathloss.bs_ue_nlos.intercept_db", "inf"),
+    ("pathloss.min_coupling_loss_db", "nan"),
 ])
 def test_non_finite_settings_are_config_errors(key, value, capsys):
     with pytest.raises(ConfigError, match=re.escape(key)):
         load_config(None, {key: value})
-    argv = ["solve", "--k", "2", "--n", "4", "--m", "1", "--set",
-            f"{key}={value}"]
+    # the last --set of a key wins, so the bad value overrides the shape
+    argv = ["solve", "--set", "n_users=2", "--set", "n_subcarriers=4",
+            "--set", "n_relays=1", "--set", f"{key}={value}"]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: invalid config")
+    assert captured.err.startswith(f"error: invalid config: {key}")
     assert "Traceback" not in captured.err
 
 
@@ -325,6 +348,18 @@ def test_sweep_json_dash_is_rejected(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: --json needs a file path")
     assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("flag, name", [("--out", "x.csv"),
+                                        ("--json", "x.json")])
+def test_sweep_to_a_missing_directory_is_an_error(flag, name, tmp_path,
+                                                   capsys):
+    argv = ["sweep", "--scenario", "convergence", "--samples", "1",
+            "--k", "2", "--n", "4", flag, str(tmp_path / "missing" / name)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_oracle_certification_report(capsys):

@@ -59,6 +59,7 @@ def test_af_beta_symmetric_is_exactly_half():
 def test_af_beta_known_ratio():
     # g1*a = 4 * g2*b  ->  beta = 1/3
     assert af_beta(0.0, 0.5, 4.0, 1.0, 2.6, 5.0) == pytest.approx(1 / 3, rel=1e-15)
+    assert type(af_beta(0.0, 0.5, 4.0, 1.0, 2.6, 5.0)) is float  # not numpy's
 
 
 def test_af_beta_matches_quotient_form():
