@@ -389,9 +389,7 @@ def _cmd_oracle(args) -> int:
         "n_users": cfg.n_users, "n_subcarriers": cfg.n_subcarriers,
         "n_relays": cfg.n_relays, "p_max_dbm": cfg.p_max_dbm,
         "seeds": args.seeds,
-        "grid": {"power_points": grid.power_points,
-                 "beta_points": grid.beta_points,
-                 "refine_rounds": grid.refine_rounds},
+        "grid": _fields(grid),
         "results": results,
         "summary": {
             "min_relative_gap": min(gaps),

@@ -2,8 +2,10 @@
 power model, path loss and solver knobs, with defaults matching the
 reference simulation parameters.
 
-Config files are flat ``key = value`` documents; INI/TOML-style
-sections are allowed and are flattened into dotted keys, e.g.::
+Every leaf field of SystemConfig is a config key; a nested one is
+dotted (``pathloss.rn_ue_nlos.intercept_db``).  Config files are flat
+``key = value`` documents; INI/TOML-style sections are allowed and are
+flattened into dotted keys, e.g.::
 
     n_users = 8
     [pathloss.rn_ue_nlos]
@@ -18,7 +20,7 @@ import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .channel import LINK_CLASSES, PathLossModel, is_real
+from .channel import PathLossModel, is_real
 from .model import PowerModel, RadioConfig, dbm_to_watts
 
 
@@ -157,14 +159,24 @@ class SystemConfig:
             raise ConfigError(f"invalid config: {exc}") from exc
 
 
-_INT_FIELDS = ("n_users", "n_subcarriers", "n_relays", "i_outer_max",
-               "i_inner_max", "master_seed")
-_SCALAR_FIELDS = {f.name for f in fields(SystemConfig)} - {"pathloss"}
-_REAL_FIELDS = tuple(sorted(_SCALAR_FIELDS.difference(_INT_FIELDS)))
-_PATHLOSS_KEYS = {f"pathloss.{cls}.{attr}"
-                  for cls in LINK_CLASSES
-                  for attr in ("intercept_db", "slope_db")}
-_PATHLOSS_KEYS.add("pathloss.min_coupling_loss_db")
+def _leaf_keys(obj, prefix: str = "") -> dict:
+    """Dotted key -> annotation of every leaf field under a dataclass."""
+    keys = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            keys.update(_leaf_keys(value, f"{prefix}{f.name}."))
+        else:
+            keys[prefix + f.name] = f.type
+    return keys
+
+
+_KEYS = _leaf_keys(SystemConfig())
+# annotations are strings: config and channel defer their evaluation
+_INT_FIELDS = tuple(key for key, kind in _KEYS.items() if kind == "int")
+# the nested keys are checked by their own dataclass's validate
+_REAL_FIELDS = tuple(sorted(key for key in _KEYS
+                            if "." not in key and key not in _INT_FIELDS))
 
 
 def _coerce(key: str, raw) -> object:
@@ -216,25 +228,15 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None,
         merged.update({k: v for k, v in overrides.items() if v is not None})
 
     cfg = SystemConfig() if base is None else dataclasses.replace(base)
-    pl_updates: dict = {}
     for key, raw in merged.items():
-        if key in _SCALAR_FIELDS:
-            setattr(cfg, key, _coerce(key, raw))
-        elif key in _PATHLOSS_KEYS:
-            pl_updates[key] = _coerce(key, raw)
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key: {key}")
-
-    if pl_updates:
-        cfg.pathloss = dataclasses.replace(cfg.pathloss)  # do not share the default
-        for key, value in pl_updates.items():
-            parts = key.split(".")
-            if len(parts) == 2:  # pathloss.min_coupling_loss_db
-                cfg.pathloss.min_coupling_loss_db = value
-            else:
-                cls = dataclasses.replace(getattr(cfg.pathloss, parts[1]))
-                setattr(cls, parts[2], value)
-                setattr(cfg.pathloss, parts[1], cls)
+        *path, name = key.split(".")
+        obj = cfg
+        for part in path:  # copy each nested level: share no preset or default
+            setattr(obj, part, dataclasses.replace(getattr(obj, part)))
+            obj = getattr(obj, part)
+        setattr(obj, name, _coerce(key, raw))
 
     cfg.validate()
     return cfg

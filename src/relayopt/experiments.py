@@ -32,12 +32,6 @@ from .solver import solve_eem, solve_sem
 AXIS_NAMES = ("p_max_dbm", "n_users", "n_subcarriers", "n_relays",
               "cell_radius_km", "d_r")
 
-CSV_COLUMNS = ("scenario", "algorithm", "p_max_dbm", "n_users",
-               "n_subcarriers", "n_relays", "cell_radius_km", "d_r",
-               "samples", "failures", "se_mean", "se_stderr", "ee_mean",
-               "ee_stderr", "rho_mean", "rho_stderr", "txpower_mean",
-               "outer_iters_mean", "inner_iters_mean")
-
 _ALGORITHMS = {"EEM": solve_eem, "SEM": solve_sem}
 
 # flag a grid point when more than this fraction of samples fail to converge
@@ -93,6 +87,11 @@ class ResultRecord:
     flagged: bool = False  # > 1% of samples failed (not a CSV column)
     # seeds of the samples that did not converge (not a CSV column)
     failed_seeds: list = field(default_factory=list)
+
+
+# every ResultRecord field but the JSON-only ones, in field order
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRecord)
+                    if f.name not in ("flagged", "failed_seeds"))
 
 
 def _mean_stderr(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -152,9 +151,7 @@ def _point_records(spec: SweepSpec, cfg: SystemConfig, seeds,
             tx_m = outer_m = inner_m = float("nan")
         records.append(ResultRecord(
             scenario=spec.name, algorithm=alg,
-            p_max_dbm=cfg.p_max_dbm, n_users=cfg.n_users,
-            n_subcarriers=cfg.n_subcarriers, n_relays=cfg.n_relays,
-            cell_radius_km=cfg.cell_radius_km, d_r=cfg.d_r,
+            **{name: getattr(cfg, name) for name in AXIS_NAMES},
             samples=len(ok), failures=failures,
             se_mean=se_m, se_stderr=se_s, ee_mean=ee_m, ee_stderr=ee_s,
             rho_mean=rho_m, rho_stderr=rho_s, txpower_mean=tx_m,

@@ -407,9 +407,6 @@ def optimize_powers_on_grid(assignment, chan, cfg, grid: Optional[GridSpec] = No
     pm = cfg.power_model()
     active = [(n, slot[0], slot[1]) for n, slot in enumerate(assignment)
               if slot is not None]
-    seen = [n for n, _, _ in active]
-    if len(seen) != len(set(seen)):
-        raise ValueError("assignment uses a subcarrier twice")
     ee, point = _scan_assignment(active, chan, cfg, pm, grid, ee=True)
     if not active:
         return Allocation(cfg.n_users, cfg.n_subcarriers, {}), 0.0

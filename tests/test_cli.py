@@ -168,6 +168,14 @@ def test_exit_status_on_bad_input(capsys):
         assert "--tolerance" in captured.err, bad
     # a finite one >= 0 is read as a float
     assert cli._parse_args(["oracle", "--tolerance", "0.05"]).tolerance == 0.05
+    # the oracle's exact budget coupling stops at 3 active subcarriers
+    assert main(["oracle", "--k", "1", "--n", "4", "--m", "0", "--seeds", "1",
+                 "--power-points", "2", "--beta-points", "2",
+                 "--refine-rounds", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: budget coupling is searched exactly only "
+                            "up to 3 active subcarriers\n")
 
 
 def test_overflowing_gain_over_noise_gap_is_an_error(capsys):
@@ -260,6 +268,15 @@ def test_unbounded_consumed_power_is_a_config_error(extra, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: invalid config: ")
     assert "xi_bs" in captured.err and "p_max_dbm" in captured.err
+    assert "Traceback" not in captured.err
+    # an int n_relays past the float range overflows the sum itself
+    huge = "9" * 400
+    with pytest.raises(ConfigError, match="p_c_bs_w, n_relays, "):
+        load_config(None, {"n_relays": huge})
+    assert main(["solve", "--set", f"n_relays={huge}", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid config: p_c_bs_w, n_relays, ")
     assert "Traceback" not in captured.err
 
 
@@ -395,10 +412,12 @@ def test_negative_master_seed_is_a_config_error(argv, capsys):
 
 
 def test_oracle_rejects_nonpositive_seeds(capsys):
-    for seeds in ("0", "-3"):
+    for seeds, why in (("0", "must be >= 1"), ("-3", "must be >= 1"),
+                       ("abc", "invalid int value: 'abc'")):
         assert main(["oracle", "--seeds", seeds]) == 1
-        err = capsys.readouterr().err
-        assert "--seeds" in err and "must be >= 1" in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seeds" in captured.err and why in captured.err
 
 
 def test_flags_only_on_the_subcommands_that_read_them(capsys):

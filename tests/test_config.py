@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -103,6 +104,10 @@ def test_unknown_key_rejected(tmp_path):
     for key in ("lambda_mode", "lambda_step", "lambda_init", "eps_inner"):
         with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
             load_config(None, {key: "1"})
+    # a nested group is no key: only its leaf fields are
+    for key in ("pathloss", "pathloss.rn_ue_nlos"):
+        with pytest.raises(ConfigError, match=f"unknown config key: {key}$"):
+            load_config(None, {key: "3"})
 
 
 def test_validation_failures_are_config_errors():
@@ -125,6 +130,52 @@ def test_missing_and_malformed_files(tmp_path):
     bad.write_text("n_users 4\n")
     with pytest.raises(ConfigError, match="cannot parse config"):
         load_config(str(bad))
+
+
+def _leaf_fields(obj, path=()):
+    """(field path, annotation) of every leaf field under a dataclass."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_fields(value, path + (f.name,))
+        else:
+            yield path + (f.name,), f.type
+
+
+_LEAF_FIELDS = dict(_leaf_fields(SystemConfig()))
+
+
+def _get(cfg, path):
+    for name in path:
+        cfg = getattr(cfg, name)
+    return cfg
+
+
+@pytest.mark.parametrize("path", list(_LEAF_FIELDS), ids=".".join)
+def test_every_leaf_key_lands_on_its_field(path, tmp_path):
+    key = ".".join(path)
+    stock = SystemConfig()
+    # a valid value off the default: one more for an int, +0.25 for a float
+    kind = int if _LEAF_FIELDS[path] == "int" else float
+    value = kind(_get(stock, path) + (1 if kind is int else 0.25))
+    file = tmp_path / "sim.ini"
+    file.write_text(("" if len(path) == 1 else f"[{'.'.join(path[:-1])}]\n")
+                    + f"{path[-1]} = {value}\n")
+    base = SystemConfig(n_users=3)
+    before = copy.deepcopy(base)
+    for cfg, bottom in ((load_config(None, {key: str(value)}), stock),
+                        (load_config(str(file)), stock),
+                        (load_config(None, {key: value}, base=base), before)):
+        got = _get(cfg, path)
+        assert got == value and type(got) is kind
+        # every other leaf keeps its bottom layer's value
+        for other in _LEAF_FIELDS:
+            if other != path:
+                assert _get(cfg, other) == _get(bottom, other), other
+    # neither the base nor the stock defaults are touched
+    assert base == before
+    assert SystemConfig() == stock
+    assert _get(SystemConfig(), path) != value
 
 
 def test_pathloss_updates_do_not_alias(tmp_path):

@@ -23,6 +23,9 @@ def test_dbm_to_watts_anchor_points():
 def test_watts_to_dbm_roundtrip():
     for dbm in (-174.0, -30.0, 0.0, 17.5, 46.0):
         assert watts_to_dbm(dbm_to_watts(dbm)) == pytest.approx(dbm, abs=1e-9)
+    for p_w in (0.0, -1.0):
+        with pytest.raises(ValueError, match="p > 0"):
+            watts_to_dbm(p_w)
 
 
 def test_snr_direct():

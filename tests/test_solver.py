@@ -197,6 +197,17 @@ def test_gains_that_overflow_over_noise_gap_are_rejected():
             solve(chan, cfg)
 
 
+@pytest.mark.parametrize("noise_gap", [0.0, -1.0, math.nan, math.inf])
+def test_bad_noise_gap_is_rejected(noise_gap):
+    cfg = SystemConfig(n_users=1, n_subcarriers=1, n_relays=0)
+    chan = dataclasses.replace(_single_link_channel(1e-10, cfg),
+                               noise_gap=noise_gap)
+    for solve in (solve_eem, solve_sem):
+        with pytest.raises(ValueError,
+                           match="^noise_gap must be positive and finite$"):
+            solve(chan, cfg)
+
+
 def test_dead_links_idle_their_subcarrier():
     # subcarrier 0: no direct link and a dead second hop (beta would be
     # 0/0); subcarrier 1: a dead first hop beside a live direct link
