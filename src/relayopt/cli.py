@@ -38,9 +38,6 @@ from .solver import Solution, SolverTrace, solve_eem, solve_sem
 
 ENV_CONFIG = "RELAYOPT_CONFIG"
 
-_OVERRIDE_FIELDS = ("n_users", "n_subcarriers", "n_relays", "p_max_dbm",
-                    "cell_radius_km", "d_r", "master_seed")
-
 
 class _UsageError(Exception):
     pass
@@ -58,14 +55,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help=f"config file (default: ${ENV_CONFIG})")
     p.add_argument("--set", dest="sets", action="append", default=[],
                    metavar="KEY=VALUE", help="override any config key")
-    p.add_argument("--k", type=int, dest="n_users", help="number of users")
-    p.add_argument("--n", type=int, dest="n_subcarriers",
-                   help="number of subcarriers")
-    p.add_argument("--m", type=int, dest="n_relays", help="number of relays")
-    p.add_argument("--p-max-dbm", type=float, dest="p_max_dbm")
-    p.add_argument("--radius-km", type=float, dest="cell_radius_km")
-    p.add_argument("--d-r", type=float, dest="d_r")
-    p.add_argument("--seed", type=int, dest="master_seed")
+    # each of these flags sets the SystemConfig field its dest names
+    fields = [
+        p.add_argument("--k", type=int, dest="n_users", help="number of users"),
+        p.add_argument("--n", type=int, dest="n_subcarriers",
+                       help="number of subcarriers"),
+        p.add_argument("--m", type=int, dest="n_relays", help="number of relays"),
+        p.add_argument("--p-max-dbm", type=float, dest="p_max_dbm"),
+        p.add_argument("--radius-km", type=float, dest="cell_radius_km"),
+        p.add_argument("--d-r", type=float, dest="d_r"),
+        p.add_argument("--seed", type=int, dest="master_seed"),
+    ]
+    p.set_defaults(config_fields=tuple(a.dest for a in fields))
 
 
 def _positive_int(text: str) -> int:
@@ -227,8 +228,8 @@ def _collect_overrides(args) -> dict:
         if not sep:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         overrides[key.strip()] = value.strip()
-    for name in _OVERRIDE_FIELDS:
-        value = getattr(args, name, None)
+    for name in args.config_fields:
+        value = getattr(args, name)
         if value is not None:
             overrides[name] = value
     return overrides

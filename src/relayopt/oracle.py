@@ -27,17 +27,23 @@ lower-index row that only ties it is kept, so the answer, ties
 included, is the first-index argmax over the full product.
 
 Assignments are pruned by the same branch and bound, one level up.  Each
-active (subcarrier, user, protocol) slot gets an upper bound on its rate
-at any power <= p_max, from the menus' own rate expressions (for AF the
-weaker hop's direct rate, halved).  An assignment's rate bound is the sum
-of its slots' bounds with a 1e-9 relative margin for rounding, and its
-EE bound is that over p_fixed, since the amplifier power is >= 0.  With
-the paper's power model p_fixed (80 W at the stock config) dwarfs p_max
-(1 mW at 0 dBm), so EE <= rate / p_fixed is nearly tight and most
-assignments fall below the best EE.  Assignments are scanned best bound
-first and skipped when their bound falls strictly below the best score
-so far; ties go to the lowest enumeration index, so the answer is that
-of a scan of every assignment in enumeration order.
+active (subcarrier, user, protocol) slot carries at most w*log2(1 + c*p)
+at power p, from the menus' own rate expressions: w = 1 and c = g/ngap
+for a direct link, w = 1/2 and c = min(g1, g2)/ngap for AF.  An
+assignment's rate bound is the Lagrangian dual of the shared budget
+(weak duality, as in the paper's dual decomposition): at any lambda >= 0
+the rate of a split within the scan's budget p_cap is at most
+D(lambda) = lambda*p_cap + sum_i max_p (w_i*log2(1 + c_i*p) - lambda*p),
+and water-filling the at most 3 slots picks the lambda at which D is
+least.  D gets a 1e-9 relative margin and the least normal float on top
+for rounding, and the EE bound is the rate bound over p_fixed, since the
+amplifier power is >= 0.  With the paper's power model p_fixed (80 W at
+the stock config) dwarfs p_max (1 mW at 0 dBm), so EE <= rate / p_fixed
+is nearly tight and most assignments fall below the best EE.
+Assignments are scanned best bound first and skipped when their bound
+falls strictly below the best score so far; a NaN bound skips nothing,
+and ties go to the lowest enumeration index, so the answer is that of a
+scan of every assignment in enumeration order.
 
 Menus are memoized per brute-force call by (slot, bracket): every
 assignment reuses the same coarse (subcarrier, user, protocol) menus,
@@ -55,6 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -65,6 +72,7 @@ from .model import LN2, Af, Allocation, Direct, circuit_power, compute_metrics
 from .solver import Solution, SolverTrace
 
 _P_FLOOR_REL = 1e-6     # grid floor relative to the budget
+_P_CAP_REL = 1.0 + 1e-12  # the scan's budget test: tx <= p_max * _P_CAP_REL
 _REFINE_POINTS = 21     # per-dimension points in refinement rounds
 _COARSE_BETA_CAP = 21   # beta grid cap when >= 2 AF subcarriers share the product
 _PRODUCT_CAP = 4 * 10**8  # combo guard per assignment
@@ -264,7 +272,7 @@ def _scan_product(menus, p_max, p_fixed, ee):
     """
     best = _Best()
     _check_product([len(m.rate) for m in menus])
-    p_cap = p_max * (1.0 + 1e-12)
+    p_cap = p_max * _P_CAP_REL
     n_menus = len(menus)
     if n_menus == 1:  # its points are the rows, each with one zero point
         menus = [*menus, _ZERO]
@@ -418,19 +426,60 @@ def _solution_from(alloc, chan, cfg, pm) -> Solution:
     return Solution(alloc, metrics, SolverTrace())
 
 
-def _rate_bound(slot, chan, p_max):
-    """Upper bound on the rate of `slot` at any power <= p_max.
+def _slot_snr(slot, chan):
+    """(w, c) such that `slot` carries at most w*log2(1 + c*p) at power p.
 
-    Direct: the menus' rate expression at p_max.  AF: the same on the
-    weaker hop, halved, since s1*s2/(s1+s2) <= min(s1, s2) and
-    s_i <= p_max*g_i/ngap.  A NaN gain gives a NaN bound, which prunes
-    nothing.
+    Direct: w = 1 and c = g/ngap, the menus' rate expression.  AF: w = 1/2
+    and c = min(g1, g2)/ngap, since s1*s2/(s1 + s2) <= min(s1, s2) and
+    s_i <= p*g_i/ngap.  A NaN gain gives a NaN c.
     """
     n, k, proto = slot
+    ngap = float(chan.noise_gap)
     if proto == "direct":
-        return float(np.log1p(p_max * chan.g_bs_ue[k, n] / chan.noise_gap) / LN2)
+        return 1.0, float(chan.g_bs_ue[k, n]) / ngap
     g = np.minimum(chan.g_bs_rn[chan.sector_of_ue[k], n], chan.g_rn_ue[k, n])
-    return float(0.5 * np.log1p(p_max * g / chan.noise_gap) / LN2)
+    return 0.5, float(g) / ngap
+
+
+def _rate_bound(snrs, p_cap):
+    """Upper bound on sum_i w_i*log2(1 + c_i*p_i) over p_i >= 0 with
+    sum_i p_i <= p_cap, for the (w_i, c_i) in `snrs`.
+
+    Weak duality: at any lambda >= 0 the sum is at most
+    D(lambda) = lambda*p_cap + sum_i max_p (w_i*log2(1 + c_i*p) - lambda*p),
+    and each inner max is at p_i = max(w_i*nu - 1/c_i, 0), where
+    nu = 1/(lambda ln 2) is the water level.  Water-filling p_cap picks
+    the nu (so the lambda) at which D is least; D holds at any nu, so the
+    rounded nu is as good.  D gets a 1e-9 relative margin for rounding and
+    the least normal float on top, since subnormal rates round by more
+    than any relative margin.  A NaN c gives a NaN bound, which prunes
+    nothing.
+    """
+    if any(math.isnan(c) for _, c in snrs):
+        return math.nan
+    # a slot turns on once nu passes its floor 1/(w*c); a slot whose
+    # w*c is 0 (c = 0, or a product that underflowed) never does
+    slots = sorted((1.0 / (w * c) if w * c > 0.0 else math.inf, w, c)
+                   for w, c in snrs)
+    nu, sum_w, sum_inv = math.inf, 0.0, 0.0
+    for floor, w, c in slots:
+        if not floor < nu:
+            break
+        sum_w += w
+        sum_inv += 1.0 / c
+        nu = (p_cap + sum_inv) / sum_w
+    if nu < math.inf:
+        lam = 1.0 / (nu * LN2)
+        bound = lam * p_cap
+        for floor, w, c in slots:
+            if floor < nu:  # on, with its inner max at p = w*nu - 1/c
+                p = w * nu - 1.0 / c
+                bound += max(w * math.log1p(c * p) / LN2 - lam * p, 0.0)
+    else:  # nothing turns on: dead slots carry nothing (D(0) = 0), but
+        # a live slot whose floor overflowed, or an overflowed nu, leaves
+        # only lambda = 0 and an unbounded D
+        bound = 0.0 if all(c == 0.0 for _, c in snrs) else math.inf
+    return bound * (1.0 + 1e-9) + sys.float_info.min
 
 
 def _brute_force(chan, cfg, grid: Optional[GridSpec], ee: bool) -> Solution:
@@ -443,7 +492,8 @@ def _brute_force(chan, cfg, grid: Optional[GridSpec], ee: bool) -> Solution:
                     if slot is not None]
                    for assignment in enumerate_assignments(
                        cfg.n_users, cfg.n_subcarriers, cfg.n_relays)]
-    slot_bound, bound = {}, []
+    p_cap = pm.p_max * _P_CAP_REL
+    snr, bound = {}, []
     for active in assignments:
         # the guard covers every assignment, scanned or not, so whether an
         # instance is in reach does not depend on its gains
@@ -451,10 +501,9 @@ def _brute_force(chan, cfg, grid: Optional[GridSpec], ee: bool) -> Solution:
         _check_product([grid.power_points * (b_pts if proto == "af" else 1)
                         for _, _, proto in active])
         for slot in active:
-            if slot not in slot_bound:
-                slot_bound[slot] = _rate_bound(slot, chan, pm.p_max)
-        # the margin covers rounding and any non-monotone log1p
-        b = sum(slot_bound[slot] for slot in active) * (1.0 + 1e-9)
+            if slot not in snr:
+                snr[slot] = _slot_snr(slot, chan)
+        b = _rate_bound([snr[slot] for slot in active], p_cap)
         if ee:  # cons >= 0, so EE <= rate / p_fixed
             b = b / p_fixed if p_fixed > 0.0 else math.inf
         bound.append(b)

@@ -452,6 +452,23 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert cli._build_parser.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--k", "3", "n_users"), ("--n", "5", "n_subcarriers"),
+    ("--m", "2", "n_relays"), ("--p-max-dbm", "7.5", "p_max_dbm"),
+    ("--radius-km", "0.75", "cell_radius_km"), ("--d-r", "0.25", "d_r"),
+    ("--seed", "11", "master_seed")])
+def test_common_flags_land_on_their_config_fields(flag, value, field,
+                                                  monkeypatch):
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    default = getattr(SystemConfig(), field)
+    want = type(default)(value)
+    assert want != default
+    for argv in (["solve"], ["sweep", "--scenario", "radius"], ["oracle"],
+                 ["convergence"]):
+        cfg = cli._load_cfg(cli._parse_args([*argv, flag, value]))
+        assert getattr(cfg, field) == want, argv
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--k", "8", "--seed", "7", "--sem"], ["solve", "--k=3"],
     ["solve", "--se", "7"], ["solve", "--bogus"], ["solve", "--k", "x"],

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -547,16 +547,65 @@ def test_assignment_pruning_matches_reference(pruning_runs):
     assert [{k for k, _ in sol.allocation.entries} for sol in twin] == [{0}, {0}]
 
 
-def test_slot_rate_bound_covers_every_menu(pruning_runs):
-    checked, low = 0, []
+def _rate_frontier(menu):
+    """The points of `menu` that no point of lower or equal tx matches on
+    rate.  A product of frontiers has the full product's best feasible
+    rate: rounded sums are monotone, so swapping a point for one that
+    dominates it keeps a combo feasible and its rate from falling."""
+    order = np.lexsort((-menu.rate, menu.tx))  # by tx, best rate first
+    rate = menu.rate[order]
+    keep = order[rate > np.maximum.accumulate(np.append(-math.inf, rate[:-1]))]
+    return _menu(menu.tx[keep], menu.cons[keep], menu.rate[keep])
+
+
+def test_rate_bound_covers_every_product(pruning_runs):
+    checked, low = set(), []
     for name, cfg, chan, _, _, built in pruning_runs:
-        p_max = cfg.power_model().p_max
+        pm = cfg.power_model()
+        p_fixed = oracle.circuit_power(pm, cfg.n_relays)
         for active, menus in built:
-            for slot, menu in zip(active, menus):
-                checked += 1
-                if not oracle._rate_bound(slot, chan, p_max) >= menu.rate.max():
-                    low.append((name, slot))
-    assert checked and not low, f"slot bounds below a menu rate: {low[:5]}"
+            key = (name, *map(id, menus))
+            if key in checked:
+                continue
+            checked.add(key)
+            bound = oracle._rate_bound(
+                [oracle._slot_snr(slot, chan) for slot in active],
+                pm.p_max * (1.0 + 1e-12))
+            _, best = reference_scan_product([_rate_frontier(m) for m in menus],
+                                             pm.p_max, p_fixed)
+            if not bound >= best.score:
+                low.append((name, active, bound, best.score))
+    assert checked and not low, f"assignment bounds below a product's rate: {low[:5]}"
+
+
+# SNRs per watt over the whole float range, log-uniform too, so that some
+# rates at these budgets are subnormal
+_snr = st.one_of(st.floats(0.0, 1e300),
+                 st.floats(-320.0, 300.0).map(lambda e: 10.0 ** e),
+                 st.sampled_from([0.0, 5e-324, 1e-310, 1e300, math.inf, math.nan]))
+
+
+# subnormal rates, where rounding outgrows any relative margin
+@example(snrs=[(0.5, 2.1126542750804504e-306), (0.5, 8.235069190492686e-304)],
+         shares=[0.07654067550559851, 0.9844120257243226, 0.0],
+         p_cap=2.0658546157596336e-20)
+@given(snrs=st.lists(st.tuples(st.sampled_from([1.0, 0.5]), _snr), max_size=3),
+       shares=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+       p_cap=st.floats(1e-20, 1e20))
+@settings(max_examples=500, derandomize=True, deadline=None)
+def test_rate_bound_covers_every_feasible_split(snrs, shares, p_cap):
+    bound = oracle._rate_bound(snrs, p_cap)
+    if any(math.isnan(c) for _, c in snrs):
+        assert math.isnan(bound)
+        return
+    # each slot's share of p_cap; the shares sum to at most 1
+    total = max(sum(shares), 1.0)
+    rate = 0.0
+    for (w, c), share in zip(snrs, shares):
+        p = p_cap * (share / total)
+        if p > 0.0:
+            rate += w * math.log1p(c * p) / LN2
+    assert bound >= rate
 
 
 def test_assignment_pruning_skips_most_assignments(monkeypatch):
@@ -573,4 +622,4 @@ def test_assignment_pruning_skips_most_assignments(monkeypatch):
         scanned.append(0)
         _, chan = generate_instance(cfg, seed)
         oracle.brute_force_eem(chan, cfg)
-    assert max(scanned) <= 12, scanned
+    assert max(scanned) <= 2, scanned
