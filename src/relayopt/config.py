@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -134,15 +135,20 @@ class SystemConfig:
         if not self.eps_outer > 0.0:
             bad("eps_outer", "tolerances must be positive")
         # dB figures whose watts underflow to 0 or overflow are rejected
+        noise = "noise_psd_dbm_hz, snr_gap_db, subcarrier_bw_hz"
         for key, watts in (("p_max_dbm", lambda: self.p_max_w),
-                           ("noise_psd_dbm_hz, snr_gap_db",
-                            lambda: self.noise_gap_watts)):
+                           (noise, lambda: self.noise_gap_watts)):
             try:
                 w = watts()
             except OverflowError:
                 w = math.inf
             if not 0.0 < w < math.inf:
                 bad(key, "power in watts must be positive and finite")
+        # and a subnormal noise power, whose few significant bits round
+        # every SNR formed from it and whose products with gains underflow
+        if self.noise_gap_watts < sys.float_info.min:
+            bad(noise, f"power in watts must be at least "
+                       f"{sys.float_info.min:g}")
         # the most any allocation can draw; past the float range the
         # solve would report an infinite power and a NaN residual
         try:

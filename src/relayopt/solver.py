@@ -180,6 +180,10 @@ def _af_terms(q, lam, xi_bs, xi_rn, ngap, sqrt_g1, sqrt_g2, g1, g2,
     alpha = beta*(1-beta)*g1*g2 / ((beta*g1 + (1-beta)*g2)*ngap)
     and the water level 1/(ln2*(beta*a + (1-beta)*b)) are formed in
     place on the kernel's own temporaries, in that operation order.
+    Where beta rounds to 0 or 1 (xi_rn = 1e300 at q > 0) alpha is 0, and
+    where it is subnormal 1/alpha overflows: the floor is infinite, as
+    for a dead direct link, and the pair gets no power.  solve_eem runs
+    its searches with 1/0 and overflow quiet, so neither warns there.
     """
     beta, a, b = _af_split(q, lam, xi_bs, xi_rn, sqrt_g1, sqrt_g2, beta)
     omb = 1.0 - beta
@@ -260,8 +264,9 @@ class _Problem:
         self.cols = np.arange(self.n_subcarriers)
 
         k_d = np.argmax(chan.g_bs_ue, axis=0)  # first max: lowest user
-        with np.errstate(divide="ignore"):
-            # (N,) water-level floors 1/alpha; inf for a dead link: no power
+        with np.errstate(divide="ignore", over="ignore"):
+            # (N,) water-level floors 1/alpha; inf for a dead link, or one
+            # whose SNR per watt is subnormal: no power
             self.inv_alpha_d = 1.0 / (chan.g_bs_ue[k_d, self.cols] / self.ngap)
         self.af_dead = None
         if self.has_af:
@@ -724,7 +729,10 @@ def _dinkelbach_steps(prob: _Problem):
 def solve_eem(chan: "ChannelRealization", cfg: "SystemConfig") -> Solution:
     """Energy-efficiency maximization via the Dinkelbach outer loop."""
     prob = _Problem(chan, cfg)
-    searches, termination = _dinkelbach_steps(prob)
+    # an infinite AF floor 1/alpha (see _af_terms) is an answer, not a
+    # fault: 1/0 and overflow are quiet in the searches, once per solve
+    with np.errstate(divide="ignore", over="ignore"):
+        searches, termination = _dinkelbach_steps(prob)
     accepted = [s for s in searches if s.accepted]
     incumbent = accepted[-1]
     f_residual = incumbent.f_val if incumbent is searches[-1] else 0.0

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -21,6 +22,22 @@ from relayopt.solver import solve_eem, solve_sem
 def _solve_doc(capsys, argv):
     assert main(argv) == 0
     return json.loads(capsys.readouterr().out)
+
+
+def _strict_loads(text):
+    """json.loads refusing NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _doc_allocation(doc):
+    """The Allocation a solve document's entries describe."""
+    a = doc["allocation"]
+    return Allocation(a["n_users"], a["n_subcarriers"], {
+        (e["user"], e["subcarrier"]):
+            Direct(e["p"]) if e["protocol"] == "direct"
+            else Af(e["p_bs"], e["p_rn"]) for e in a["entries"]})
 
 
 def test_scenarios_listing(capsys):
@@ -84,6 +101,10 @@ def test_solve_trace_document_is_a_view_of_the_searches(capsys, argv, rejects):
     else:
         assert t["f_residual"] == t["f_sequence"][-1]
 
+    assert t["termination"] == "converged"
+    if argv == ["--seed", "4"]:  # searches that settle at a switch
+        assert "jump-point" in t["stop_reasons"]
+
     s = sem["trace"]
     assert list(s) == _TRACE_KEYS
     assert s["q_sequence"] == [sem["metrics"]["ee"]]
@@ -97,14 +118,8 @@ def test_solve_allocation_refeasibility(capsys):
     doc = _solve_doc(capsys, ["solve", "--k", "3", "--n", "8", "--m", "2",
                               "--seed", "11"])
     cfg = SystemConfig(n_users=3, n_subcarriers=8, n_relays=2)
-    entries = {}
-    for e in doc["allocation"]["entries"]:
-        if e["protocol"] == "direct":
-            entries[(e["user"], e["subcarrier"])] = Direct(e["p"])
-        else:
-            entries[(e["user"], e["subcarrier"])] = Af(e["p_bs"], e["p_rn"])
-    alloc = Allocation(3, 8, entries)
-    assert check_feasibility(alloc, cfg.radio(), cfg.power_model()) == []
+    assert check_feasibility(_doc_allocation(doc), cfg.radio(),
+                             cfg.power_model()) == []
 
 
 def test_solve_sem_flag(capsys):
@@ -133,14 +148,21 @@ def test_solve_repeat_is_byte_identical(capsys):
 
 
 def test_solve_strict_flags_non_convergence(capsys):
-    argv = ["solve", "--strict", "--p-max-dbm", "60",
-            "--set", "i_outer_max=1", "--k", "2", "--n", "4", "--m", "0"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert "did not converge" in captured.err
-    # the document is still emitted for post-mortem inspection
-    doc = json.loads(captured.out)
-    assert doc["trace"]["termination"] == "outer-limit"
+    # an outer-loop cap; and a 2-sweep search cap at -80 dBm, which
+    # reaches the search's rare stops, and after a rejection keeps an
+    # incumbent that did not converge
+    for argv, termination, stops in (
+            (["--p-max-dbm", "60", "--set", "i_outer_max=1", "--k", "2",
+              "--n", "4", "--m", "0"], "outer-limit", set()),
+            (["--set", "i_inner_max=2", "--p-max-dbm", "-80", "--seed", "1"],
+             "inner-limit", {"iteration-cap", "bracket-failure"})):
+        assert main(["solve", "--strict", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"solver did not converge ({termination})\n"
+        # the document is still emitted for post-mortem inspection
+        trace = json.loads(captured.out)["trace"]
+        assert trace["termination"] == termination
+        assert stops <= set(trace["stop_reasons"])
 
 
 def test_exit_status_on_bad_input(capsys):
@@ -179,13 +201,31 @@ def test_exit_status_on_bad_input(capsys):
 
 
 def test_overflowing_gain_over_noise_gap_is_an_error(capsys):
-    # a 1e-300 Hz subcarrier makes noise_gap subnormal, and gain over
-    # noise_gap overflows: an error, not a search that never returns
-    assert main(["solve", "--set", "subcarrier_bw_hz=1e-300"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert "Traceback" not in captured.err
+    # each an error within 60 s, not a search that never returns: a
+    # 1e-300 Hz subcarrier makes the noise power subnormal, a config
+    # error; and gains near 1e295 over the stock noise power overflow
+    def hang(signum, frame):
+        pytest.fail("solve ran for 60 s")
+
+    for sets, err in (
+            (["subcarrier_bw_hz=1e-300"], "error: " + _NOISE_FLOOR),
+            (["pathloss.bs_ue_nlos.intercept_db=-2950",
+              "pathloss.min_coupling_loss_db=-3000"],
+             "error: g_bs_ue over noise_gap 4.77729e-17 overflows\n")):
+        argv = ["solve"]
+        for item in sets:
+            argv += ["--set", item]
+        old = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(60)
+        try:
+            assert main(argv) == 1
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(err)
+        assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("extra", [[], ["--sem"]])
@@ -242,6 +282,8 @@ def test_sweep_seed_is_read_from_every_config_layer(tmp_path, monkeypatch,
     ("subcarrier_bw_hz", "0"), ("xi_rn", "1"), ("p_c_bs_w", "-1"),
     ("p_c_rn_w", "-1"), ("pathloss.bs_ue_nlos.intercept_db", "inf"),
     ("pathloss.min_coupling_loss_db", "nan"),
+    # a noise power below the normal floats (1.2e-309 W)
+    ("noise_psd_dbm_hz", "-3100"),
 ])
 def test_non_finite_settings_are_config_errors(key, value, capsys):
     with pytest.raises(ConfigError, match=re.escape(key)):
@@ -278,6 +320,53 @@ def test_unbounded_consumed_power_is_a_config_error(extra, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: invalid config: p_c_bs_w, n_relays, ")
     assert "Traceback" not in captured.err
+
+
+# settings whose closed forms reach a zero, subnormal or overflowing AF
+# floor, or a subnormal noise power, and the EE (4 places) or the config
+# error each ends in
+_NOISE_FLOOR = ("invalid config: noise_psd_dbm_hz, snr_gap_db, "
+                "subcarrier_bw_hz: power in watts must be at least ")
+_EXTREMES = {
+    # beta rounds to 1 at q > 0: AF never wins, the direct answer stands
+    "xi_rn-1e300": ({"xi_rn": "1e300"}, 0.1145),
+    "radius-300-bw-1e-300": ({"cell_radius_km": "300",
+                              "subcarrier_bw_hz": "1e-300"}, _NOISE_FLOOR),
+    "radius-1e300-bw-1e-300": ({"cell_radius_km": "1e300",
+                                "subcarrier_bw_hz": "1e-300"}, _NOISE_FLOOR),
+    # every SNR per watt is subnormal: every floor is infinite, no power
+    "bw-1e300-psd-0": ({"subcarrier_bw_hz": "1e300",
+                        "noise_psd_dbm_hz": "0"}, 0.0),
+    "bw-1e300-psd-1e-300": ({"subcarrier_bw_hz": "1e300",
+                             "noise_psd_dbm_hz": "1e-300"}, 0.0),
+}
+
+
+@pytest.mark.parametrize("sem", [False, True], ids=["EEM", "SEM"])
+@pytest.mark.parametrize("sets, outcome", _EXTREMES.values(), ids=_EXTREMES)
+def test_extreme_settings_end_in_an_answer_or_an_error(sets, outcome, sem,
+                                                       capsys):
+    # a finite, feasible answer or a clear error; a RuntimeWarning fails
+    # the test through the suite's filter
+    sets = {"n_users": "3", "n_subcarriers": "4", "n_relays": "1", **sets}
+    argv = ["solve", "--seed", "2", *(["--sem"] if sem else [])]
+    for item in sets.items():
+        argv += ["--set", "=".join(item)]
+    status = main(argv)
+    captured = capsys.readouterr()
+    if isinstance(outcome, str):
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {outcome}")
+        assert "Traceback" not in captured.err
+        return
+    assert status == 0
+    doc = _strict_loads(captured.out)
+    assert math.isfinite(doc["metrics"]["ee"])
+    assert round(doc["metrics"]["ee"], 4) == outcome
+    cfg = load_config(None, sets)
+    assert check_feasibility(_doc_allocation(doc), cfg.radio(),
+                             cfg.power_model()) == []
 
 
 def test_sweep_writes_csv_and_json(tmp_path, capsys):
@@ -558,7 +647,9 @@ def test_solve_stdout_is_json_dumps_of_the_dict_document(capsys, sizes, sem,
     ref = dict(doc, allocation=dict(doc["allocation"],
                                     entries=_entry_dicts(sol.allocation)),
                algorithm="SEM" if sem else "EEM", seed=seed)
-    assert capsys.readouterr().out == _reference_dump(ref)
+    out = capsys.readouterr().out
+    assert out == _reference_dump(ref)
+    _strict_loads(out)  # and strict JSON: no NaN, no Infinity
 
 
 def test_rendered_entries_edge_allocations():

@@ -29,6 +29,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from relayopt import cli
 from relayopt.channel import generate_instance
 from relayopt.config import SystemConfig
 from relayopt.model import Af
@@ -83,7 +84,7 @@ def _record(cfg, seed):
 
 
 @pytest.mark.parametrize("name,cfg,seeds", CASES, ids=[c[0] for c in CASES])
-def test_oracle_answers_match_golden(name, cfg, seeds):
+def test_oracle_answers_match_golden(name, cfg, seeds, capsys, monkeypatch):
     try:
         pinned = golden()[name]
     except LookupError as e:
@@ -92,6 +93,15 @@ def test_oracle_answers_match_golden(name, cfg, seeds):
     differ = [r["seed"] for r in pinned
               if json.loads(json.dumps(_record(cfg, r["seed"]))) != r]
     assert not differ, f"{name}: oracle answers moved on seeds {differ}"
+    # the oracle command, at its default grid, reports the same EEs
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    argv = ["oracle", "--k", str(cfg.n_users), "--n", str(cfg.n_subcarriers),
+            "--m", str(cfg.n_relays), "--p-max-dbm", str(cfg.p_max_dbm),
+            "--seed", str(seeds[0]), "--seeds", str(len(seeds))]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [r["oracle_ee"] for r in report["results"]] \
+        == [r["eem"]["ee"] for r in pinned]
 
 
 def _write():
