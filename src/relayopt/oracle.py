@@ -19,12 +19,15 @@ that passes the scan's own budget test with the row, and the prefix's
 best rate is added to the row's; for the EE its least cons is added
 too, and the two combine as rate / (p_fixed + cons).  Correctly rounded
 addition and division are monotone (rates are >= 0, p_fixed + cons >
-0), so no combo in a row scores above its bound.  The row with the best bound is scored
-exactly first; its score is the incumbent, and only rows whose bound is
+0), so no combo in a row scores above its bound.  The bound needs only
+the row's tx, so a one-menu lead's rows are bounded once per power
+level.  The row with the best bound is scored exactly first, and only
+once; its score is the incumbent, and only the other rows whose bound is
 >= the incumbent are scanned, in index order.  A skipped row holds no
 combo that reaches the incumbent, let alone the maximum, and a
-lower-index row that only ties it is kept, so the answer, ties
-included, is the first-index argmax over the full product.
+lower-index row that only ties it is kept; the incumbent then ranks
+among the scanned rows' best by (score, lower row index).  So the
+answer, ties included, is the first-index argmax over the full product.
 
 Assignments are pruned by the same branch and bound, one level up.  Each
 active (subcarrier, user, protocol) slot carries at most w*log2(1 + c*p)
@@ -48,12 +51,19 @@ scan of every assignment in enumeration order.
 Menus are memoized per brute-force call by (slot, bracket): every
 assignment reuses the same coarse (subcarrier, user, protocol) menus,
 and a refinement that re-grids a bracket already built reuses its local
-menu.  The power and split grids are memoized too, so every slot shares
-one coarse power grid.  A menu holds its rate, tx and cons arrays and its
-two grids.  The arrays are computed in place, with the operations of the
-broadcast expressions in their order, and a winning point's powers are
-formed from the grids as the same products.  Every menu's tx comes out
-ascending, so its tail (the bound's view of the last menu) needs no sort.
+menu.  A menu holds its rate, tx and cons arrays and its two grids.  The
+terms of a menu that depend on its grid alone (the power and split
+grids, tx and cons, for AF also b*p and (1 - b)*p, and the tx-only part
+of its tail) live on a read-only _Grid, one per bracket.  The coarse
+grids depend on p_max, the GridSpec and the xi factors only, so they are
+shared across calls in a small bounded cache, built on first use: a
+Monte-Carlo run of the oracle builds them once.  Local grids are built
+per call, since their brackets follow the instance's own optimum;
+sharing them would only replay a repeated instance.  The rates are
+computed in place, with the operations of the broadcast expressions in
+their order, and a winning point's powers are formed from the grids as
+the same products.  Every menu's tx comes out ascending, so its tail
+(the bound's view of the last menu) needs no sort.
 """
 
 from __future__ import annotations
@@ -63,7 +73,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -110,73 +120,150 @@ def enumerate_assignments(n_users: int, n_subcarriers: int, n_relays: int):
     return itertools.product(options, repeat=n_subcarriers)
 
 
+def _levels(tx, cons):
+    """The part of a menu's tail that depends on tx and cons alone: the
+    order that sorts tx (None if it is ascending), the start of each run
+    of equal tx in that order, the distinct tx values, and the least cons
+    over the points with tx up to each."""
+    order = None
+    if not (tx[1:] >= tx[:-1]).all():  # never on a menu the oracle builds
+        order = np.argsort(tx, kind="stable")
+        tx, cons = tx[order], cons[order]
+    # min rounds nothing, so each run of equal tx reduces first
+    starts = np.flatnonzero(np.append(True, tx[1:] != tx[:-1]))
+    return (order, starts, tx[np.append(starts[1:], len(tx)) - 1],
+            np.minimum.accumulate(np.minimum.reduceat(cons, starts)))
+
+
 @dataclass
 class _Menu:
     """Per-subcarrier candidate points: parallel rate, tx and cons arrays
     over the grid.  A direct menu's point j sends power p[j]; an AF menu's
-    point j = i * len(beta) + t sends power p[i] split at beta[t]."""
+    point j = i * len(beta) + t sends power p[i] split at beta[t].  Either
+    way point j's tx is p[j // (len(tx) // len(p))]: the points come in
+    one run per power level."""
 
     rate: np.ndarray
     tx: np.ndarray
     cons: np.ndarray
     p: np.ndarray                # the power grid
     beta: Optional[np.ndarray]   # the AF split grid; None for direct
+    grid: Optional["_Grid"] = None  # the grid tx and cons came from
 
     @cached_property
     def tail(self):
         """The menu as the last of a product: its distinct tx values,
         ascending, and the best rate and least cons over the points with
         tx up to each."""
-        tx, rate, cons = self.tx, self.rate, self.cons
-        if not np.all(tx[1:] >= tx[:-1]):  # never on a menu the oracle builds
-            order = np.argsort(tx, kind="stable")
-            tx, rate, cons = tx[order], rate[order], cons[order]
-        # max and min round nothing, so each run of equal tx reduces first
-        starts = np.flatnonzero(np.append(True, tx[1:] != tx[:-1]))
-        return (tx[np.append(starts[1:], len(tx)) - 1],
-                np.maximum.accumulate(np.maximum.reduceat(rate, starts)),
-                np.minimum.accumulate(np.minimum.reduceat(cons, starts)))
+        if self.grid is None:
+            levels = _levels(self.tx, self.cons)
+        else:
+            levels = (self.grid.direct_levels if self.beta is None
+                      else self.grid.af_levels)
+        order, starts, ts, least_cons = levels
+        rate = self.rate if order is None else self.rate[order]
+        return (ts, np.maximum.accumulate(np.maximum.reduceat(rate, starts)),
+                least_cons)
 
 
 _ZERO = _Menu(*[np.zeros(1)] * 4, beta=None)
 
 
-def _menu_direct(gain, ngap, xi_bs, p) -> _Menu:
+def _frozen(a):
+    """`a` made read-only; None passes through."""
+    if a is not None:
+        a.flags.writeable = False
+    return a
+
+
+class _Grid:
+    """A power grid p and a split grid beta, and the terms of the menus
+    built on them that depend on the grids alone.  The arrays are
+    read-only and each term is built on first use, so a grid can serve
+    any channel."""
+
+    def __init__(self, p, beta, xi_bs, xi_rn):
+        self.p, self.beta = p, beta
+        self.xi_bs, self.xi_rn = xi_bs, xi_rn
+
+    @cached_property
+    def direct_cons(self):
+        return _frozen(self.xi_bs * self.p)
+
+    @cached_property
+    def direct_levels(self):
+        return tuple(map(_frozen, _levels(self.p, self.direct_cons)))
+
+    @cached_property
+    def af_levels(self):
+        _, _, cons, tx, _, _ = self.af
+        return tuple(map(_frozen, _levels(tx, cons)))
+
+    @cached_property
+    def af(self):
+        """b*p, (1 - b)*p, cons and tx over the (power, split) grid,
+        power-major, and the largest b*p and (1 - b)*p."""
+        pc, b = self.p[:, None], self.beta[None, :]
+        nb = 1.0 - b
+        bp, nbp = b * pc, nb * pc
+        cons = 0.5 * (self.xi_bs * b + self.xi_rn * nb) * pc
+        tx = np.repeat(self.p, len(self.beta))
+        return (*(_frozen(a.ravel()) for a in (bp, nbp, cons, tx)),
+                float(bp.max()), float(nbp.max()))
+
+
+@lru_cache(maxsize=8)
+def _coarse_grid(p_max, power_points, beta_points, xi_bs, xi_rn) -> _Grid:
+    """The coarse grid that every slot of every call with these settings
+    starts from; local grids are built per call (_build_menus)."""
+    return _Grid(_frozen(np.geomspace(p_max * _P_FLOOR_REL, p_max, power_points)),
+                 _frozen(np.linspace(0.0, 1.0, beta_points)), xi_bs, xi_rn)
+
+
+def _menu_direct(gain, ngap, grid) -> _Menu:
+    p = grid.p
     rate = p * gain
     rate /= ngap
     np.log1p(rate, out=rate)
     rate /= LN2
-    return _Menu(rate=rate, tx=p, cons=xi_bs * p, p=p, beta=None)
+    return _Menu(rate=rate, tx=p, cons=grid.direct_cons, p=p, beta=None,
+                 grid=grid)
 
 
-def _menu_af(g1, g2, ngap, xi_bs, xi_rn, p, beta) -> _Menu:
-    """The (power, split) grid's points, power-major: each array holds the
+def _menu_af(g1, g2, ngap, grid) -> _Menu:
+    """The (power, split) grid's points, power-major: the rate holds the
     broadcast expression's values, computed in place in its operation
-    order, and the second SNR term's and the sum's buffers go on to hold
-    cons and tx."""
-    pc, b = p[:, None], beta[None, :]
-    nb = 1.0 - b
-    s1 = b * pc
-    s1 *= g1
+    order from the grid's terms, which give tx and cons as they are.
+    Where s1*s2 can overflow (the largest s1 times the largest s2 reaches
+    the float range's top) the SNR is formed as s1*(s2/(s1 + s2)), which
+    cannot."""
+    bp, nbp, cons, tx, bp_top, nbp_top = grid.af
+    s1 = bp * g1
     s1 /= ngap
-    s2 = nb * pc
-    s2 *= g2
+    s2 = nbp * g2
     s2 /= ngap
     tot = s1 + s2
-    dead = ~(tot > 0.0)    # a dead or underflowed pair has SNR 0
-    tot[dead] = 1.0
-    rate = s1
-    rate *= s2
-    rate /= tot
-    rate[dead] = 0.0
+    # a dead or underflowed pair (or a NaN one) has SNR 0
+    dead = None if tot.min() > 0.0 else ~(tot > 0.0)
+    if dead is not None:
+        tot[dead] = 1.0
+    # the largest s1 and s2, rounded as the arrays' own operations round
+    s1_top, s2_top = (top * float(g) / float(ngap)
+                      for top, g in ((bp_top, g1), (nbp_top, g2)))
+    if s1_top * s2_top >= sys.float_info.max:
+        rate = np.divide(s2, tot, out=s2)
+        rate *= s1
+    else:
+        rate = s1
+        rate *= s2
+        rate /= tot
+    if dead is not None:
+        rate[dead] = 0.0
     np.log1p(rate, out=rate)
     rate *= 0.5
     rate /= LN2
-    cons = np.multiply(0.5 * (xi_bs * b + xi_rn * nb), pc, out=s2)
-    tx = tot
-    tx[:] = pc
-    return _Menu(rate=rate.ravel(), tx=tx.ravel(), cons=cons.ravel(), p=p,
-                 beta=beta)
+    return _Menu(rate=rate, tx=tx, cons=cons, p=grid.p, beta=grid.beta,
+                 grid=grid)
 
 
 @dataclass
@@ -193,9 +280,6 @@ class _Best:
 def _leading(lead, rows):
     """Rate, tx and cons of the given rows of the product of the `lead`
     menus, row-major, each summed left to right as the full scan sums it."""
-    if len(lead) == 1:  # rows index the one menu: a slice reads views
-        m, = lead
-        return m.rate[rows], m.tx[rows], m.cons[rows]
     (m, i), *rest = zip(lead, np.unravel_index(rows, [len(m.rate) for m in lead]))
     rate, tx, cons = m.rate[i], m.tx[i], m.cons[i]
     for m, i in rest:
@@ -211,19 +295,20 @@ def _row_bounds(menus, p_cap, p_fixed, ee):
     by ascending tx, of the points that pass the scan's budget test with
     the row, because fp addition is monotone.  The bound adds the prefix's
     best rate and least cons to the row's; a row with no feasible combo
-    gets -inf.  Rows are bounded in blocks of _ROW_BLOCK, so the
-    temporaries stay small however many rows the product has.
+    gets -inf.  The prefix depends on the row's tx alone, so a one-menu
+    lead finds it once per power level and broadcasts it over the level's
+    points; a longer lead's rows are bounded in blocks of _ROW_BLOCK, so
+    the temporaries stay small however many rows the product has.
     """
     *lead, last = menus
     ts, best_rate, least_cons = last.tail
     ts_inf = np.append(ts, np.inf)  # one past the end is never feasible
-    bound = np.empty(math.prod(len(m.rate) for m in lead))
-    for start in range(0, len(bound), _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, len(bound))
-        rows = slice(start, stop) if len(lead) == 1 else np.arange(start, stop)
-        rate, tx, cons = _leading(lead, rows)
-        # each row's count of feasible distinct tx values: a guess from the
-        # rounded difference, then exact steps under the scan's own test
+
+    def bounds(rate, tx, cons):
+        """Bounds of the rows in `rate` and `cons`, a line of rows per
+        power level, whose tx is the line's entry of `tx`."""
+        # each line's count of feasible distinct tx values: a guess from
+        # the rounded difference, then exact steps under the scan's own test
         size = np.searchsorted(ts, p_cap - tx, "right")
         while True:
             step = ((tx + ts_inf[size] <= p_cap).astype(np.intp)
@@ -231,10 +316,24 @@ def _row_bounds(menus, p_cap, p_fixed, ee):
             if not step.any():
                 break
             size += step
-        end = np.maximum(size, 1) - 1
-        rate = np.where(size > 0, rate + best_rate[end], -math.inf)
-        bound[start:stop] = (rate / (p_fixed + (cons + least_cons[end]))
-                             if ee else rate)
+        end = (np.maximum(size, 1) - 1)[:, None]
+        out = np.add(rate, best_rate[end])
+        np.copyto(out, -math.inf, where=(size == 0)[:, None])
+        if ee:
+            den = np.add(cons, least_cons[end])
+            den += p_fixed
+            np.divide(out, den, out=out)
+        return out.ravel()
+
+    if len(lead) == 1:
+        m, = lead
+        shape = len(m.p), -1
+        return bounds(m.rate.reshape(shape), m.p, m.cons.reshape(shape))
+    bound = np.empty(math.prod(len(m.rate) for m in lead))
+    for start in range(0, len(bound), _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, len(bound))
+        rate, tx, cons = _leading(lead, np.arange(start, stop))
+        bound[start:stop] = bounds(rate[:, None], tx, cons[:, None])
     return bound
 
 
@@ -243,11 +342,17 @@ def _score_rows(menus, rows, p_cap, p_fixed, ee, best):
     leading rows, as (row, index into the last menu)."""
     *lead, last = menus
     rate, tx, cons = _leading(lead, rows)
-    feas = tx[:, None] + last.tx <= p_cap
-    if not np.any(feas):
+    buf = np.add(tx[:, None], last.tx)
+    feas = buf <= p_cap
+    if not feas.any():
         return
-    rate = np.where(feas, rate[:, None] + last.rate, -1.0)
-    score = rate / (p_fixed + (cons[:, None] + last.cons)) if ee else rate
+    rate = np.add(rate[:, None], last.rate)
+    np.copyto(rate, -1.0, where=np.logical_not(feas, out=feas))
+    score = rate
+    if ee:
+        score = np.add(cons[:, None], last.cons, out=buf)
+        score += p_fixed
+        np.divide(rate, score, out=score)
     j = int(np.argmax(score))
     if rate.flat[j] >= 0.0:
         i, t = divmod(j, len(last.rate))
@@ -267,8 +372,8 @@ def _scan_product(menus, p_max, p_fixed, ee):
     """Max-EE (if `ee`) or max-rate feasible combo over the menu product.
 
     Skips the leading rows whose bounds fall below the incumbent scored
-    on the best-bound row, and returns the winner as a _Best whose idx
-    holds one index into each menu.
+    on the best-bound row, scans the rest, and returns the winner as a
+    _Best whose idx holds one index into each menu.
     """
     best = _Best()
     _check_product([len(m.rate) for m in menus])
@@ -278,16 +383,23 @@ def _scan_product(menus, p_max, p_fixed, ee):
         menus = [*menus, _ZERO]
 
     bound = _row_bounds(menus, p_cap, p_fixed, ee)
+    top = int(np.argmax(bound))
     inc = _Best()
-    _score_rows(menus, np.array([np.argmax(bound)]), p_cap, p_fixed, ee, inc)
+    _score_rows(menus, np.array([top]), p_cap, p_fixed, ee, inc)
     # >= keeps a lower-index row that only ties the incumbent, so ties
     # resolve to the same combo as over the whole product
     live = np.flatnonzero(bound >= inc.score)
+    live = live[live != top]
 
     # each block holds whole leading rows, about _CHUNK combos
     step = max(1, _CHUNK // len(menus[-1].rate))
     for start in range(0, len(live), step):
         _score_rows(menus, live[start:start + step], p_cap, p_fixed, ee, best)
+    # the incumbent's row, scored once, ranks where the scan in row order
+    # would have met it
+    if inc.score > best.score or (inc.score == best.score and inc.idx is not None
+                                  and inc.idx < best.idx):
+        best = inc
 
     if best.idx is not None:
         row, t = best.idx
@@ -297,32 +409,33 @@ def _scan_product(menus, p_max, p_fixed, ee):
 
 
 def _grid(memo, space, lo, hi, points):
-    """`space(lo, hi, points)` read-only, built once per `memo`: the coarse
-    power grid is every slot's, the coarse split grid every AF slot's."""
+    """`space(lo, hi, points)` read-only, built once per `memo`: brackets
+    of one call that share a power range share its power grid."""
     key = (space, lo, hi, points)
     if key not in memo:
-        grid = space(lo, hi, points)
-        grid.flags.writeable = False
-        memo[key] = grid
+        memo[key] = _frozen(space(lo, hi, points))
     return memo[key]
 
 
 def _build_menus(active, chan, pm, brackets, memo):
-    """One menu per active slot; `memo` caches them by (slot, bracket)."""
+    """One menu per active slot; `memo` caches them by (slot, bracket) and
+    their grids by bracket."""
     menus = []
     for slot, bracket in zip(active, brackets):
         if (slot, bracket) not in memo:
+            if bracket not in memo:
+                p_lo, p_hi, b_lo, b_hi, p_pts, b_pts = bracket
+                memo[bracket] = _Grid(_grid(memo, np.geomspace, p_lo, p_hi, p_pts),
+                                      _grid(memo, np.linspace, b_lo, b_hi, b_pts),
+                                      pm.xi_bs, pm.xi_rn)
             n, k, proto = slot
-            p_lo, p_hi, b_lo, b_hi, p_pts, b_pts = bracket
-            p = _grid(memo, np.geomspace, p_lo, p_hi, p_pts)
             if proto == "direct":
                 menu = _menu_direct(chan.g_bs_ue[k, n], chan.noise_gap,
-                                    pm.xi_bs, p)
+                                    memo[bracket])
             else:
                 m = chan.sector_of_ue[k]
                 menu = _menu_af(chan.g_bs_rn[m, n], chan.g_rn_ue[k, n],
-                                chan.noise_gap, pm.xi_bs, pm.xi_rn, p,
-                                _grid(memo, np.linspace, b_lo, b_hi, b_pts))
+                                chan.noise_gap, memo[bracket])
             memo[slot, bracket] = menu
         menus.append(memo[slot, bracket])
     return menus
@@ -342,8 +455,9 @@ def _combo_point(menus, idx):
     return out
 
 
-def _coarse_beta_points(active, grid):
-    n_af = sum(1 for _, _, proto in active if proto == "af")
+def _coarse_beta_points(protos, grid):
+    """The coarse split grid's size for active slots of these protocols."""
+    n_af = protos.count("af")
     return grid.beta_points if n_af < 2 else min(grid.beta_points, _COARSE_BETA_CAP)
 
 
@@ -361,11 +475,13 @@ def _scan_assignment(active, chan, cfg, pm, grid, ee, memo=None):
 
     p_max = pm.p_max
     p_fixed = circuit_power(pm, cfg.n_relays)
-    b_pts = _coarse_beta_points(active, grid)
+    b_pts = _coarse_beta_points([proto for _, _, proto in active], grid)
     p_lo_g = p_max * _P_FLOOR_REL
 
-    coarse = [(p_lo_g, p_max, 0.0, 1.0, grid.power_points, b_pts)] * len(active)
-    menus = _build_menus(active, chan, pm, coarse, memo)
+    coarse = (p_lo_g, p_max, 0.0, 1.0, grid.power_points, b_pts)
+    memo.setdefault(coarse, _coarse_grid(p_max, grid.power_points, b_pts,
+                                         pm.xi_bs, pm.xi_rn))
+    menus = _build_menus(active, chan, pm, [coarse] * len(active), memo)
     best = _scan_product(menus, p_max, p_fixed, ee)
     if best.idx is None:
         return -math.inf, []
@@ -492,14 +608,17 @@ def _brute_force(chan, cfg, grid: Optional[GridSpec], ee: bool) -> Solution:
                     if slot is not None]
                    for assignment in enumerate_assignments(
                        cfg.n_users, cfg.n_subcarriers, cfg.n_relays)]
+    # the guard covers every assignment, scanned or not, so whether an
+    # instance is in reach does not depend on its gains; assignments of
+    # one shape share their menu sizes
+    for shape in dict.fromkeys(tuple(proto for _, _, proto in active)
+                               for active in assignments):
+        b_pts = _coarse_beta_points(shape, grid)
+        _check_product([grid.power_points * (b_pts if proto == "af" else 1)
+                        for proto in shape])
     p_cap = pm.p_max * _P_CAP_REL
     snr, bound = {}, []
     for active in assignments:
-        # the guard covers every assignment, scanned or not, so whether an
-        # instance is in reach does not depend on its gains
-        b_pts = _coarse_beta_points(active, grid)
-        _check_product([grid.power_points * (b_pts if proto == "af" else 1)
-                        for _, _, proto in active])
         for slot in active:
             if slot not in snr:
                 snr[slot] = _slot_snr(slot, chan)

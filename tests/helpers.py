@@ -11,6 +11,7 @@ Also the dead-hop instances that several of those checks run on.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -295,7 +296,12 @@ def reference_menu_af(g1, g2, ngap, xi_bs, xi_rn, p_lo, p_hi, p_points,
     s1 = b * p * g1 / ngap
     s2 = (1.0 - b) * p * g2 / ngap
     tot = s1 + s2
-    snr = np.where(tot > 0.0, s1 * s2 / np.where(tot > 0.0, tot, 1.0), 0.0)
+    safe = np.where(tot > 0.0, tot, 1.0)
+    # where s1*s2 can overflow the oracle forms s1*(s2/(s1 + s2))
+    if float(s1.max()) * float(s2.max()) >= sys.float_info.max:
+        snr = np.where(tot > 0.0, s1 * (s2 / safe), 0.0)
+    else:
+        snr = np.where(tot > 0.0, s1 * s2 / safe, 0.0)
     rate = 0.5 * np.log1p(snr) / LN2
     cons = 0.5 * (xi_bs * b + xi_rn * (1.0 - b)) * p
     tx = np.broadcast_to(p, rate.shape)

@@ -224,11 +224,13 @@ def _bits(x):
 def _menu_cases():
     """(name, gains or None for direct, bracket) of the menu shapes the
     oracle builds: coarse AF grids of 101 and 21 splits, local 21x21 AF
-    and 21-point direct grids, on live, dead, NaN and underflowing links."""
+    and 21-point direct grids, on live, dead, NaN and underflowing links,
+    and on hops whose SNR terms' product overflows."""
     cfg = _criterion_1_cfg()
     _, chan = generate_instance(cfg, 1)
     p_max = cfg.power_model().p_max
     g1, g2, gd = chan.g_bs_rn[0, 0], chan.g_rn_ue[0, 0], chan.g_bs_ue[0, 0]
+    huge = 1e160 * cfg.noise_gap_watts / p_max  # SNR 1e160 at p_max
     coarse = (p_max * 1e-6, p_max)
     local = (p_max * 0.31, p_max * 0.45)
     tiny = (1e-320, 1e-310)  # b * p * g underflows to 0
@@ -237,7 +239,7 @@ def _menu_cases():
         shapes = ([(200, 0.0, 1.0, 101), (200, 0.0, 1.0, 21)]
                   if name != "local" else [(21, 0.3, 0.32, 21)])
         for gains in ((g1, g2), (0.0, g2), (g1, 0.0), (0.0, 0.0),
-                      (math.nan, g2)):
+                      (math.nan, g2), (huge, huge), (huge, g2)):
             for p_pts, b_lo, b_hi, b_pts in shapes:
                 yield (f"{name} af {p_pts}x{b_pts} {gains}", gains,
                        (p_lo, p_hi, p_pts, b_lo, b_hi, b_pts))
@@ -252,16 +254,17 @@ def test_menus_match_the_broadcast_form_bit_for_bit():
     underflowed = 0
     for name, gains, bracket in _menu_cases():
         p = np.geomspace(*bracket[:3])
+        beta = np.linspace(*bracket[3:]) if len(bracket) > 3 else None
+        grid = oracle._Grid(p, beta, pm.xi_bs, pm.xi_rn)
         if isinstance(gains, tuple):
             ref = reference_menu_af(*gains, ngap, pm.xi_bs, pm.xi_rn, *bracket)
-            new = oracle._menu_af(*gains, ngap, pm.xi_bs, pm.xi_rn, p,
-                                  np.linspace(*bracket[3:]))
+            new = oracle._menu_af(*gains, ngap, grid)
             # b <= 1, so where p * g underflows both hops' SNR terms do
             if min(gains) > 0.0:  # False for a NaN gain
                 underflowed += np.count_nonzero(p * max(gains) == 0.0)
         else:
             ref = reference_menu_direct(gains, ngap, pm.xi_bs, *bracket)
-            new = oracle._menu_direct(gains, ngap, pm.xi_bs, p)
+            new = oracle._menu_direct(gains, ngap, grid)
         for field in ("rate", "tx", "cons"):
             assert _bits(getattr(new, field)) == _bits(ref[field]), (name, field)
         assert (list(map(_bits, new.tail))
@@ -372,6 +375,57 @@ def test_scan_in_row_blocks_matches_reference(monkeypatch):
         _assert_scan_matches_reference(menus, p_max, p_fixed)
 
 
+def _af_grid_menus(seed, p_pts, b_pts):
+    """A criterion-1 instance's AF menu on subcarrier 0 and its direct and
+    AF menus on subcarrier 1, on a small coarse grid."""
+    cfg = _criterion_1_cfg()
+    _, chan = generate_instance(cfg, seed)
+    pm = cfg.power_model()
+    grid = oracle._Grid(np.geomspace(pm.p_max * 1e-6, pm.p_max, p_pts),
+                        np.linspace(0.0, 1.0, b_pts), pm.xi_bs, pm.xi_rn)
+    af0, af1 = (oracle._menu_af(chan.g_bs_rn[0, n], chan.g_rn_ue[0, n],
+                                chan.noise_gap, grid) for n in (0, 1))
+    return af0, oracle._menu_direct(chan.g_bs_ue[0, 1], chan.noise_gap, grid), af1
+
+
+def test_scan_with_af_lead_matches_reference(monkeypatch):
+    # an AF lead is bounded once per power level and broadcast over its
+    # splits; blocks of a few rows and combos, budgets that cut the last
+    # menu anywhere, from below the least tx sum to above the largest
+    monkeypatch.setattr(oracle, "_ROW_BLOCK", 3)
+    monkeypatch.setattr(oracle, "_CHUNK", 5)
+    p_max = _criterion_1_cfg().power_model().p_max
+    for seed in range(1, 11):
+        af0, direct1, af1 = _af_grid_menus(seed, 7, 4)
+        for last in (direct1, af1):
+            for share in (1e-7, 0.01, 0.3, 0.5, 0.99, 1.0, 2.0):
+                for p_fixed in (0.01, 80.0):
+                    _assert_scan_matches_reference([af0, last], p_max * share,
+                                                   p_fixed)
+        _assert_scan_matches_reference([af0], p_max, 80.0)
+
+
+_level = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+
+
+@given(levels=st.lists(_level, min_size=1, max_size=6).map(sorted),
+       splits=st.integers(1, 4), data=st.data(),
+       last=_points, p_max=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+       p_fixed=st.sampled_from([0.5, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_af_lead_with_equal_power_levels_keeps_first_argmax(
+        levels, splits, data, last, p_max, p_fixed):
+    # a lead laid out as an AF menu, tx ascending in runs of `splits`
+    # points per power level, where equal levels make longer runs
+    n = len(levels) * splits
+    rate, cons = (np.array(data.draw(st.lists(draw, min_size=n, max_size=n)))
+                  for draw in (_rate, _value))
+    p = np.array(levels)
+    lead = oracle._Menu(rate=rate, tx=np.repeat(p, splits), cons=cons, p=p,
+                        beta=np.linspace(0.0, 1.0, splits))
+    _assert_scan_matches_reference([lead, _menu(*zip(*last))], p_max, p_fixed)
+
+
 def _count_scored_rows(monkeypatch, chan, cfg, n_menus=None):
     """(rows scored, rows bounded) over the products of `n_menus` menus
     (all products if None) when every assignment of the instance is
@@ -420,9 +474,10 @@ def test_refinement_builds_each_local_menu_once(monkeypatch):
 
     def counting(make):
         def build(*args):
-            # a grid is keyed by its floats
-            built.append(tuple(a.tobytes() if isinstance(a, np.ndarray) else a
-                               for a in args))
+            *gains, grid = args
+            # a grid is keyed by the floats the menu reads
+            splits = grid.beta.tobytes() if make is menu_af else None
+            built.append((*gains, grid.p.tobytes(), splits))
             return make(*args)
         return build
 
@@ -486,6 +541,38 @@ def test_eem_scores_fewer_rows_than_both_objectives(monkeypatch):
         _, chan = generate_instance(cfg, seed)
         oracle.brute_force_eem(chan, cfg)
     assert 0 < sum(scored) < 794
+
+
+def test_scan_scores_the_best_bound_row_once(monkeypatch):
+    # the incumbent's row is merged into the scan's answer, not scanned
+    # again among the live rows
+    scans = []
+    scan_product, row_bounds, score_rows = (
+        oracle._scan_product, oracle._row_bounds, oracle._score_rows)
+
+    def scanning(*args):
+        scans.append({"top": None, "rows": []})
+        return scan_product(*args)
+
+    def bounding(*args):
+        bound = row_bounds(*args)
+        scans[-1]["top"] = int(np.argmax(bound))
+        return bound
+
+    def scoring(menus, rows, *args):
+        scans[-1]["rows"] += [int(r) for r in rows]
+        return score_rows(menus, rows, *args)
+
+    monkeypatch.setattr(oracle, "_scan_product", scanning)
+    monkeypatch.setattr(oracle, "_row_bounds", bounding)
+    monkeypatch.setattr(oracle, "_score_rows", scoring)
+    for cfg in (_criterion_1_cfg(), SystemConfig(n_users=2, n_subcarriers=3,
+                                                 n_relays=0, p_max_dbm=0.0)):
+        for seed in range(1, 6):
+            _, chan = generate_instance(cfg, seed)
+            _brute_force_pair(chan, cfg)
+    assert scans
+    assert all(scan["rows"].count(scan["top"]) == 1 for scan in scans)
 
 
 def _criterion_1_cfg(p_max_dbm=0.0):
@@ -623,3 +710,71 @@ def test_assignment_pruning_skips_most_assignments(monkeypatch):
         _, chan = generate_instance(cfg, seed)
         oracle.brute_force_eem(chan, cfg)
     assert max(scanned) <= 2, scanned
+
+
+def _criterion_1_answers(order):
+    """EEM and SEM answers on criterion 1's seeds at 0 and 30 dBm, the
+    two budgets run in `order`."""
+    answers = {}
+    for p_max_dbm in order:
+        cfg = _criterion_1_cfg(p_max_dbm)
+        for i in range(20):
+            _, chan = generate_instance(cfg, cfg.master_seed + i)
+            answers[p_max_dbm, i] = _answers(_brute_force_pair(chan, cfg))
+    return answers
+
+
+def test_answers_do_not_depend_on_the_shared_grids():
+    # cold cache, then warm, in both orders of the two budgets
+    runs = []
+    for order in ((0.0, 30.0), (30.0, 0.0)):
+        oracle._coarse_grid.cache_clear()
+        runs += [_criterion_1_answers(order), _criterion_1_answers(order)]
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_shared_grid_arrays_are_read_only():
+    cfg = _criterion_1_cfg()
+    _, chan = generate_instance(cfg, 1)
+    pm = cfg.power_model()
+    oracle.brute_force_eem(chan, cfg)
+    grid = oracle._coarse_grid(pm.p_max, GridSpec().power_points,
+                               GridSpec().beta_points, pm.xi_bs, pm.xi_rn)
+    menus = [oracle._menu_direct(chan.g_bs_ue[0, 0], chan.noise_gap, grid),
+             oracle._menu_af(chan.g_bs_rn[0, 0], chan.g_rn_ue[0, 0],
+                             chan.noise_gap, grid)]
+    shared = [grid.p, grid.beta, grid.direct_cons, *grid.af[:4],
+              *grid.direct_levels[1:], *grid.af_levels[1:]]
+    shared += [a for m in menus for a in (m.tx, m.cons, *m.tail[::2])]
+    for a in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    # each menu's own rates stay writable
+    for m in menus:
+        assert m.rate.flags.writeable
+
+
+def test_shared_grid_cache_stays_bounded():
+    cfg = _one_link_cfg()
+    chan = _chan(cfg, [[1e-10]])
+    maxsize = oracle._coarse_grid.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 16
+    for p_max_dbm in range(-40, -40 + 3 * maxsize):
+        cfg = _one_link_cfg(p_max_dbm=float(p_max_dbm))
+        oracle.brute_force_eem(chan, cfg)
+        assert oracle._coarse_grid.cache_info().currsize <= maxsize
+    assert oracle._coarse_grid.cache_info().currsize == maxsize
+
+
+def test_overflowing_af_hops_give_the_direct_answer():
+    # hop SNRs of 1e160 at p_max: s1*s2 overflows, so the AF menus form
+    # the SNR as s1*(s2/(s1 + s2)); with finite AF rates the pruned and
+    # the in-order oracle agree on the direct link, without a warning
+    cfg = SystemConfig(n_users=1, n_subcarriers=1, n_relays=1, p_max_dbm=0.0)
+    g = 1e160 * cfg.noise_gap_watts / cfg.p_max_w
+    chan = _chan(cfg, [[g]], g_bs_rn=[[g]], g_rn_ue=[[g]])
+    new, ref = _brute_force_pair(chan, cfg), reference_brute_force(chan, cfg)
+    assert _answers(new) == _answers(ref)
+    for sol in new:
+        assert sol.allocation.entries == {(0, 0): Direct(cfg.p_max_w)}
+        assert math.isfinite(sol.metrics.ee)
