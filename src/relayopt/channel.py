@@ -114,7 +114,9 @@ def build_topology(cfg: "SystemConfig", seed) -> Topology:
     if m > 0:
         angles = 2.0 * np.pi * np.arange(m) / m
         ring = cfg.d_r * radius_m
-        rn = np.column_stack([ring * np.cos(angles), ring * np.sin(angles)])
+        rn = np.empty((m, 2))
+        np.multiply(ring, np.cos(angles), out=rn[:, 0])
+        np.multiply(ring, np.sin(angles), out=rn[:, 1])
     else:
         rn = np.empty((0, 2))
 
@@ -123,7 +125,9 @@ def build_topology(cfg: "SystemConfig", seed) -> Topology:
     v = rng.random(cfg.n_users)
     r = radius_m * np.sqrt(u)
     theta = 2.0 * np.pi * v
-    ue = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    ue = np.empty((cfg.n_users, 2))
+    np.multiply(r, np.cos(theta), out=ue[:, 0])
+    np.multiply(r, np.sin(theta), out=ue[:, 1])
 
     sectors = assign_sector(theta, m) if m > 0 else None
     return Topology(rn, ue, sectors)

@@ -234,7 +234,7 @@ def system_rate(alloc: Allocation, chan, exact_snr: bool = False) -> float:
         s2 = _snr_direct(alloc.p_rn[af], chan.g_rn_ue[k, n], ngap)
         live = ~(s1 + s2 <= 0.0)  # a pair with no hop SNR carries nothing
         snr = (snr_af_exact if exact_snr else _snr_af_approx)(s1[live], s2[live])
-        rate[np.flatnonzero(af)[live]] = link_rate_af(snr)
+        rate[af.nonzero()[0][live]] = link_rate_af(snr)
     return _sum_in_order(rate)
 
 
@@ -284,6 +284,8 @@ def _out_of_range(alloc: Allocation) -> np.ndarray:
 
 
 def _entries_at(alloc: Allocation, mask: np.ndarray) -> list:
+    if not np.count_nonzero(mask):  # the common case: no index, no list
+        return []
     return [f"user {k} subcarrier {n}" for k, n in
             zip(alloc.user[mask].tolist(), alloc.subcarrier[mask].tolist())]
 

@@ -54,13 +54,17 @@ either way, or where every marginal of a subcarrier rounds to zero
 while the shortlisted winner has a positive power (one below about
 1.1e-16/alpha), since the full sweep then picks candidate 0.
 
-A sweep writes the shortlist's powers, alpha*power and splits into
-scratch buffers that the per-instance _Problem holds, and the next
-sweep overwrites them.  The winners are read off at one flat
-index row*N + n per subcarrier, so a result holds only fresh (N,)
-arrays.  A direct candidate counts as split 1 and weight 1 (AF: weight
-1/2, for its two slots), so one expression gives both protocols' rates
-and consumption: the extra *1, +0*xi_rn and *1/2 are exact.
+A sweep writes the shortlist's powers, alpha*power and splits into one
+scratch block that the per-instance _Problem holds, whose four rows p,
+x, beta and half (the slot weight) it views as (rows, N) arrays, and the
+next sweep overwrites them.  The winners are read off at one flat index
+row*N + n per subcarrier, all four rows in one gather, so a result holds
+only fresh arrays.  A direct candidate counts as split 1 and weight 1
+(AF: weight 1/2, for its two slots), so one expression gives both
+protocols' rates and consumption: the extra *1, +0*xi_rn and *1/2 are
+exact.  The per-sweep code calls ndarray and ufunc methods rather than
+numpy's Python-level wrappers (np.argsort, np.cumsum, np.flatnonzero):
+at desk size a call's dispatch costs more than its arithmetic.
 """
 
 from __future__ import annotations
@@ -84,6 +88,7 @@ if TYPE_CHECKING:
     from .config import SystemConfig
 
 _FEAS_SLACK = 1e-12  # relative slack when classifying an iterate as feasible
+_AF_DEN_LOW = -900   # binary exponent of min(g1, g2)*ngap that nears underflow
 
 
 @dataclass
@@ -240,7 +245,10 @@ class _Problem:
     with relays one further row per occupied sector holds its strongest
     AF user.  user[r, n] is that candidate's user and flat[r, n] its
     index in the full user-major candidate order (2k direct, 2k+1 AF; k
-    without relays), which fixes the lowest-index tie-break.
+    without relays), which fixes the lowest-index tie-break.  g1, g2
+    (stand-in 1 where af_dead), their roots and af_ngap are the AF pairs'
+    hop gains and noise gap, all scaled by one power of 4 where their
+    closed forms would underflow; ngap is the noise gap itself.
     """
 
     def __init__(self, chan: "ChannelRealization", cfg: "SystemConfig"):
@@ -263,7 +271,7 @@ class _Problem:
         self.has_af = cfg.n_relays > 0 and chan.g_rn_ue is not None
         self.cols = np.arange(self.n_subcarriers)
 
-        k_d = np.argmax(chan.g_bs_ue, axis=0)  # first max: lowest user
+        k_d = chan.g_bs_ue.argmax(axis=0)  # first max: lowest user
         with np.errstate(divide="ignore", over="ignore"):
             # (N,) water-level floors 1/alpha; inf for a dead link, or one
             # whose SNR per watt is subnormal: no power
@@ -273,19 +281,20 @@ class _Problem:
             _check_gains("g_bs_rn", chan.g_bs_rn, chan.noise_gap, pm.p_max)
             _check_gains("g_rn_ue", chan.g_rn_ue, chan.noise_gap, pm.p_max)
             # sector_row[k]: shortlist row of user k's AF contest, one row
-            # per occupied sector in ascending order
+            # per occupied sector in ascending order: 1 + the place of
+            # user k's sector among them
             sector = chan.sector_of_ue
             counts = np.bincount(sector)
-            sectors = np.flatnonzero(counts)
-            self.sector_row = np.cumsum(counts > 0).take(sector)
+            sectors = counts.nonzero()[0]
+            self.sector_row = sectors.searchsorted(sector) + 1
             # an AF row's user is its sector's strongest access link; the
             # members of each sector are one slice of the users sorted by
             # sector, in user order
             self.user = np.empty((1 + len(sectors), self.n_subcarriers),
                                  dtype=np.intp)
             self.user[0] = k_d
-            order = np.argsort(sector, kind="stable")
-            ends = np.cumsum(counts).take(sectors).tolist()
+            order = sector.argsort(kind="stable")
+            ends = counts.cumsum().take(sectors).tolist()
             for r, (start, end) in enumerate(zip([0, *ends], ends), 1):
                 members = order[start:end]
                 best = chan.g_rn_ue.take(members, axis=0).argmax(axis=0)
@@ -296,34 +305,55 @@ class _Problem:
             # 2K, stands for no candidate and maps to row 0
             self.row_of = np.zeros(2 * self.n_users + 1, dtype=np.intp)
             self.row_of[1::2] = self.sector_row
-            g1 = chan.g_bs_rn[sectors]  # (M', N) feeder gain per row
+            g1 = chan.g_bs_rn.take(sectors, axis=0)  # (M', N) per row
             g2 = chan.g_rn_ue[self.user[1:], self.cols]
-            dead = (g1 == 0.0) | (g2 == 0.0)
-            if dead.any():
+            weak = np.minimum(g1, g2)
+            weakest = weak.min()
+            if weakest == 0.0:
                 # a pair with a dead hop carries nothing; stand-in unit
                 # gains keep its closed forms finite and _sweep zeroes
                 # its power
+                dead = weak == 0.0
                 self.af_dead = dead
                 g1 = np.where(dead, 1.0, g1)
                 g2 = np.where(dead, 1.0, g2)
+                weakest = np.where(dead, 1.0, weak).min()
+            # _af_terms' den = (beta*g1 + (1-beta)*g2)*ngap is at least
+            # min(g1, g2)*ngap.  Where that nears underflow, g1, g2 and the
+            # AF noise gap are scaled by one power of 4, s = 4**k: den and
+            # alpha's numerator both scale by s*s, and the roots by 2**k,
+            # so beta and alpha keep every bit while den stays normal
+            self.af_ngap = self.ngap
+            low = math.frexp(weakest)[1] + math.frexp(self.ngap)[1]
+            if low < _AF_DEN_LOW:
+                top = math.frexp(max(g1.max(), g2.max(), self.ngap))[1]
+                # lift den to about 2**-500, keep s*g below 2**500
+                k = min((-500 - low) // 4, (500 - top) // 2)
+                if k > 0:
+                    scale = 4.0 ** k
+                    g1 = g1 * scale
+                    g2 = g2 * scale
+                    self.af_ngap *= scale
             self.sqrt_g1 = np.sqrt(g1)
             self.sqrt_g2 = np.sqrt(g2)
             self.g1 = g1
             self.g2 = g2
         else:
             self.user = self.flat = k_d[None, :]
-        shape = self.flat.shape
-        # _sweep's scratch: candidate power and alpha * power
-        self.p = np.empty(shape)
-        self.x = np.empty(shape)
-        # beta of each candidate, refilled per sweep; a direct link's whole
-        # power is on the first hop.  half: AF occupies two slots
-        self.beta = np.ones(shape)
-        self.half = np.full(shape, 0.5)
+        # _sweep's scratch, one block that a sweep gathers its winners from
+        # in one take: rows candidate power p, alpha * power x, beta (of
+        # each candidate, refilled per sweep; a direct link's whole power
+        # is on the first hop) and half (AF occupies two slots)
+        block = np.empty((4, *self.flat.shape))
+        self.p, self.x, self.beta, self.half = block
+        self.block = block.reshape(4, -1)
+        self.beta.fill(1.0)
+        self.half.fill(0.5)
         self.half[0] = 1.0
-        # direct-only water level; with no live link any price is a start
+        # direct-only water level, on unit slopes (beta's direct row); with
+        # no live link any price is a start
         self.wf_price = 1.0 / (LN2 * _water_fill(
-            -self.inv_alpha_d, np.ones(self.n_subcarriers), self.p_max)) or 1.0
+            -self.inv_alpha_d, self.beta[0], self.p_max)) or 1.0
 
 
 def _water_fill(base, slopes, budget: float) -> float:
@@ -339,9 +369,10 @@ def _water_fill(base, slopes, budget: float) -> float:
     """
     thresholds = -base / slopes
     # stable: at desk size the default kind adds ~0.3 MB of peak memory
-    order = np.argsort(thresholds, kind="stable")
-    t = (budget - np.cumsum(base.take(order))) / np.cumsum(slopes.take(order))
-    filled = np.flatnonzero(t > thresholds.take(order))
+    order = thresholds.argsort(kind="stable")
+    t = budget - np.add.accumulate(base.take(order))
+    t /= np.add.accumulate(slopes.take(order))
+    filled = (t > thresholds.take(order)).nonzero()[0]
     # a Python float: the searches do their scalar arithmetic off numpy
     return t.item(filled[-1]) if filled.size else thresholds.item(order[0])
 
@@ -374,8 +405,9 @@ def _sweep(prob: _Problem, q: float, lam: float) -> _SweepResult:
     p, x, beta = prob.p, prob.x, prob.beta
     _direct_terms(q, lam, prob.xi_bs, prob.inv_alpha_d, p[0], x[0])
     if prob.has_af:
-        _af_terms(q, lam, prob.xi_bs, prob.xi_rn, prob.ngap, prob.sqrt_g1,
-                  prob.sqrt_g2, prob.g1, prob.g2, p[1:], x[1:], beta[1:])
+        _af_terms(q, lam, prob.xi_bs, prob.xi_rn, prob.af_ngap,
+                  prob.sqrt_g1, prob.sqrt_g2, prob.g1, prob.g2,
+                  p[1:], x[1:], beta[1:])
         if prob.af_dead is not None:
             p[1:][prob.af_dead] = 0.0
             x[1:][prob.af_dead] = 0.0
@@ -395,10 +427,7 @@ def _sweep(prob: _Problem, q: float, lam: float) -> _SweepResult:
     # both protocols: *1.0, +0*xi_rn and *0.5 are exact.  One reduction
     # sums the five per-winner rows, each as it would sum alone.
     winner_af = row > 0
-    wp = p.take(at)
-    wx = x.take(at)
-    wbeta = beta.take(at)
-    whalf = prob.half.take(at)
+    wp, wx, wbeta, whalf = prob.block.take(at, axis=1)
     wp_tot = np.where(winner_af, wp, 0.0)  # AF power; wp - wp_tot: direct
     omb = 1.0 - wbeta
     per_winner = np.empty((5, prob.n_subcarriers))
@@ -434,7 +463,7 @@ def _to_allocation(prob: _Problem, sweep: _SweepResult) -> Allocation:
     af = sweep.winner_af
     p_bs = np.where(af, sweep.p_bs, sweep.p_win)
     p_rn = np.where(af, sweep.p_rn, 0.0)
-    on = np.flatnonzero(p_bs + p_rn > 0.0)
+    on = (p_bs + p_rn > 0.0).nonzero()[0]
     return Allocation.from_arrays(prob.n_users, prob.n_subcarriers,
                                   sweep.winner_user[on], on, af[on],
                                   p_bs[on], p_rn[on])
@@ -456,7 +485,7 @@ def _candidate(prob: _Problem, q: float, lam: float, row: int, n: int):
     at = (row - 1, n)
     if prob.af_dead is not None and prob.af_dead[at]:
         return 0.0, 0.0
-    _, p, x = _af_terms(q, lam, prob.xi_bs, prob.xi_rn, prob.ngap, *(
+    _, p, x = _af_terms(q, lam, prob.xi_bs, prob.xi_rn, prob.af_ngap, *(
         v.item(at) for v in (prob.sqrt_g1, prob.sqrt_g2, prob.g1, prob.g2)))
     return 0.5 * _marginal(x), p
 
@@ -481,10 +510,10 @@ def _tie_bracket(prob: _Problem, q: float, lo: float, hi: float,
     winning at a, the winner at hi at b, and jump the drop in n's
     radiated power across the switch; or None.
     """
-    differ = r_lo.winner_row != r_hi.winner_row
-    if np.count_nonzero(differ) != 1:
+    differ = (r_lo.winner_row != r_hi.winner_row).nonzero()[0]
+    if differ.size != 1:
         return None
-    n = int(differ.argmax())
+    n = int(differ[0])
     row_lo, row_hi = int(r_lo.winner_row[n]), int(r_hi.winner_row[n])
     # exact ties go to the lower candidate index, as in _sweep
     tie_sign = 1.0 if prob.flat[row_lo, n] < prob.flat[row_hi, n] else -1.0
@@ -619,9 +648,9 @@ def _search_lambda(prob: _Problem, q: float,
 
     def fill(lo, hi):  # the step from the last sweep r, if it splits (lo, hi)
         on = r.x_win > 0.0
-        if not on.any():
-            return None
         p = r.p_win[on]
+        if not p.size:
+            return None
         floors = p / r.x_win[on]
         k = _water_fill(-floors, p + floors, p_max)
         lam = (price0 + r.lam) / k - price0

@@ -3,13 +3,17 @@
 Each is a plain, unpruned version of a library computation: the full
 2KN candidate sweep written out afresh (it shares the marginal formula
 and the per-instance constants with the solver, not its closed-form
-kernel or its shortlist), bisection for the multiplier, the oracle's
-menus in their broadcast form and every combo of them, and per-entry
-loops for the allocation metrics.
-Also the dead-hop instances that several of those checks run on.
+kernel or its shortlist), bisection for the multiplier, the
+water-filling on numpy's Python-level wrappers, the oracle's menus in
+their broadcast form and every combo of them, and per-entry loops for
+the allocation metrics.
+Also the dead-hop instances that several of those checks run on, and
+the golden files' kernel-set key, reader and writer.
 """
 
 import dataclasses
+import hashlib
+import json
 import math
 import sys
 
@@ -20,6 +24,54 @@ from relayopt.channel import generate_instance
 from relayopt.config import SystemConfig
 from relayopt.model import (LN2, Af, Allocation, Direct, Metrics, energy_efficiency,
                             link_rate_af, link_rate_direct, snr_af_exact)
+
+
+def kernel_set():
+    """(key, description) of the float64 kernels numpy runs here, keyed by
+    the bits they return on a fixed probe.
+
+    numpy computes float64 log1p, log10 and power with vectorized kernels
+    (SVML) on AVX-512 machines and with the C library elsewhere, and the
+    two differ in the last bit on some inputs, so the golden files keep
+    one set of answers per key.
+    """
+    x = np.linspace(1e-3, 1e3, 4001)
+    out = [np.log1p(x), np.log10(x), np.power(10.0, np.log10(x))]
+    key = hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest()[:16]
+    libm = all(np.array_equal(a, [f(v) for v in x.tolist()])
+               for a, f in zip(out[:2], (math.log1p, math.log10)))
+    return key, (f"numpy {np.__version__}, log1p and log10 "
+                 + ("as" if libm else "unlike") + " the C library")
+
+
+def golden_answers(path):
+    """This machine's pinned answers in a golden file: case name -> records.
+
+    LookupError if the file pins none for this machine's kernel set.
+    """
+    key, _ = kernel_set()
+    sets = json.loads(path.read_text())
+    if key not in sets:
+        raise LookupError(f"{path.name} pins no answers for kernel set {key}")
+    return sets[key]["answers"]
+
+
+def write_golden(path, answers):
+    """Add (or replace) this machine's kernel set in a golden file, one
+    record per line; answers maps each case name to its records."""
+    sets = json.loads(path.read_text()) if path.exists() else {}
+    key, about = kernel_set()
+    sets[key] = {"kernels": about, "answers": answers}
+    lines = []
+    for key, entry in sets.items():
+        cases = [f'   {json.dumps(name)}: [\n'
+                 + ",\n".join(f"    {json.dumps(r)}" for r in records) + "\n   ]"
+                 for name, records in entry["answers"].items()]
+        lines.append(f' {json.dumps(key)}: {{\n'
+                     f'  "kernels": {json.dumps(entry["kernels"])},\n'
+                     '  "answers": {\n' + ",\n".join(cases) + "\n  }\n }")
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 def beta_quotient(q, lam, g1, g2, xi_bs, xi_rn):
@@ -181,6 +233,17 @@ def bisection_search(prob, q, lam_hint=None):
         stop = "bracket-failure"
     return solver._Search.of(prob, q, best, bracket_sweeps,
                              evals - bracket_sweeps, stop)
+
+
+def reference_water_fill(base, slopes, budget):
+    """solver._water_fill as it was written on numpy's Python-level
+    wrappers (np.argsort, np.cumsum, np.flatnonzero): the solver's form,
+    on the methods those wrappers call, must match it bit for bit."""
+    thresholds = -base / slopes
+    order = np.argsort(thresholds, kind="stable")
+    t = (budget - np.cumsum(base.take(order))) / np.cumsum(slopes.take(order))
+    filled = np.flatnonzero(t > thresholds.take(order))
+    return t.item(filled[-1]) if filled.size else thresholds.item(order[0])
 
 
 def reference_candidates(prob, q, lam):

@@ -334,6 +334,11 @@ _EXTREMES = {
                               "subcarrier_bw_hz": "1e-300"}, _NOISE_FLOOR),
     "radius-1e300-bw-1e-300": ({"cell_radius_km": "1e300",
                                 "subcarrier_bw_hz": "1e-300"}, _NOISE_FLOOR),
+    # gains times noise power near 1e-330: the AF closed forms' den would
+    # underflow to 0 (NaN marginals) but for their rescaling; at SNRs
+    # per watt near 1e277 the direct links win every subcarrier
+    "radius-3000-bw-1e-285": ({"cell_radius_km": "3000",
+                               "subcarrier_bw_hz": "1e-285"}, 45.7527),
     # every SNR per watt is subnormal: every floor is infinite, no power
     "bw-1e300-psd-0": ({"subcarrier_bw_hz": "1e300",
                         "noise_psd_dbm_hz": "0"}, 0.0),

@@ -6,10 +6,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import bisection_search, dead_hop_channels
+from helpers import bisection_search, dead_hop_channels, reference_water_fill
 from relayopt import solver
 from relayopt.channel import ChannelRealization, generate_instance
 from relayopt.config import SystemConfig
@@ -124,6 +124,30 @@ def test_water_fill_spends_the_budget():
         assert solver._water_fill(dead, np.append(slopes, [1.0, 2.0]),
                                   budget) == t
     assert solver._water_fill(np.full(3, -np.inf), np.ones(3), 1.0) == np.inf
+
+
+# (base, slope) pairs from a small pool, each optionally scaled by a power
+# of 2: equal thresholds -base/slope recur exactly, so ties are common
+_fill_term = st.tuples(st.floats(-1e6, -1e-6), st.floats(1e-3, 1e3))
+
+
+@example(terms=[(-1.0, 1.0)] * 3, picks=[(0, 0, True)] * 3, budget=1.0)
+@example(terms=[(-1e6, 1e-3)], picks=[(0, 0, False), (0, 3, False)],
+         budget=1e-300)
+@given(terms=st.lists(_fill_term, min_size=1, max_size=4),
+       picks=st.lists(st.tuples(st.integers(0, 3), st.integers(-4, 4),
+                                st.booleans()), min_size=1, max_size=24),
+       budget=st.one_of(st.floats(1e-300, 1e-12), st.floats(1e-6, 1e6)))
+@settings(max_examples=500, derandomize=True, deadline=None)
+def test_water_fill_matches_the_wrapper_form_bit_for_bit(terms, picks, budget):
+    # each pick: a term of the pool, its power-of-2 scale, dead (base -inf);
+    # the tiny budgets fill no term, and all-dead input gives inf
+    drawn = [(terms[i % len(terms)], e, dead) for i, e, dead in picks]
+    base = np.array([-math.inf if dead else math.ldexp(b, e)
+                     for (b, _), e, dead in drawn])
+    slopes = np.array([math.ldexp(s, e) for (_, s), e, _ in drawn])
+    t = solver._water_fill(base, slopes, budget)
+    assert t.hex() == reference_water_fill(base, slopes, budget).hex()
 
 
 def test_start_price_fills_the_live_direct_links():

@@ -21,12 +21,9 @@ kernels.  Regenerate the whole file only on a change that moves the
 answers on purpose.
 """
 
-import hashlib
 import json
-import math
 import pathlib
 
-import numpy as np
 import pytest
 
 from relayopt import cli
@@ -34,6 +31,8 @@ from relayopt.channel import generate_instance
 from relayopt.config import SystemConfig
 from relayopt.model import Af
 from relayopt.oracle import brute_force_eem, brute_force_sem
+
+from helpers import golden_answers, write_golden
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "oracle_golden.json"
 
@@ -47,27 +46,6 @@ CASES = [
     ("1x2x1 20 dBm", SystemConfig(n_users=1, n_subcarriers=2, n_relays=1,
                                   p_max_dbm=20.0), range(1, 6)),
 ]
-
-
-def kernel_set():
-    """(key, description) of the float64 kernels numpy runs here, keyed by
-    the bits they return on a fixed probe."""
-    x = np.linspace(1e-3, 1e3, 4001)
-    out = [np.log1p(x), np.log10(x), np.power(10.0, np.log10(x))]
-    key = hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest()[:16]
-    libm = all(np.array_equal(a, [f(v) for v in x.tolist()])
-               for a, f in zip(out[:2], (math.log1p, math.log10)))
-    return key, (f"numpy {np.__version__}, log1p and log10 "
-                 + ("as" if libm else "unlike") + " the C library")
-
-
-def golden():
-    """This machine's pinned answers: case name -> per-seed records."""
-    key, _ = kernel_set()
-    sets = json.loads(GOLDEN.read_text())
-    if key not in sets:
-        raise LookupError(f"no pinned oracle answers for kernel set {key}")
-    return sets[key]["answers"]
 
 
 def _answer(sol):
@@ -86,7 +64,7 @@ def _record(cfg, seed):
 @pytest.mark.parametrize("name,cfg,seeds", CASES, ids=[c[0] for c in CASES])
 def test_oracle_answers_match_golden(name, cfg, seeds, capsys, monkeypatch):
     try:
-        pinned = golden()[name]
+        pinned = golden_answers(GOLDEN)[name]
     except LookupError as e:
         pytest.skip(str(e))
     assert [r["seed"] for r in pinned] == list(seeds)
@@ -104,25 +82,6 @@ def test_oracle_answers_match_golden(name, cfg, seeds, capsys, monkeypatch):
         == [r["eem"]["ee"] for r in pinned]
 
 
-def _write():
-    """Add (or replace) this machine's kernel set in the golden file, one
-    record per line."""
-    sets = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    key, about = kernel_set()
-    sets[key] = {"kernels": about, "answers": {
-        name: [_record(cfg, seed) for seed in seeds]
-        for name, cfg, seeds in CASES}}
-    lines = []
-    for key, entry in sets.items():
-        cases = [f'   {json.dumps(name)}: [\n'
-                 + ",\n".join(f"    {json.dumps(r)}" for r in records) + "\n   ]"
-                 for name, records in entry["answers"].items()]
-        lines.append(f' {json.dumps(key)}: {{\n'
-                     f'  "kernels": {json.dumps(entry["kernels"])},\n'
-                     '  "answers": {\n' + ",\n".join(cases) + "\n  }\n }")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-
-
 if __name__ == "__main__":
-    _write()
+    write_golden(GOLDEN, {name: [_record(cfg, seed) for seed in seeds]
+                          for name, cfg, seeds in CASES})

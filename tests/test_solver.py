@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import best_feasible_f_on_grid, beta_quotient, dominance_holds, \
-    kkt_residuals, reference_system_rate, sweep_at
+from helpers import best_feasible_f_on_grid, beta_quotient, dead_hop_channels, \
+    dominance_holds, kkt_residuals, reference_system_rate, sweep_at
 from relayopt.channel import ChannelRealization, generate_instance
 from relayopt.config import ConfigError, SystemConfig
 from relayopt.model import LN2, Direct, check_feasibility, system_rate
@@ -101,7 +101,7 @@ def test_af_beta_is_the_kernels_split():
         prob = solver._Problem(chan, cfg)
         for q, lam in ((0.0, 30.0), (0.7, 0.02), (5.0, 1e-6)):
             beta, _, _ = solver._af_terms(q, lam, prob.xi_bs, prob.xi_rn,
-                                          prob.ngap, prob.sqrt_g1,
+                                          prob.af_ngap, prob.sqrt_g1,
                                           prob.sqrt_g2, prob.g1, prob.g2)
             for at in np.ndindex(beta.shape):
                 assert af_beta(q, lam, prob.g1[at], prob.g2[at], prob.xi_bs,
@@ -139,7 +139,7 @@ def test_af_candidate_split_sums_to_total():
             sw = solver._sweep(prob, q, lam)
             for n in np.flatnonzero(sw.winner_af):
                 beta, p, _ = solver._af_terms(
-                    q, lam, prob.xi_bs, prob.xi_rn, prob.ngap,
+                    q, lam, prob.xi_bs, prob.xi_rn, prob.af_ngap,
                     *(v[sw.winner_row[n] - 1, n] for v in (
                         prob.sqrt_g1, prob.sqrt_g2, prob.g1, prob.g2)))
                 assert p >= 0.0
@@ -220,6 +220,34 @@ def test_dead_links_idle_their_subcarrier():
         assert isinstance(sol.allocation.entries[(0, 1)], Direct)
         assert math.isfinite(sol.metrics.ee) and sol.metrics.ee > 0.0
         assert sol.trace.termination == "converged"
+
+
+def _scaled(chan, e):
+    """chan with every gain and the noise gap times 2**e: the same SNRs."""
+    return dataclasses.replace(
+        chan, noise_gap=math.ldexp(chan.noise_gap, e),
+        **{name: np.ldexp(getattr(chan, name), e)
+           for name in ("g_bs_ue", "g_bs_rn", "g_rn_ue")})
+
+
+def test_gains_and_noise_scaled_alike_give_the_same_answer():
+    # at 2**-480 an AF pair's den = (beta*g1 + (1-beta)*g2)*ngap falls
+    # below 1e-300 and would underflow; scaled back by one power of 4,
+    # the closed forms see the same bits as the stock instance, and the
+    # metrics' SNRs p*g/ngap stay normal
+    cfg = SystemConfig()
+    instances = [(seed, cfg, generate_instance(cfg, seed)[1])
+                 for seed in range(1, 11)]
+    for seed, cfg, chan in instances + dead_hop_channels():
+        tiny = _scaled(chan, -480)
+        prob = solver._Problem(tiny, cfg)
+        assert prob.af_ngap != tiny.noise_gap, seed  # rescaled
+        eem = solve_eem(tiny, cfg)
+        for sol, ref in ((eem, solve_eem(chan, cfg)),
+                         (solve_sem(tiny, cfg, eem=eem), solve_sem(chan, cfg))):
+            assert sol.allocation == ref.allocation, seed
+            assert repr(sol.metrics) == repr(ref.metrics), seed
+            assert sol.trace.searches == ref.trace.searches, seed
 
 
 def _inner_solve(q, chan, cfg):
