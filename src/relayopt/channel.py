@@ -3,10 +3,18 @@
 BS at the origin, relays on a ring, UEs uniform over the disc.  Gains
 are distance path loss times i.i.d. unit-mean exponential fading
 (squared Rayleigh envelope), drawn per link and subcarrier.
+
+A realization is one (2K+M, N) array with a row per link, in the draw
+order direct (K), feeder (M), access (K, with relays only): every
+link's distance and path loss are computed in one pass, on per-row
+curve coefficients, and its fading in one draw, which reads the same
+stream as one draw per link class in that order.  The three gain arrays
+of a ChannelRealization are its row blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -49,13 +57,15 @@ class PathLossModel:
     def validate(self) -> None:
         for name in LINK_CLASSES:
             cls = getattr(self, name)
-            _require_real(f"pathloss.{name}.intercept_db", cls.intercept_db)
-            _require_real(f"pathloss.{name}.slope_db", cls.slope_db)
+            for key in ("intercept_db", "slope_db"):
+                if not is_real(getattr(cls, key)):  # format the key only here
+                    raise ValueError(f"pathloss.{name}.{key} must be a real number")
             if not math.isfinite(cls.intercept_db):
                 raise ValueError(f"pathloss.{name}.intercept_db must be finite")
             if not 0.0 < cls.slope_db < math.inf:
                 raise ValueError(f"pathloss.{name}.slope_db must be positive")
-        _require_real("pathloss.min_coupling_loss_db", self.min_coupling_loss_db)
+        if not is_real(self.min_coupling_loss_db):
+            raise ValueError("pathloss.min_coupling_loss_db must be a real number")
         if not math.isfinite(self.min_coupling_loss_db):
             raise ValueError("pathloss.min_coupling_loss_db must be finite")
 
@@ -63,11 +73,6 @@ class PathLossModel:
 def is_real(v) -> bool:
     """v is a real number; an exact float skips the slow numbers.Real check."""
     return type(v) is float or isinstance(v, numbers.Real)
-
-
-def _require_real(key: str, v) -> None:
-    if not is_real(v):
-        raise ValueError(f"{key} must be a real number")
 
 
 def path_loss_db(distance_m, link_class: str, plm: PathLossModel):
@@ -99,7 +104,9 @@ def assign_sector(ue_angle, n_relays: int):
         raise ValueError("sector assignment needs at least one relay")
     half = np.pi / n_relays
     width = 2.0 * np.pi / n_relays
-    idx = np.floor((np.asarray(ue_angle) + half) % (2.0 * np.pi) / width).astype(int)
+    # the remainder lies in [0, 2*pi), so truncating to int floors it; one
+    # that rounds up to n_relays wraps to sector 0
+    idx = ((np.asarray(ue_angle) + half) % (2.0 * np.pi) / width).astype(int)
     return idx % n_relays
 
 
@@ -121,8 +128,7 @@ def build_topology(cfg: "SystemConfig", seed) -> Topology:
         rn = np.empty((0, 2))
 
     # area-uniform disc sampling: radius R*sqrt(u), angle 2*pi*v
-    u = rng.random(cfg.n_users)
-    v = rng.random(cfg.n_users)
+    u, v = rng.random((2, cfg.n_users))  # the stream of two draws of K each
     r = radius_m * np.sqrt(u)
     theta = 2.0 * np.pi * v
     ue = np.empty((cfg.n_users, 2))
@@ -131,18 +137,6 @@ def build_topology(cfg: "SystemConfig", seed) -> Topology:
 
     sectors = assign_sector(theta, m) if m > 0 else None
     return Topology(rn, ue, sectors)
-
-
-def _gains(dist_m, link_class, plm, rng, n_subcarriers, fading):
-    pl = path_loss_db(dist_m, link_class, plm)
-    mean = 10.0 ** (-pl / 10.0)
-    if not fading:
-        return np.repeat(mean[:, None], n_subcarriers, axis=1)
-    # the same stream and products as mean[:, None] * exponential(1.0, size),
-    # without the scale-by-1 pass and the second array
-    e = rng.standard_exponential(size=(len(dist_m), n_subcarriers))
-    e *= mean[:, None]
-    return e
 
 
 def sample_channel(topo: Topology, cfg: "SystemConfig", seed,
@@ -154,36 +148,51 @@ def sample_channel(topo: Topology, cfg: "SystemConfig", seed,
     path-loss gains.
     """
     rng = np.random.default_rng(seed)
-    n = cfg.n_subcarriers
-    m = len(topo.rn_positions)
     plm = cfg.pathloss
-
-    # UEs can land arbitrarily close to a transmitter; keep distances
-    # positive and let the coupling-loss clamp bound the gain
-    d_bs_ue = np.maximum(np.hypot(topo.ue_positions[:, 0], topo.ue_positions[:, 1]), 1e-3)
-    # draw order is fixed (direct, feeder, access) so seeds stay comparable
-    g_bs_ue = _gains(d_bs_ue, "bs_ue_nlos", plm, rng, n, fading)
-
+    ue, rn = topo.ue_positions, topo.rn_positions
+    k, m = len(ue), len(rn)
     if m > 0:
-        d_bs_rn = np.hypot(topo.rn_positions[:, 0], topo.rn_positions[:, 1])
-        g_bs_rn = _gains(d_bs_rn, "bs_rn_los", plm, rng, n, fading)
-        serving = topo.rn_positions[topo.sector_of_ue]
-        d_rn_ue = np.hypot(*(topo.ue_positions - serving).T)
-        # each UE lands exactly on top of its relay with probability 0,
-        # and the coupling-loss clamp keeps the gain finite if it does
-        d_rn_ue = np.maximum(d_rn_ue, 1e-3)
-        g_rn_ue = _gains(d_rn_ue, "rn_ue_nlos", plm, rng, n, fading)
+        # One row per link, in the fixed draw order direct (K), feeder
+        # (M), access (K), so seeds stay comparable: the link's offset
+        # vector, and its class's curve and distance floor
+        offsets = np.concatenate((ue, rn, ue - rn.take(topo.sector_of_ue, axis=0)))
+        rows = np.array([(c.intercept_db, c.slope_db, floor) for c, floor in (
+            (plm.bs_ue_nlos, 1e-3), (plm.bs_rn_los, 0.0),
+            (plm.rn_ue_nlos, 1e-3))]).repeat((k, m, k), axis=0)
+        # every link's path loss in one pass, on per-row coefficients
+        curve, floor = PathLossClass(rows[:, 0], rows[:, 1]), rows[:, 2]
     else:
-        g_bs_rn = np.empty((0, n))
-        g_rn_ue = None
+        offsets, curve, floor = ue, plm.bs_ue_nlos, 1e-3
+    # UEs can land arbitrarily close to a transmitter (or exactly on their
+    # relay, with probability 0): their floor keeps distances positive and
+    # the coupling-loss clamp bounds the gain.  A relay's ring distance
+    # needs none (floor 0).
+    dist = np.maximum(np.hypot(offsets[:, 0], offsets[:, 1]), floor)
+    mean = 10.0 ** (-curve.loss_db(dist, plm.min_coupling_loss_db) / 10.0)
+    if fading:
+        # one draw for every link: the same stream as one draw per link
+        # class in row order, and the same products as
+        # mean[:, None] * exponential(1.0, size) without the scale-by-1
+        # pass and the second array
+        gains = rng.standard_exponential(size=(len(mean), cfg.n_subcarriers))
+        gains *= mean[:, None]
+    else:
+        gains = np.repeat(mean[:, None], cfg.n_subcarriers, axis=1)
 
+    # each link class's gains are its block of rows
     return ChannelRealization(
-        g_bs_ue=g_bs_ue,
-        g_bs_rn=g_bs_rn,
-        g_rn_ue=g_rn_ue,
+        g_bs_ue=gains[:k],
+        g_bs_rn=gains[k:k + m],
+        g_rn_ue=gains[k + m:] if m > 0 else None,
         sector_of_ue=topo.sector_of_ue,
         noise_gap=cfg.noise_gap_watts,
     )
+
+
+@functools.lru_cache(maxsize=1024)
+def _child_seeds(seed) -> tuple:
+    """The children `SeedSequence(seed).spawn(2)` would give, built directly."""
+    return tuple(np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(2))
 
 
 def generate_instance(cfg: "SystemConfig", seed):
@@ -191,10 +200,13 @@ def generate_instance(cfg: "SystemConfig", seed):
 
     Seeds independent child streams for geometry and fading so the two
     draws never alias, while staying bit-reproducible from `seed`: the
-    children `SeedSequence(seed).spawn(2)` would give, built directly.
+    children `SeedSequence(seed).spawn(2)` would give.  A sweep draws the
+    same sample seeds at every grid point, so the children of an int seed
+    are built once and kept (generators never change them); any other
+    seed, None included, gets children of its own.
     """
-    topo_seed, fade_seed = (np.random.SeedSequence(seed, spawn_key=(i,))
-                            for i in range(2))
+    children = _child_seeds if type(seed) is int else _child_seeds.__wrapped__
+    topo_seed, fade_seed = children(seed)
     topo = build_topology(cfg, topo_seed)
     chan = sample_channel(topo, cfg, fade_seed)
     return topo, chan

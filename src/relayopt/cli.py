@@ -341,8 +341,18 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"unknown scenario {args.scenario!r}; "
                           f"choose from {', '.join(scenarios)}")
     spec = scenarios[args.scenario]
-    # the common flags re-shape the scenario's base configuration
-    spec = dataclasses.replace(spec, base=_load_cfg(args, base=spec.base))
+    # the common flags re-shape the scenario's base configuration, except
+    # on the keys the scenario sweeps: its axes set those at every grid
+    # point (a config file's value for them is overridden, as documented),
+    # so a command-line value for one would be silently ignored
+    overrides = _collect_overrides(args)
+    swept = [key for key in spec.axes if key in overrides]
+    if swept:
+        raise ConfigError(f"scenario {args.scenario!r} sweeps "
+                          f"{', '.join(swept)}; a command-line value for "
+                          f"{'it' if len(swept) == 1 else 'them'} would be ignored")
+    spec = dataclasses.replace(spec, base=load_config(
+        _config_path(args), overrides, base=spec.base))
     if args.samples is not None:
         spec = dataclasses.replace(spec, samples=args.samples)
     if args.algorithms:

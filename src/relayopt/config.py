@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -66,7 +67,9 @@ class SystemConfig:
 
     @property
     def noise_gap_watts(self) -> float:
-        return self.radio().noise_gap_watts
+        # RadioConfig's formula, read off this config's fields of the same
+        # names without building a RadioConfig
+        return RadioConfig.noise_gap_watts.fget(self)
 
     def radio(self) -> RadioConfig:
         return RadioConfig(
@@ -89,24 +92,35 @@ class SystemConfig:
     def validate(self) -> None:
         """Raise ConfigError naming the first bad key.
 
-        Every check is written so that NaN fails it.
+        Every check is written so that NaN fails it.  The checks read only
+        the leaf values and their types, so a config that passed keeps
+        them, and passes again without the checks while they are unchanged:
+        a solve validates the config its caller validated.
         """
+        values = _leaf_values(self)
+        passed = tuple(map(type, values)), values  # types compare first
+        if vars(self).get("_passed") == passed:
+            return
+
         def bad(key, why):
             raise ConfigError(f"invalid config: {key}: {why}")
 
-        # exact ints and floats skip the numbers ABC checks, the slowest
-        # step here; validate runs on every load and every solve
-        for key in _INT_FIELDS:
-            v = getattr(self, key)
-            if type(v) is not int and (isinstance(v, bool) or
-                                       not isinstance(v, numbers.Integral)):
-                bad(key, "must be an integer")
-        for key in _REAL_FIELDS:
-            v = getattr(self, key)
-            if not is_real(v):
-                bad(key, "must be a real number")
-            if not math.isfinite(v):
-                bad(key, "must be finite")
+        # exact ints and finite floats, the usual case, pass in a few
+        # C-level passes, and only otherwise does a loop name the first bad
+        # key (exact ints and floats skip its numbers ABC checks)
+        ints = _int_values(self)
+        if set(map(type, ints)) != {int}:
+            for key, v in zip(_INT_FIELDS, ints):
+                if type(v) is not int and (isinstance(v, bool) or
+                                           not isinstance(v, numbers.Integral)):
+                    bad(key, "must be an integer")
+        reals = _real_values(self)
+        if set(map(type, reals)) != {float} or not all(map(math.isfinite, reals)):
+            for key, v in zip(_REAL_FIELDS, reals):
+                if not is_real(v):
+                    bad(key, "must be a real number")
+                if not math.isfinite(v):
+                    bad(key, "must be finite")
         if not self.n_users >= 1:
             bad("n_users", "must be >= 1")
         if not self.n_subcarriers >= 1:
@@ -135,25 +149,27 @@ class SystemConfig:
         if not self.eps_outer > 0.0:
             bad("eps_outer", "tolerances must be positive")
         # dB figures whose watts underflow to 0 or overflow are rejected
-        noise = "noise_psd_dbm_hz, snr_gap_db, subcarrier_bw_hz"
-        for key, watts in (("p_max_dbm", lambda: self.p_max_w),
-                           (noise, lambda: self.noise_gap_watts)):
+        def watts(key, power):
             try:
-                w = watts()
+                w = power()
             except OverflowError:
                 w = math.inf
             if not 0.0 < w < math.inf:
                 bad(key, "power in watts must be positive and finite")
+            return w
+
+        noise = "noise_psd_dbm_hz, snr_gap_db, subcarrier_bw_hz"
+        p_max_w = watts("p_max_dbm", lambda: self.p_max_w)
         # and a subnormal noise power, whose few significant bits round
         # every SNR formed from it and whose products with gains underflow
-        if self.noise_gap_watts < sys.float_info.min:
+        if watts(noise, lambda: self.noise_gap_watts) < sys.float_info.min:
             bad(noise, f"power in watts must be at least "
                        f"{sys.float_info.min:g}")
         # the most any allocation can draw; past the float range the
         # solve would report an infinite power and a NaN residual
         try:
             most = (self.p_c_bs_w + self.n_relays * self.p_c_rn_w
-                    + max(self.xi_bs, self.xi_rn) * self.p_max_w)
+                    + max(self.xi_bs, self.xi_rn) * p_max_w)
         except OverflowError:  # an int n_relays past the float range
             most = math.inf
         if not most < math.inf:
@@ -163,6 +179,7 @@ class SystemConfig:
             self.pathloss.validate()
         except ValueError as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
+        self._passed = passed
 
 
 def _leaf_keys(obj, prefix: str = "") -> dict:
@@ -183,6 +200,9 @@ _INT_FIELDS = tuple(key for key, kind in _KEYS.items() if kind == "int")
 # the nested keys are checked by their own dataclass's validate
 _REAL_FIELDS = tuple(sorted(key for key in _KEYS
                             if "." not in key and key not in _INT_FIELDS))
+_int_values = operator.attrgetter(*_INT_FIELDS)
+_real_values = operator.attrgetter(*_REAL_FIELDS)
+_leaf_values = operator.attrgetter(*_KEYS)  # every leaf value, dotted keys too
 
 
 def _coerce(key: str, raw) -> object:

@@ -10,6 +10,8 @@ answers from it, in whatever order the algorithms are listed.
 
 A grid point's record holds means over its converged samples; the seeds
 of the samples that failed to converge are listed in the JSON mirror.
+The algorithms' per-sample figures are reduced in one stacked pass per
+grid point, whose rows give the same bits as one pass per algorithm.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -96,11 +99,13 @@ CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRecord)
 
 def _mean_stderr(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Row means and standard errors (sample stddev / sqrt(n)) of a
-    (rows, n) array; the standard error of a single value is 0."""
+    C-contiguous (rows, n) array; the standard error of a single value
+    is 0.  The mean is rows.mean(axis=1), bit for bit: the row sums over
+    n, without numpy's Python-level wrapper."""
     n = rows.shape[1]
-    mean = rows.mean(axis=1)
+    mean = np.add.reduce(rows, axis=1) / n
     if n < 2:
-        return mean, np.zeros_like(mean)
+        return mean, np.zeros(len(mean))
     return mean, rows.std(axis=1, ddof=1) / math.sqrt(n)
 
 
@@ -135,29 +140,42 @@ def _solve_sample(cfg: SystemConfig, seed: int, algorithms):
 
 def _point_records(spec: SweepSpec, cfg: SystemConfig, seeds,
                    sample_results) -> list:
-    records = []
+    """One record per algorithm: the means over its converged samples.
+
+    The algorithms that kept the same number S of converged samples share
+    one C-contiguous (6 x algorithms, S) array of their six per-sample
+    figures, row by row; each row reduces on its own, so its mean and
+    error are those of an array of its own.
+    """
+    ok, failed = {}, {}
     for alg in spec.algorithms:
         rows = [res[alg] for res in sample_results]
-        ok = [r for r in rows if r[6]]
-        failed_seeds = [s for s, r in zip(seeds, rows) if not r[6]]
-        failures = len(failed_seeds)
-        if ok:
-            # one (6, S) array: the six per-sample figures, row by row
-            mean, err = _mean_stderr(np.array(list(zip(*ok))[:6], dtype=float))
-            se_m, ee_m, rho_m, tx_m, outer_m, inner_m = mean.tolist()
-            se_s, ee_s, rho_s = err[:3].tolist()
-        else:
-            se_m = se_s = ee_m = ee_s = rho_m = rho_s = float("nan")
-            tx_m = outer_m = inner_m = float("nan")
+        ok[alg] = [r[:6] for r in rows if r[6]]
+        failed[alg] = [s for s, r in zip(seeds, rows) if not r[6]]
+    nan = float("nan")
+    figures = dict.fromkeys(spec.algorithms, ([nan] * 6, [nan] * 6))
+    for count in {len(v) for v in ok.values()} - {0}:
+        algs = [alg for alg in spec.algorithms if len(ok[alg]) == count]
+        figs = np.array([ok[alg] for alg in algs], dtype=float)  # (A, S, 6)
+        mean, err = _mean_stderr(np.ascontiguousarray(
+            figs.transpose(0, 2, 1).reshape(-1, count)))
+        mean, err = mean.tolist(), err.tolist()
+        for i, alg in enumerate(algs):
+            figures[alg] = mean[6 * i:6 * i + 6], err[6 * i:6 * i + 6]
+    axes = {name: getattr(cfg, name) for name in AXIS_NAMES}
+    records = []
+    for alg in spec.algorithms:
+        (se_m, ee_m, rho_m, tx_m, outer_m, inner_m), err = figures[alg]
+        se_s, ee_s, rho_s = err[:3]
+        failures = len(failed[alg])
         records.append(ResultRecord(
-            scenario=spec.name, algorithm=alg,
-            **{name: getattr(cfg, name) for name in AXIS_NAMES},
-            samples=len(ok), failures=failures,
+            scenario=spec.name, algorithm=alg, **axes,
+            samples=len(ok[alg]), failures=failures,
             se_mean=se_m, se_stderr=se_s, ee_mean=ee_m, ee_stderr=ee_s,
             rho_mean=rho_m, rho_stderr=rho_s, txpower_mean=tx_m,
             outer_iters_mean=outer_m, inner_iters_mean=inner_m,
-            flagged=failures > _FLAG_FAILURE_FRACTION * len(rows),
-            failed_seeds=failed_seeds,
+            flagged=failures > _FLAG_FAILURE_FRACTION * len(seeds),
+            failed_seeds=failed[alg],
         ))
     return records
 
@@ -201,8 +219,7 @@ def builtin_scenarios() -> Dict[str, SweepSpec]:
     }
 
 
-def _record_row(rec: ResultRecord) -> list:
-    return [getattr(rec, col) for col in CSV_COLUMNS]
+_record_row = operator.attrgetter(*CSV_COLUMNS)  # a record's CSV row
 
 
 def write_csv(records: Sequence[ResultRecord], out) -> None:
@@ -213,8 +230,7 @@ def write_csv(records: Sequence[ResultRecord], out) -> None:
         return
     w = csv.writer(out)
     w.writerow(CSV_COLUMNS)
-    for rec in records:
-        w.writerow(_record_row(rec))
+    w.writerows(map(_record_row, records))
 
 
 def _finite_or_none(value):

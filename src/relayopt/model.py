@@ -115,11 +115,11 @@ class Allocation:
         self.n_subcarriers = n_subcarriers
         arrays = [np.array(c, dtype=t) for c, t in
                   zip(columns, (np.intp, np.intp, bool, float, float))]
-        if any(a.ndim != 1 or a.shape != arrays[0].shape for a in arrays):
+        if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
             raise ValueError("allocation arrays must be 1-D and of one length")
-        for name, arr in zip(_ENTRY_FIELDS, arrays):
-            arr.flags.writeable = False
-            setattr(self, name, arr)
+        for arr in arrays:
+            arr.setflags(write=False)
+        self.__dict__.update(zip(_ENTRY_FIELDS, arrays))
         self._view = None
 
     @property
@@ -166,7 +166,9 @@ def snr_direct(power, gain, noise_gap):
 
 
 def _check_noise_gap(noise_gap):
-    if (np.asarray(noise_gap) <= 0.0).any():
+    # a float, the usual gap, is compared off numpy
+    if (noise_gap <= 0.0 if type(noise_gap) is float
+            else (np.asarray(noise_gap) <= 0.0).any()):
         raise ValueError("noise_gap must be positive")
 
 
@@ -202,14 +204,50 @@ def link_rate_af(snr):
     return 0.5 * np.log1p(snr) / LN2
 
 
-def _sum_in_order(terms: np.ndarray, start: float = 0.0) -> float:
-    """start + terms[0] + terms[1] + ..., one addition at a time.
+def _sums_in_order(starts, *terms) -> list:
+    """[s + t[0] + t[1] + ... for each start s and its term array t], one
+    addition at a time.
 
     np.add.accumulate adds strictly left to right, as a loop over the
     entries would; ndarray.sum adds pairwise and the builtin sum is
     compensated on Python >= 3.12, so either could move the last bit.
+    Each row of the one block accumulates on its own, so every sum is the
+    one a call of its own would give.
     """
-    return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
+    block = np.empty((len(starts), 1 + len(terms[0])))
+    block[:, 0] = starts
+    for row, t in zip(block, terms):
+        row[1:] = t
+    return np.add.accumulate(block, axis=1)[:, -1].tolist()
+
+
+def _sum_in_order(terms: np.ndarray, start: float = 0.0) -> float:
+    """start + terms[0] + terms[1] + ..., one addition at a time."""
+    return _sums_in_order((start,), terms)[0]
+
+
+def _rate_terms(alloc: Allocation, chan, exact_snr: bool = False) -> np.ndarray:
+    """Per-entry rates in bits/s/Hz, in entry order (see system_rate)."""
+    k, n, af, ngap = alloc.user, alloc.subcarrier, alloc.af, chan.noise_gap
+    if not k.size:
+        return np.zeros(0)
+    _check_noise_gap(ngap)  # once: the SNRs below skip the public checks
+    at = af.nonzero()[0]
+    d = ~af if at.size else slice(None)  # direct only: views, no gathers
+    direct = link_rate_direct(
+        _snr_direct(alloc.p_bs[d], chan.g_bs_ue[k[d], n[d]], ngap))
+    if not at.size:
+        return direct
+    rate = np.zeros(k.shape)
+    rate[d] = direct
+    k, n = k.take(at), n.take(at)
+    s1 = _snr_direct(alloc.p_bs.take(at),
+                     chan.g_bs_rn[chan.sector_of_ue.take(k), n], ngap)
+    s2 = _snr_direct(alloc.p_rn.take(at), chan.g_rn_ue[k, n], ngap)
+    live = ~(s1 + s2 <= 0.0)  # a pair with no hop SNR carries nothing
+    snr = (snr_af_exact if exact_snr else _snr_af_approx)(s1[live], s2[live])
+    rate[at[live]] = link_rate_af(snr)
+    return rate
 
 
 def system_rate(alloc: Allocation, chan, exact_snr: bool = False) -> float:
@@ -219,23 +257,7 @@ def system_rate(alloc: Allocation, chan, exact_snr: bool = False) -> float:
     figures are usually plotted in.  AF terms use the harmonic-mean SNR
     approximation unless exact_snr is set.
     """
-    if not alloc.user.size:
-        return 0.0
-    k, n, af, ngap = alloc.user, alloc.subcarrier, alloc.af, chan.noise_gap
-    _check_noise_gap(ngap)  # once: the SNRs below skip the public checks
-    rate = np.zeros(k.shape)
-    d = ~af
-    rate[d] = link_rate_direct(
-        _snr_direct(alloc.p_bs[d], chan.g_bs_ue[k[d], n[d]], ngap))
-    if af.any():
-        k, n = k[af], n[af]
-        s1 = _snr_direct(alloc.p_bs[af], chan.g_bs_rn[chan.sector_of_ue[k], n],
-                         ngap)
-        s2 = _snr_direct(alloc.p_rn[af], chan.g_rn_ue[k, n], ngap)
-        live = ~(s1 + s2 <= 0.0)  # a pair with no hop SNR carries nothing
-        snr = (snr_af_exact if exact_snr else _snr_af_approx)(s1[live], s2[live])
-        rate[af.nonzero()[0][live]] = link_rate_af(snr)
-    return _sum_in_order(rate)
+    return _sum_in_order(_rate_terms(alloc, chan, exact_snr))
 
 
 def circuit_power(pm: PowerModel, n_relays: int) -> float:
@@ -249,15 +271,23 @@ def system_power(alloc: Allocation, pm: PowerModel, n_relays: int) -> float:
     AF amplifier terms carry a factor 1/2 because each hop is active for
     only half of the frame.
     """
-    drain = np.where(alloc.af,
-                     0.5 * (pm.xi_bs * alloc.p_bs + pm.xi_rn * alloc.p_rn),
-                     pm.xi_bs * alloc.p_bs)
-    return _sum_in_order(drain, circuit_power(pm, n_relays))
+    return _sum_in_order(_drain_terms(alloc, pm), circuit_power(pm, n_relays))
+
+
+def _drain_terms(alloc: Allocation, pm: PowerModel) -> np.ndarray:
+    """Per-entry amplifier drain in watts, in entry order."""
+    bs = pm.xi_bs * alloc.p_bs
+    return np.where(alloc.af, 0.5 * (bs + pm.xi_rn * alloc.p_rn), bs)
 
 
 def tx_power_used(alloc: Allocation) -> float:
     """Radiated power summed as the budget constraint counts it (no duty factor)."""
-    return _sum_in_order(alloc.p_bs + alloc.p_rn)
+    return _sum_in_order(_radiated_terms(alloc))
+
+
+def _radiated_terms(alloc: Allocation) -> np.ndarray:
+    """Per-entry radiated power in watts, in entry order."""
+    return alloc.p_bs + alloc.p_rn
 
 
 def energy_efficiency(rate: float, power: float) -> float:
@@ -279,8 +309,9 @@ _BUDGET_RTOL = 1e-9
 def _out_of_range(alloc: Allocation) -> np.ndarray:
     """Mask of the entries whose user or subcarrier lies outside the
     allocation's n_users x n_subcarriers."""
-    return ((alloc.user < 0) | (alloc.user >= alloc.n_users)
-            | (alloc.subcarrier < 0) | (alloc.subcarrier >= alloc.n_subcarriers))
+    # read as unsigned, a negative index lies past any bound
+    return ((alloc.user.view(np.uintp) >= alloc.n_users)
+            | (alloc.subcarrier.view(np.uintp) >= alloc.n_subcarriers))
 
 
 def _entries_at(alloc: Allocation, mask: np.ndarray) -> list:
@@ -331,8 +362,11 @@ def compute_metrics(alloc: Allocation, chan, cfg: RadioConfig, pm: PowerModel,
         raise ValueError(f"allocation entry {bad[0]} outside "
                          f"{alloc.n_users} users x {alloc.n_subcarriers} "
                          "subcarriers")
-    rate = system_rate(alloc, chan, exact_snr=exact_snr)
-    power = system_power(alloc, pm, cfg.n_relays)
+    # system_rate, system_power and tx_power_used, summed in one block
+    rate, power, used = _sums_in_order(
+        (0.0, circuit_power(pm, cfg.n_relays), 0.0),
+        _rate_terms(alloc, chan, exact_snr), _drain_terms(alloc, pm),
+        _radiated_terms(alloc))
     n = cfg.n_subcarriers
     return Metrics(
         rate_total=rate,
@@ -341,5 +375,5 @@ def compute_metrics(alloc: Allocation, chan, cfg: RadioConfig, pm: PowerModel,
         ee=energy_efficiency(rate, power),
         ee_per_subcarrier=rate / n / power,
         rho=af_fraction(alloc),
-        tx_power_used=tx_power_used(alloc),
+        tx_power_used=used,
     )

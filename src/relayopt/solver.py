@@ -223,8 +223,11 @@ def af_beta(q: float, lam: float, g1: float, g2: float,
 
 def _check_gains(name: str, gains, ngap: float, p_max: float) -> None:
     g = np.asarray(gains, dtype=float)
-    # NaN propagates through both reductions; initial=0.0 passes an empty array
-    lo, hi = g.min(initial=0.0), g.max(initial=0.0)
+    # NaN propagates through both reductions; initial=0.0 passes an empty
+    # array.  The ufunc methods, not ndarray.min and max, which reach them
+    # through numpy's Python-level wrappers
+    lo = np.minimum.reduce(g, axis=None, initial=0.0)
+    hi = np.maximum.reduce(g, axis=None, initial=0.0)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} holds NaN or infinite gains")
     if lo < 0.0:
@@ -289,16 +292,17 @@ class _Problem:
             self.sector_row = sectors.searchsorted(sector) + 1
             # an AF row's user is its sector's strongest access link; the
             # members of each sector are one slice of the users sorted by
-            # sector, in user order
+            # sector, in user order, and their gains one block of rows
             self.user = np.empty((1 + len(sectors), self.n_subcarriers),
                                  dtype=np.intp)
             self.user[0] = k_d
             order = sector.argsort(kind="stable")
-            ends = counts.cumsum().take(sectors).tolist()
-            for r, (start, end) in enumerate(zip([0, *ends], ends), 1):
-                members = order[start:end]
-                best = chan.g_rn_ue.take(members, axis=0).argmax(axis=0)
-                members.take(best, out=self.user[r])
+            ranked = chan.g_rn_ue.take(order, axis=0)
+            end = 0
+            for r, size in enumerate(counts.take(sectors).tolist(), 1):
+                start, end = end, end + size
+                best = ranked[start:end].argmax(axis=0)
+                order[start:end].take(best, out=self.user[r])
             self.flat = 2 * self.user
             self.flat[1:] += 1
             # full-order candidate index -> shortlist row; the last index,
@@ -308,7 +312,7 @@ class _Problem:
             g1 = chan.g_bs_rn.take(sectors, axis=0)  # (M', N) per row
             g2 = chan.g_rn_ue[self.user[1:], self.cols]
             weak = np.minimum(g1, g2)
-            weakest = weak.min()
+            weakest = np.minimum.reduce(weak, axis=None)
             if weakest == 0.0:
                 # a pair with a dead hop carries nothing; stand-in unit
                 # gains keep its closed forms finite and _sweep zeroes
@@ -459,14 +463,17 @@ def _sweep(prob: _Problem, q: float, lam: float) -> _SweepResult:
 
 
 def _to_allocation(prob: _Problem, sweep: _SweepResult) -> Allocation:
-    """Materialize the winners with positive power; the rest idle."""
+    """Materialize the winners with positive power; the rest idle.
+
+    A direct winner's p_rn is already exactly 0 (_sweep forms it from an
+    AF power of 0 and a split of 1), so only p_bs needs the protocol split.
+    """
     af = sweep.winner_af
     p_bs = np.where(af, sweep.p_bs, sweep.p_win)
-    p_rn = np.where(af, sweep.p_rn, 0.0)
-    on = (p_bs + p_rn > 0.0).nonzero()[0]
+    on = (p_bs + sweep.p_rn > 0.0).nonzero()[0]
     return Allocation.from_arrays(prob.n_users, prob.n_subcarriers,
-                                  sweep.winner_user[on], on, af[on],
-                                  p_bs[on], p_rn[on])
+                                  sweep.winner_user.take(on), on, af.take(on),
+                                  p_bs.take(on), sweep.p_rn.take(on))
 
 
 _LAMBDA_FLOOR = 1e-15  # feasible multiplier at which a descent stops

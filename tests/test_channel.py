@@ -195,25 +195,50 @@ def test_generate_instance_seeds_the_spawned_children(monkeypatch):
                     == np.random.default_rng(ref).integers(1 << 62, size=4).tobytes())
 
 
-def _scaled_exponential_gains(dist_m, link_class, plm, rng, n_subcarriers, fading):
-    mean = 10.0 ** (-path_loss_db(dist_m, link_class, plm) / 10.0)
-    return mean[:, None] * rng.exponential(1.0, size=(len(dist_m), n_subcarriers))
+def test_generate_instance_keeps_only_int_seed_children():
+    # an int seed's children are built once and kept; a numpy int seed
+    # builds its own, the same streams, and None draws fresh entropy
+    cfg = SystemConfig(n_users=2, n_subcarriers=2, n_relays=1)
+    kept = generate_instance(cfg, 5)[1].g_bs_ue.tobytes()
+    assert generate_instance(cfg, 5)[1].g_bs_ue.tobytes() == kept
+    assert generate_instance(cfg, np.int64(5))[1].g_bs_ue.tobytes() == kept
+    fresh = [generate_instance(cfg, None)[1].g_bs_ue.tobytes() for _ in range(2)]
+    assert fresh[0] != fresh[1]
 
 
-@pytest.mark.parametrize("n_relays", [0, 3])
-def test_fading_draws_match_scaled_exponential(monkeypatch, n_relays):
-    # the in-place draw keeps every gain of the scaled exponential draw
-    cfg = SystemConfig(n_users=6, n_subcarriers=16, n_relays=n_relays)
-    for seed in (1, 2, 77):
-        _, chan = generate_instance(cfg, seed)
-        with monkeypatch.context() as m:
-            m.setattr(channel, "_gains", _scaled_exponential_gains)
-            _, ref = generate_instance(cfg, seed)
-        for name in ("g_bs_ue", "g_bs_rn", "g_rn_ue"):
-            new, old = getattr(chan, name), getattr(ref, name)
-            assert (new is None) == (old is None)
-            if new is not None:
-                assert new.shape == old.shape and new.tobytes() == old.tobytes()
+def _scaled_exponential_gains(topo, cfg, seed):
+    """Gains by link class, drawn in the order direct, feeder, access: the
+    mean path-loss gain times unit-mean exponentials of its own draw."""
+    rng = np.random.default_rng(seed)
+    ue, rn = topo.ue_positions, topo.rn_positions
+    links = [("g_bs_ue", "bs_ue_nlos", np.maximum(np.hypot(*ue.T), 1e-3)),
+             ("g_bs_rn", "bs_rn_los", np.hypot(*rn.T))]
+    if len(rn):
+        access = ue - rn[topo.sector_of_ue]
+        links.append(("g_rn_ue", "rn_ue_nlos",
+                       np.maximum(np.hypot(*access.T), 1e-3)))
+    gains = {"g_rn_ue": None}
+    for name, link_class, dist_m in links:
+        mean = 10.0 ** (-path_loss_db(dist_m, link_class, cfg.pathloss) / 10.0)
+        gains[name] = mean[:, None] * rng.exponential(
+            1.0, size=(len(dist_m), cfg.n_subcarriers))
+    return gains
+
+
+@pytest.mark.parametrize("n_relays", [0, 1, 3])
+def test_fading_draws_match_scaled_exponential(n_relays):
+    # the one in-place draw keeps every gain of the per-class scaled draws
+    for n_users, n_subcarriers in ((6, 16), (1, 16), (6, 1), (1, 1)):
+        cfg = SystemConfig(n_users=n_users, n_subcarriers=n_subcarriers,
+                           n_relays=n_relays)
+        for seed in (1, 2, 77):
+            topo = build_topology(cfg, seed)
+            chan = sample_channel(topo, cfg, seed + 1000)
+            for name, old in _scaled_exponential_gains(topo, cfg, seed + 1000).items():
+                new = getattr(chan, name)
+                assert (new is None) == (old is None)
+                if new is not None:
+                    assert new.shape == old.shape and new.tobytes() == old.tobytes()
 
 
 def test_generate_instance_mean_gain_tracks_pathloss():

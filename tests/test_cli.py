@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from relayopt import cli
 from relayopt.channel import generate_instance
 from relayopt.cli import main
-from relayopt.experiments import CSV_COLUMNS
+from relayopt.experiments import CSV_COLUMNS, builtin_scenarios
 from relayopt.model import Af, Allocation, Direct, check_feasibility
 from relayopt.config import ConfigError, SystemConfig, load_config
 from relayopt.solver import solve_eem, solve_sem
@@ -389,6 +389,38 @@ def test_sweep_writes_csv_and_json(tmp_path, capsys):
     assert {r["n_relays"] for r in rows} == {"0", "3"}
     payload = json.loads(mirror.read_text())
     assert len(payload["records"]) == 12
+
+
+_SWEPT_KEYS = [(name, key) for name, spec in builtin_scenarios().items()
+               for key in spec.axes]
+
+
+@pytest.mark.parametrize("via", ["flag", "set"])
+@pytest.mark.parametrize("scenario, key", _SWEPT_KEYS)
+def test_sweep_rejects_a_command_line_value_for_a_swept_key(scenario, key,
+                                                            via, capsys):
+    # the scenario's axis sets the key at every grid point, so a value
+    # given on the command line would be dropped without a word
+    flags = {a.dest: a.option_strings[0]
+             for a in cli._build_parser().commands["sweep"]._actions}
+    value = str(builtin_scenarios()[scenario].axes[key][0])
+    extra = [flags[key], value] if via == "flag" else ["--set", f"{key}={value}"]
+    assert main(["sweep", "--scenario", scenario, "--samples", "1", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert key in captured.err and repr(scenario) in captured.err
+
+
+def test_sweep_axes_override_a_config_file(tmp_path, capsys):
+    # a config file's value for a swept key is the base the axis replaces
+    path = tmp_path / "users.ini"
+    path.write_text("n_users = 1\nn_subcarriers = 4\n")
+    assert main(["sweep", "--scenario", "users", "--samples", "1",
+                 "--algorithms", "EEM", "--config", str(path)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["n_users"] for r in rows] == ["4", "8", "16"]
+    assert {r["n_subcarriers"] for r in rows} == {"4"}
 
 
 def test_sweep_to_stdout(capsys):

@@ -221,3 +221,29 @@ def test_real_keys_reject_non_numbers():
         load_config(overrides={"pathloss.bs_rn_los.slope_db": [1.0]})
     for ok in (-30, np.float64(-30.0), np.int64(-30)):
         assert load_config(overrides={"p_max_dbm": ok}).p_max_dbm == -30.0
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("n_users", 0, "n_users: must be >= 1"),
+    ("n_users", 8.0, "n_users: must be an integer"),  # equal value, new type
+    ("d_r", 1.0, "d_r"),
+    ("eps_outer", float("nan"), "eps_outer"),
+    ("xi_bs", [2.6], "xi_bs: must be a real number"),  # unhashable
+    ("pathloss.rn_ue_nlos.slope_db", -36.0, "rn_ue_nlos.slope_db"),
+    ("pathloss.min_coupling_loss_db", float("inf"), "min_coupling_loss_db"),
+])
+def test_validate_rechecks_a_config_changed_after_it_passed(key, value, match):
+    # validate skips its checks for values and types that passed before;
+    # a change to any leaf, nested or not, is checked again, every time
+    cfg = SystemConfig()
+    cfg.validate()
+    bad = copy.deepcopy(cfg)
+    *path, name = key.split(".")
+    obj = bad
+    for part in path:
+        obj = getattr(obj, part)
+    setattr(obj, name, value)
+    for _ in range(2):
+        with pytest.raises(ConfigError, match=match):
+            bad.validate()
+    cfg.validate()
