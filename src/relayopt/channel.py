@@ -10,13 +10,14 @@ link's distance and path loss are computed in one pass, on per-row
 curve coefficients, and its fading in one draw, which reads the same
 stream as one draw per link class in that order.  The three gain arrays
 of a ChannelRealization are its row blocks.
+
+This module holds path-loss data and geometry only: the config values it
+reads, path-loss curves included, are checked by SystemConfig.validate.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
@@ -53,26 +54,6 @@ class PathLossModel:
     # links carry negligible rate at milliwatt budgets
     rn_ue_nlos: PathLossClass = field(default_factory=lambda: PathLossClass(125.0, 36.0))
     min_coupling_loss_db: float = 40.0  # floor; UEs can land arbitrarily close
-
-    def validate(self) -> None:
-        for name in LINK_CLASSES:
-            cls = getattr(self, name)
-            for key in ("intercept_db", "slope_db"):
-                if not is_real(getattr(cls, key)):  # format the key only here
-                    raise ValueError(f"pathloss.{name}.{key} must be a real number")
-            if not math.isfinite(cls.intercept_db):
-                raise ValueError(f"pathloss.{name}.intercept_db must be finite")
-            if not 0.0 < cls.slope_db < math.inf:
-                raise ValueError(f"pathloss.{name}.slope_db must be positive")
-        if not is_real(self.min_coupling_loss_db):
-            raise ValueError("pathloss.min_coupling_loss_db must be a real number")
-        if not math.isfinite(self.min_coupling_loss_db):
-            raise ValueError("pathloss.min_coupling_loss_db must be finite")
-
-
-def is_real(v) -> bool:
-    """v is a real number; an exact float skips the slow numbers.Real check."""
-    return type(v) is float or isinstance(v, numbers.Real)
 
 
 def path_loss_db(distance_m, link_class: str, plm: PathLossModel):

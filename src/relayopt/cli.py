@@ -55,16 +55,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help=f"config file (default: ${ENV_CONFIG})")
     p.add_argument("--set", dest="sets", action="append", default=[],
                    metavar="KEY=VALUE", help="override any config key")
-    # each of these flags sets the SystemConfig field its dest names
+    # each of these flags sets the SystemConfig field its dest names; its
+    # text is parsed and checked by load_config, as a --set value is
     fields = [
-        p.add_argument("--k", type=int, dest="n_users", help="number of users"),
-        p.add_argument("--n", type=int, dest="n_subcarriers",
-                       help="number of subcarriers"),
-        p.add_argument("--m", type=int, dest="n_relays", help="number of relays"),
-        p.add_argument("--p-max-dbm", type=float, dest="p_max_dbm"),
-        p.add_argument("--radius-km", type=float, dest="cell_radius_km"),
-        p.add_argument("--d-r", type=float, dest="d_r"),
-        p.add_argument("--seed", type=int, dest="master_seed"),
+        p.add_argument("--k", dest="n_users", help="number of users"),
+        p.add_argument("--n", dest="n_subcarriers", help="number of subcarriers"),
+        p.add_argument("--m", dest="n_relays", help="number of relays"),
+        p.add_argument("--p-max-dbm", dest="p_max_dbm"),
+        p.add_argument("--radius-km", dest="cell_radius_km"),
+        p.add_argument("--d-r", dest="d_r"),
+        p.add_argument("--seed", dest="master_seed"),
     ]
     p.set_defaults(config_fields=tuple(a.dest for a in fields))
 

@@ -10,6 +10,11 @@ flattened into dotted keys, e.g.::
     n_users = 8
     [pathloss.rn_ue_nlos]
     intercept_db = 145.4
+
+This module is the one place that parses or checks a config value.
+_coerce parses a string from a file, ``--set`` or a CLI flag alike, and
+SystemConfig.validate checks every key, the path-loss keys included.
+Either rejects a value with ``invalid config: <key>: <why>``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .channel import PathLossModel, is_real
+from .channel import PathLossModel
 from .model import PowerModel, RadioConfig, dbm_to_watts
 
 
@@ -117,7 +122,8 @@ class SystemConfig:
         reals = _real_values(self)
         if set(map(type, reals)) != {float} or not all(map(math.isfinite, reals)):
             for key, v in zip(_REAL_FIELDS, reals):
-                if not is_real(v):
+                if type(v) is not float and (isinstance(v, bool) or
+                                             not isinstance(v, numbers.Real)):
                     bad(key, "must be a real number")
                 if not math.isfinite(v):
                     bad(key, "must be finite")
@@ -133,6 +139,14 @@ class SystemConfig:
             bad("cell_radius_km", "must be positive")
         if self.n_relays > 0 and not (0.0 < self.d_r < 1.0):
             bad("d_r", "must lie in (0, 1) when n_relays > 0")
+        # the longest link, a UE to the relay across the cell, in the float
+        # steps the geometry takes: past the float range a link's offset
+        # overflows
+        radius_m = self.cell_radius_km * 1000.0
+        longest = radius_m + self.d_r * radius_m if self.n_relays > 0 else radius_m
+        if not longest < math.inf:
+            bad("cell_radius_km",
+                "the longest link, (1 + d_r) x radius in meters, must be finite")
         if not self.subcarrier_bw_hz > 0.0:
             bad("subcarrier_bw_hz", "must be positive")
         if not self.xi_bs > 1.0:
@@ -148,6 +162,9 @@ class SystemConfig:
                 bad(key, "iteration caps must be >= 1")
         if not self.eps_outer > 0.0:
             bad("eps_outer", "tolerances must be positive")
+        for key, slope in zip(_SLOPE_FIELDS, _slopes(self)):
+            if not slope > 0.0:
+                bad(key, "must be positive")
         # dB figures whose watts underflow to 0 or overflow are rejected
         def watts(key, power):
             try:
@@ -175,10 +192,6 @@ class SystemConfig:
         if not most < math.inf:
             bad("p_c_bs_w, n_relays, p_c_rn_w, xi_bs, xi_rn, p_max_dbm",
                 "the largest consumed power must be finite")
-        try:
-            self.pathloss.validate()
-        except ValueError as exc:
-            raise ConfigError(f"invalid config: {exc}") from exc
         self._passed = passed
 
 
@@ -197,11 +210,11 @@ def _leaf_keys(obj, prefix: str = "") -> dict:
 _KEYS = _leaf_keys(SystemConfig())
 # annotations are strings: config and channel defer their evaluation
 _INT_FIELDS = tuple(key for key, kind in _KEYS.items() if kind == "int")
-# the nested keys are checked by their own dataclass's validate
-_REAL_FIELDS = tuple(sorted(key for key in _KEYS
-                            if "." not in key and key not in _INT_FIELDS))
+_REAL_FIELDS = tuple(sorted(key for key in _KEYS if key not in _INT_FIELDS))
+_SLOPE_FIELDS = tuple(key for key in _KEYS if key.endswith(".slope_db"))
 _int_values = operator.attrgetter(*_INT_FIELDS)
 _real_values = operator.attrgetter(*_REAL_FIELDS)
+_slopes = operator.attrgetter(*_SLOPE_FIELDS)
 _leaf_values = operator.attrgetter(*_KEYS)  # every leaf value, dotted keys too
 
 

@@ -158,6 +158,14 @@ def test_equality_compares_the_arrays():
     assert a != {(0, 0): Direct(0.5), (1, 1): Af(0.25, 0.125)}
 
 
+def test_repr_reads_back_as_the_allocation():
+    a = Allocation(2, 2, {(1, 1): Af(0.25, 0.125), (0, 0): Direct(0.5)})
+    assert repr(a) == ("Allocation(2, 2, {(1, 1): Af(p_bs=0.25, p_rn=0.125), "
+                       "(0, 0): Direct(p_d=0.5)})")
+    assert eval(repr(a), {"Allocation": Allocation, "Af": Af,
+                          "Direct": Direct}) == a
+
+
 _DESK = SystemConfig(n_users=8, n_subcarriers=32, n_relays=3)
 _LARGE = SystemConfig(n_users=128, n_subcarriers=1024, n_relays=3)
 

@@ -4,13 +4,14 @@ import json
 import math
 import re
 import signal
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relayopt import cli
+from relayopt import cli, config
 from relayopt.channel import generate_instance
 from relayopt.cli import main
 from relayopt.experiments import CSV_COLUMNS, builtin_scenarios
@@ -45,6 +46,14 @@ def test_scenarios_listing(capsys):
     out = capsys.readouterr().out
     for name in ("convergence", "users", "subcarriers", "radius", "d_r"):
         assert name in out
+
+
+def test_main_reads_sys_argv_without_an_argv(capsys, monkeypatch):
+    assert main(["scenarios"]) == 0
+    listing = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["relayopt", "scenarios"])
+    assert main() == 0
+    assert capsys.readouterr().out == listing
 
 
 def test_solve_document_shape(capsys):
@@ -320,6 +329,65 @@ def test_unbounded_consumed_power_is_a_config_error(extra, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: invalid config: p_c_bs_w, n_relays, ")
     assert "Traceback" not in captured.err
+
+
+def _config_flags():
+    """Config key -> the solve flag that sets it."""
+    solve = cli._build_parser().commands["solve"]
+    keys = solve.get_default("config_fields")
+    return {a.dest: a.option_strings[0] for a in solve._actions
+            if a.dest in keys}
+
+
+_CONFIG_FLAGS = _config_flags()
+
+
+@pytest.mark.parametrize("key", list(config._KEYS))
+def test_every_key_rejects_bad_values_in_one_format(key, capsys):
+    # by --set, by the key's flag where it has one, and by a library
+    # caller's overrides: the same parse, the same check, the same text
+    prefix = f"invalid config: {key}: "
+    for value in ("nan", "inf", "-inf", "abc"):
+        argvs = [["--set", f"{key}={value}"]]
+        if key in _CONFIG_FLAGS:
+            argvs.append([f"{_CONFIG_FLAGS[key]}={value}"])
+        for argv in argvs:
+            assert main(["solve", *argv]) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: " + prefix), argv
+            assert captured.err.count("\n") == 1, argv
+    for value in ([1.0], True):
+        with pytest.raises(ConfigError, match="^" + re.escape(prefix)):
+            load_config(overrides={key: value})
+
+
+def test_flags_parse_as_set_values(capsys):
+    assert main(["solve", "--k", "abc"]) == 1
+    assert capsys.readouterr().err == \
+        "error: invalid config: n_users: cannot parse 'abc'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "4", "--n", "4", "--m", "1", "--seed", "2",
+     "--set", "cell_radius_km=1.7e305"],
+    ["--set", "cell_radius_km=1e308"]])
+def test_a_cell_whose_distances_overflow_is_a_config_error(argv, capsys):
+    # the links' offsets would overflow (a warning, and EE 0 or a NaN gain)
+    assert main(["solve", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid config: cell_radius_km: ")
+
+
+def test_the_widest_cell_in_range_solves(capsys):
+    # (1 + d_r) x 1e308 m is in range: the geometry overflows nowhere; a
+    # RuntimeWarning fails the test through the suite's filter
+    for seed in range(1, 9):
+        assert main(["solve", "--m", "1", "--seed", str(seed),
+                     "--set", "cell_radius_km=1e305"]) == 0
+        doc = _strict_loads(capsys.readouterr().out)
+        assert math.isfinite(doc["metrics"]["ee"])
 
 
 # settings whose closed forms reach a zero, subnormal or overflowing AF
@@ -707,6 +775,8 @@ def test_rendered_entries_edge_allocations():
 def test_dump_rejects_what_it_cannot_encode():
     with pytest.raises(TypeError):
         _fast_dump({"x": object()})
+    with pytest.raises(TypeError, match="non-str key"):
+        _fast_dump({"x": {1: 2.0}})
 
 
 _json_leaves = st.one_of(

@@ -209,14 +209,14 @@ def test_real_keys_reject_non_numbers():
     # strings from files and --set are parsed first; values that library
     # callers pass reach validate as they are
     msg = "invalid config: p_max_dbm: must be a real number"
-    for value in ([0.0], 1j, None, "-30"):
+    for value in ([0.0], 1j, True, None, "-30"):
         if value is not None and type(value) is not str:
             with pytest.raises(ConfigError, match=msg):
                 load_config(overrides={"p_max_dbm": value})
         spec = SweepSpec(name="x", axes={"p_max_dbm": [value]}, samples=1)
         with pytest.raises(ConfigError, match=msg):
             run_sweep(spec)
-    with pytest.raises(ConfigError, match="pathloss.bs_rn_los.slope_db must "
+    with pytest.raises(ConfigError, match="pathloss.bs_rn_los.slope_db: must "
                                           "be a real number"):
         load_config(overrides={"pathloss.bs_rn_los.slope_db": [1.0]})
     for ok in (-30, np.float64(-30.0), np.int64(-30)):

@@ -136,6 +136,16 @@ def tiny_instance():
     return cfg, chan
 
 
+def test_assignment_without_a_feasible_point_scores_minus_inf(tiny_instance):
+    # a NaN gain scores NaN at every grid point, and NaN never wins
+    cfg, chan = tiny_instance
+    g = chan.g_bs_ue.copy()
+    g[0, 0] = math.nan
+    alloc, ee = optimize_powers_on_grid(((0, "direct"), None),
+                                        dataclasses.replace(chan, g_bs_ue=g), cfg)
+    assert alloc == Allocation(2, 2, {}) and ee == -math.inf
+
+
 def test_brute_force_beats_handmade_allocations(tiny_instance):
     cfg, chan = tiny_instance
     best = brute_force_eem(chan, cfg)
